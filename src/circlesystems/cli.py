@@ -5,8 +5,10 @@ commands compose in shell pipelines:
 
     circlesystems generate octahedron | circlesystems realize | circlesystems verify
 
-Exit codes: 0 success, 1 verification/classification failure, 2 usage or
-domain error, 3 numeric failure (non-convergence or degeneracy).
+Exit codes: 0 success, 1 verification/classification failure or internal
+error, 2 usage or domain error (including malformed documents and results
+that are not finite), 3 numeric failure (non-convergence or degeneracy).
+The codes follow the base classes in ``errors``.
 """
 
 from __future__ import annotations
@@ -18,35 +20,10 @@ import sys
 from . import generators, geometry, jsonio
 from .embedding import medial
 from .equivalence import RealizationClass, classify_octahedron, equivalent
-from .errors import (
-    CircleSystemsError,
-    DegenerateRadius,
-    DomainError,
-    EmptyInput,
-    InvalidConfig,
-    MalformedRotation,
-    NoConvergence,
-    NonPlanarEmbedding,
-    NotTangent,
-    NotThreeConnected,
-    TooSmall,
-)
+from .errors import CircleSystemsError, NumericError, UsageError
 from .packing import Circle
 from .realization import circle_count_bounds, realize, verify_realization
 from .svgrender import RenderOptions, render_svg
-
-_USAGE_ERRORS = (
-    MalformedRotation,
-    NonPlanarEmbedding,
-    NotThreeConnected,
-    TooSmall,
-    DomainError,
-    InvalidConfig,
-    NotTangent,
-    EmptyInput,
-    ValueError,
-)
-_NUMERIC_ERRORS = (NoConvergence, DegenerateRadius)
 
 _PLATONICS = {
     "tetrahedron": generators.tetrahedron,
@@ -361,12 +338,15 @@ def run_cli(argv) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return _COMMANDS[args.command](args)
-    except _NUMERIC_ERRORS as exc:
+    except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except _USAGE_ERRORS as exc:
+    except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except CircleSystemsError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
 
 
 def main():

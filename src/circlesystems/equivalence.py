@@ -12,18 +12,17 @@ isomorphism maps outer to outer.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 from .errors import NoClassMatch
 from .isomorphism import digraph_isomorphism
 from .realization import (
-    Arc,
-    RealPoint,
     Realization,
+    _angular_order,
+    _consecutive_arcs,
+    _nearest_point,
     extract_with_arcs,
     outer_face_of,
-    point_angle,
 )
 
 
@@ -67,50 +66,22 @@ def smooth_degree_two(r: Realization) -> Realization:
     are unchanged and surviving points keep their coordinates.  Merged arcs
     get fresh edge ids.
     """
+    order = _angular_order(r.circles, r.points)
     end_count = [0] * len(r.points)
-    by_circle = {}
-    for ci in range(len(r.circles)):
-        by_circle[ci] = sorted(
-            ((point_angle(r, pid, ci), pid) for pid in r.points_on(ci))
-        )
     for arc in r.arcs:
         # each arc contributes one end at each endpoint angle
         for angle in (arc.from_angle, arc.to_angle):
-            pid = _nearest(by_circle[arc.circle], angle)
+            pid, _ = _nearest_point(order[arc.circle], angle)
             end_count[pid] += 1
 
-    keep = [pid for pid in range(len(r.points)) if end_count[pid] != 2]
-    keep_set = set(keep)
-
-    points = [
-        RealPoint(r.points[pid].x, r.points[pid].y, r.points[pid].on,
-                  r.points[pid].kind)
-        for pid in keep
-    ]
-    arcs = []
-    edge_id = 0
-    for ci in range(len(r.circles)):
-        kept_here = [
-            (a, pid) for (a, pid) in by_circle[ci] if pid in keep_set
-        ]
+    kept_order = []
+    for ci, pairs in enumerate(order):
+        kept_here = [(a, pid) for (a, pid) in pairs if end_count[pid] != 2]
         if not kept_here:
             raise ValueError(f"circle {ci} would lose all its points")
-        k = len(kept_here)
-        for j in range(k):
-            a0 = kept_here[j][0]
-            a1 = kept_here[(j + 1) % k][0]
-            arcs.append(Arc(ci, a0, a1, edge_id))
-            edge_id += 1
-    return Realization(list(r.circles), points, arcs)
-
-
-def _nearest(angle_list, angle):
-    best, best_gap = None, None
-    for a, pid in angle_list:
-        gap = abs((a - angle + math.pi) % (2.0 * math.pi) - math.pi)
-        if best_gap is None or gap < best_gap:
-            best, best_gap = pid, gap
-    return best
+        kept_order.append(kept_here)
+    points = [p for p, ends in zip(r.points, end_count) if ends != 2]
+    return Realization(list(r.circles), points, _consecutive_arcs(kept_order))
 
 
 def oriented_dual(r: Realization) -> OrientedDual:

@@ -5,19 +5,27 @@ class CircleSystemsError(Exception):
     """Base class for all package-specific failures."""
 
 
-class MalformedRotation(CircleSystemsError):
+class UsageError(CircleSystemsError):
+    """Bad input or an argument outside the operation's domain (exit 2)."""
+
+
+class NumericError(CircleSystemsError):
+    """Computation that missed its tolerance or hit a degeneracy (exit 3)."""
+
+
+class MalformedRotation(UsageError):
     """Rotation data is not a valid dart system (asymmetric adjacency etc.)."""
 
 
-class NonPlanarEmbedding(CircleSystemsError):
+class NonPlanarEmbedding(UsageError):
     """The supplied rotation system violates the Euler formula."""
 
 
-class Disconnected(CircleSystemsError):
+class Disconnected(UsageError):
     """Operation requires a connected graph."""
 
 
-class NotBipartiteDual(CircleSystemsError):
+class NotBipartiteDual(UsageError):
     """Face adjacency graph is not 2-colorable (input not Eulerian)."""
 
 
@@ -25,15 +33,15 @@ class VertexNotOnTwoGrayFaces(CircleSystemsError):
     """Internal consistency failure while building the gray-face graph."""
 
 
-class TooSmall(CircleSystemsError):
+class TooSmall(UsageError):
     """Input below the minimum size the operation is defined for."""
 
 
-class NoConvergence(CircleSystemsError):
+class NoConvergence(NumericError):
     """Numerical iteration hit its cap before reaching tolerance."""
 
 
-class NotThreeConnected(CircleSystemsError):
+class NotThreeConnected(UsageError):
     """Realization pipeline requires a 3-connected input."""
 
 
@@ -41,7 +49,7 @@ class ILNotSimple(CircleSystemsError):
     """Gray-face graph unexpectedly non-simple; indicates an internal bug."""
 
 
-class DegenerateArc(CircleSystemsError):
+class DegenerateArc(NumericError):
     """Two points on one circle are closer than the tolerance allows."""
 
 
@@ -53,21 +61,21 @@ class NoClassMatch(CircleSystemsError):
     """Realization matched none of the known octahedron classes."""
 
 
-class DomainError(CircleSystemsError):
+class DomainError(UsageError):
     """Numeric argument outside the formula's domain."""
 
 
-class InvalidConfig(CircleSystemsError):
+class InvalidConfig(UsageError):
     """Arc-pair configuration violates its structural preconditions."""
 
 
-class NotTangent(CircleSystemsError):
+class NotTangent(UsageError):
     """Circles expected to be pairwise tangent are not."""
 
 
-class DegenerateRadius(CircleSystemsError):
+class DegenerateRadius(NumericError):
     """Could not avoid a triple-concurrence after the retry budget."""
 
 
-class EmptyInput(CircleSystemsError):
+class EmptyInput(UsageError):
     """Nothing to render or process."""

@@ -15,7 +15,7 @@ from . import realization as rz
 from .embedding import EmbeddedGraph, build_embedding, dual
 from .equivalence import RealizationClass
 from .errors import DegenerateRadius
-from .packing import Circle, pack
+from .packing import Circle, _circle_intersections, _tangency_point, pack
 
 # -- platonic solids (hand-checked rotation systems) --------------------------
 
@@ -87,28 +87,6 @@ _SODDY_INNER = (2.0 * math.sqrt(3.0) - 3.0) / 3.0
 _SODDY_OUTER = (2.0 * math.sqrt(3.0) + 3.0) / 3.0
 
 
-def _circle_intersections(a: Circle, b: Circle):
-    dx, dy = b.cx - a.cx, b.cy - a.cy
-    d = math.hypot(dx, dy)
-    x = (d * d + a.r * a.r - b.r * b.r) / (2.0 * d)
-    h = math.sqrt(max(0.0, a.r * a.r - x * x))
-    ux, uy = dx / d, dy / d
-    px, py = a.cx + x * ux, a.cy + x * uy
-    return (px - h * uy, py + h * ux), (px + h * uy, py - h * ux)
-
-
-def _tangency_point(a: Circle, b: Circle):
-    dx, dy = b.cx - a.cx, b.cy - a.cy
-    d = math.hypot(dx, dy)
-    if abs(d - (a.r + b.r)) <= abs(abs(a.r - b.r) - d):
-        t = a.r / d  # external tangency: between the centers
-    elif a.r >= b.r:
-        t = a.r / d  # a contains b: past b's center
-    else:
-        t = -a.r / d  # b contains a: on the far side of a
-    return (a.cx + t * dx, a.cy + t * dy)
-
-
 def _assemble_by_angles(circles, point_data):
     """Build a realization whose arcs join angularly consecutive points.
 
@@ -116,22 +94,18 @@ def _assemble_by_angles(circles, point_data):
     fresh edge id.
     """
     points = [rz.RealPoint(x, y, pair, kind) for (x, y, pair, kind) in point_data]
-    arcs = []
-    edge_id = 0
-    for ci in range(len(circles)):
-        on_circle = [
-            (rz.angle_on(circles[ci], (p.x, p.y)), idx)
-            for idx, p in enumerate(points)
-            if ci in p.on
-        ]
-        on_circle.sort()
-        k = len(on_circle)
-        for j in range(k):
-            a0 = on_circle[j][0]
-            a1 = on_circle[(j + 1) % k][0]
-            arcs.append(rz.Arc(ci, a0, a1, edge_id))
-            edge_id += 1
+    arcs = rz._consecutive_arcs(rz._angular_order(circles, points))
     return rz.Realization(list(circles), points, arcs)
+
+
+def _crossing_data(circles):
+    """Point data for both crossing points of every pair of circles."""
+    data = []
+    for i in range(len(circles)):
+        for j in range(i + 1, len(circles)):
+            for x, y in _circle_intersections(circles[i], circles[j]):
+                data.append((x, y, (i, j), rz.KIND_CROSS))
+    return data
 
 
 def canonical_octahedron_realization(kind: RealizationClass) -> rz.Realization:
@@ -143,13 +117,7 @@ def canonical_octahedron_realization(kind: RealizationClass) -> rz.Realization:
             Circle(1.0, 0.0, 1.0),
             Circle(0.5, s3 / 2.0, 1.0),
         ]
-        data = []
-        for i in range(3):
-            for j in range(i + 1, 3):
-                p, q = _circle_intersections(circles[i], circles[j])
-                data.append((p[0], p[1], (i, j), rz.KIND_CROSS))
-                data.append((q[0], q[1], (i, j), rz.KIND_CROSS))
-        return _assemble_by_angles(circles, data)
+        return _assemble_by_angles(circles, _crossing_data(circles))
 
     units = [Circle(0.0, 0.0, 1.0), Circle(2.0, 0.0, 1.0), Circle(1.0, s3, 1.0)]
     center = (1.0, s3 / 3.0)
@@ -189,12 +157,7 @@ def flower(c: int, radius: float = 1.3):
             Circle(math.cos(2.0 * math.pi * k / c), math.sin(2.0 * math.pi * k / c), r)
             for k in range(c)
         ]
-        data = []
-        for i in range(c):
-            for j in range(i + 1, c):
-                p, q = _circle_intersections(circles[i], circles[j])
-                data.append((p[0], p[1], (i, j), rz.KIND_CROSS))
-                data.append((q[0], q[1], (i, j), rz.KIND_CROSS))
+        data = _crossing_data(circles)
         if _has_near_coincidence(data):
             r += 1e-3
             continue

@@ -15,7 +15,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import DomainError, InvalidConfig, NotTangent
-from .packing import Circle
+from .packing import Circle, _tangency, _tangency_gap
 
 INTERIOR = "INTERIOR"
 EXTERIOR = "EXTERIOR"
@@ -85,8 +85,7 @@ def build_outer_configuration(r1, r2, phi):
 
 def tangency_residual(a: Circle, b: Circle) -> float:
     """Relative deviation from external tangency of two circles."""
-    d = math.hypot(a.cx - b.cx, a.cy - b.cy)
-    return abs(d - (a.r + b.r)) / (a.r + b.r)
+    return _tangency_gap(a, b)
 
 
 # -- nested arc-pair inequality --------------------------------------------------
@@ -318,17 +317,15 @@ def descartes_check(c1: Circle, c2: Circle, c3: Circle, c4: Circle,
     for i in range(4):
         for j in range(i + 1, 4):
             a, b = circles[i], circles[j]
-            d = math.hypot(a.cx - b.cx, a.cy - b.cy)
-            scale = a.r + b.r
-            if abs(d - (a.r + b.r)) <= tol * scale:
-                continue
-            if abs(d - abs(a.r - b.r)) <= tol * scale:
+            kind = _tangency(a, b, tol)
+            if kind is None:
+                d = math.hypot(a.cx - b.cx, a.cy - b.cy)
+                raise NotTangent(
+                    f"circles {i} and {j}: center distance {d!r} matches "
+                    "neither external nor internal tangency"
+                )
+            if kind == "internal":
                 enclosing.add(i if a.r > b.r else j)
-                continue
-            raise NotTangent(
-                f"circles {i} and {j}: center distance {d!r} matches neither "
-                "external nor internal tangency"
-            )
     if len(enclosing) > 1:
         raise NotTangent("more than one enclosing circle")
     curvatures = [

@@ -3,12 +3,16 @@
 One envelope shape: ``{"type": ..., "version": 1, ...}``.  Floats are
 emitted with Python's shortest round-trip representation, so parsing the
 output reproduces every value bit for bit and identical inputs serialize to
-identical bytes.
+identical bytes.  JSON has no NaN or infinity, so serializing a non-finite
+float raises ValueError.  Parsing checks every document at the boundary:
+a missing key, a wrongly typed or non-finite field, or an id out of range
+raises ValueError naming the document type.
 """
 
 from __future__ import annotations
 
 import json
+import math
 
 from .coloring import ILGraph
 from .embedding import EmbeddedGraph, build_embedding
@@ -19,27 +23,64 @@ from .realization import Arc, RealPoint, Realization
 VERSION = 1
 
 
-def _fmt(value):
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "null"
-    if isinstance(value, int):
-        return str(value)
-    if isinstance(value, str):
-        return json.dumps(value)
-    if isinstance(value, dict):
-        inner = ",".join(f"{json.dumps(k)}:{_fmt(v)}" for k, v in value.items())
-        return "{" + inner + "}"
-    if isinstance(value, (list, tuple)):
-        return "[" + ",".join(_fmt(v) for v in value) + "]"
-    raise TypeError(f"cannot serialize {type(value)!r}")
-
-
 def dumps(obj) -> str:
-    return _fmt(obj)
+    return json.dumps(obj, separators=(",", ":"), allow_nan=False)
+
+
+def _document(data, types, name):
+    """The JSON object ``data`` (parsed first if it is text), checked to be
+    of one of the document ``types``."""
+    if isinstance(data, str):
+        data = json.loads(data)
+    kind = data.get("type") if isinstance(data, dict) else None
+    if kind not in types:
+        raise ValueError(f"expected a {name} document, got {kind!r}")
+    return data
+
+
+def _field(obj, key, doc, kind=(int, float), size=None):
+    """``obj[key]`` checked to be a ``kind`` (bools excluded), finite if it
+    is a float, and in ``range(size)`` when ``size`` is given."""
+    value = obj.get(key) if isinstance(obj, dict) else None
+    if (not isinstance(value, kind) or isinstance(value, bool)
+            or isinstance(value, float) and not math.isfinite(value)
+            or size is not None and not 0 <= value < size):
+        raise ValueError(f"{doc} document: missing or invalid {key!r}")
+    return value
+
+
+def _ints(values, doc, key, size=None):
+    """``values`` checked to be a list of ints, in ``range(size)`` if given."""
+    if not isinstance(values, list) or not all(
+            type(v) is int and (size is None or 0 <= v < size) for v in values):
+        raise ValueError(f"{doc} document: {key!r} must hold ints")
+    return values
+
+
+def _by_id(entries, doc, build):
+    """Place each entry at its ``id``; the ids must be 0..len-1, each once."""
+    items = [None] * len(entries)
+    for entry in entries:
+        i = _field(entry, "id", doc, int, len(items))
+        if items[i] is not None:
+            raise ValueError(f"{doc} document: id {i} appears twice")
+        items[i] = build(entry)
+    return items
+
+
+def _circles_to_obj(circles):
+    return [{"id": i, "cx": c.cx, "cy": c.cy, "r": c.r}
+            for i, c in enumerate(circles)]
+
+
+def _circles(data, doc):
+    def build(entry):
+        r = _field(entry, "r", doc)
+        if r <= 0:
+            raise ValueError(f"{doc} document: radius {r!r} is not positive")
+        return Circle(_field(entry, "cx", doc), _field(entry, "cy", doc), r)
+
+    return _by_id(_field(data, "circles", doc, list), doc, build)
 
 
 # -- graphs ----------------------------------------------------------------------
@@ -60,11 +101,12 @@ def serialize_graph(g: EmbeddedGraph) -> str:
 
 
 def parse_graph(data) -> EmbeddedGraph:
-    if isinstance(data, str):
-        data = json.loads(data)
-    if data.get("type") not in ("graph", "il_graph"):
-        raise ValueError(f"expected a graph document, got {data.get('type')!r}")
-    return build_embedding(data["rotation"], data.get("outer_face"))
+    data = _document(data, ("graph", "il_graph"), "graph")
+    rotation = [_ints(row, "graph", "rotation")
+                for row in _field(data, "rotation", "graph", list)]
+    if data.get("outer_face") is None:
+        return build_embedding(rotation)
+    return build_embedding(rotation, _field(data, "outer_face", "graph", int))
 
 
 def serialize_il(il: ILGraph) -> str:
@@ -80,10 +122,7 @@ def packing_to_obj(p: Packing):
     return {
         "type": "packing",
         "version": VERSION,
-        "circles": [
-            {"id": i, "cx": c.cx, "cy": c.cy, "r": c.r}
-            for i, c in enumerate(p.circles)
-        ],
+        "circles": _circles_to_obj(p.circles),
         "residual": p.residual,
     }
 
@@ -93,15 +132,11 @@ def serialize_packing(p: Packing) -> str:
 
 
 def parse_packing(data) -> Packing:
-    if isinstance(data, str):
-        data = json.loads(data)
-    if data.get("type") != "packing":
-        raise ValueError(f"expected a packing document, got {data.get('type')!r}")
-    circles = [None] * len(data["circles"])
-    for entry in data["circles"]:
-        circles[entry["id"]] = Circle(entry["cx"], entry["cy"], entry["r"])
+    data = _document(data, ("packing",), "packing")
     return Packing(
-        circles=tuple(circles), residual=data["residual"], iterations=0
+        circles=tuple(_circles(data, "packing")),
+        residual=_field(data, "residual", "packing"),
+        iterations=0,
     )
 
 
@@ -112,10 +147,7 @@ def realization_to_obj(r: Realization):
     return {
         "type": "realization",
         "version": VERSION,
-        "circles": [
-            {"id": i, "cx": c.cx, "cy": c.cy, "r": c.r}
-            for i, c in enumerate(r.circles)
-        ],
+        "circles": _circles_to_obj(r.circles),
         "points": [
             {"id": i, "x": p.x, "y": p.y, "on": list(p.on), "kind": p.kind}
             for i, p in enumerate(r.points)
@@ -137,23 +169,23 @@ def serialize_realization(r: Realization) -> str:
 
 
 def parse_realization(data) -> Realization:
-    if isinstance(data, str):
-        data = json.loads(data)
-    if data.get("type") != "realization":
-        raise ValueError(
-            f"expected a realization document, got {data.get('type')!r}"
-        )
-    circles = [None] * len(data["circles"])
-    for entry in data["circles"]:
-        circles[entry["id"]] = Circle(entry["cx"], entry["cy"], entry["r"])
-    points = [None] * len(data["points"])
-    for entry in data["points"]:
-        points[entry["id"]] = RealPoint(
-            entry["x"], entry["y"], tuple(entry["on"]), entry["kind"]
-        )
+    doc = "realization"
+    data = _document(data, (doc,), doc)
+    circles = _circles(data, doc)
+
+    def point(entry):
+        on = _ints(_field(entry, "on", doc, list), doc, "on", len(circles))
+        if len(on) != 2:
+            raise ValueError(f"{doc} document: 'on' must name two circles")
+        return RealPoint(_field(entry, "x", doc), _field(entry, "y", doc),
+                         tuple(on), _field(entry, "kind", doc, str))
+
+    points = _by_id(_field(data, "points", doc, list), doc, point)
     arcs = [
-        Arc(e["circle"], e["from_angle"], e["to_angle"], e["edge"])
-        for e in data["arcs"]
+        Arc(_field(e, "circle", doc, int, len(circles)),
+            _field(e, "from_angle", doc), _field(e, "to_angle", doc),
+            _field(e, "edge", doc, int))
+        for e in _field(data, "arcs", doc, list)
     ]
     return Realization(circles, points, arcs)
 
@@ -174,20 +206,20 @@ def serialize_dual(d: OrientedDual) -> str:
 
 
 def parse_dual(data) -> OrientedDual:
-    if isinstance(data, str):
-        data = json.loads(data)
-    if data.get("type") != "oriented_dual":
-        raise ValueError(f"expected a dual document, got {data.get('type')!r}")
+    data = _document(data, ("oriented_dual",), "dual")
+    edges = _field(data, "edges", "dual", list)
+    if not all(len(_ints(e, "dual", "edges")) == 2 for e in edges):
+        raise ValueError("dual document: 'edges' must be [tail, head] pairs")
     return OrientedDual(
-        nodes=tuple(data["nodes"]),
-        edges=tuple((t, h, i) for i, (t, h) in enumerate(data["edges"])),
-        outer=data["outer"],
+        nodes=tuple(_ints(_field(data, "nodes", "dual", list), "dual", "nodes")),
+        edges=tuple((t, h, i) for i, (t, h) in enumerate(edges)),
+        outer=_field(data, "outer", "dual", int),
     )
 
 
 def parse_any(text: str):
     data = json.loads(text)
-    kind = data.get("type")
+    kind = data.get("type") if isinstance(data, dict) else None
     if kind in ("graph", "il_graph"):
         return parse_graph(data)
     if kind == "packing":

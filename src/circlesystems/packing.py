@@ -31,6 +31,50 @@ class Circle:
     r: float
 
 
+def _tangency(a: Circle, b: Circle, tol: float):
+    """How two circles touch within ``tol`` relative to ``a.r + b.r``:
+    "external", "internal", or None when they are not tangent."""
+    d = math.hypot(a.cx - b.cx, a.cy - b.cy)
+    scale = a.r + b.r
+    if abs(d - scale) <= tol * scale:
+        return "external"
+    if abs(d - abs(a.r - b.r)) <= tol * scale:
+        return "internal"
+    return None
+
+
+def _tangency_gap(a: Circle, b: Circle) -> float:
+    """Relative deviation from external tangency of two circles."""
+    d = math.hypot(a.cx - b.cx, a.cy - b.cy)
+    return abs(d - (a.r + b.r)) / (a.r + b.r)
+
+
+def _circle_intersections(a: Circle, b: Circle):
+    """Crossing points of two circles: the one left of the line from a's
+    center to b's, then the one right of it."""
+    dx, dy = b.cx - a.cx, b.cy - a.cy
+    d = math.hypot(dx, dy)
+    x = (d * d + a.r * a.r - b.r * b.r) / (2.0 * d)
+    h = math.sqrt(max(0.0, a.r * a.r - x * x))
+    ux, uy = dx / d, dy / d
+    px, py = a.cx + x * ux, a.cy + x * uy
+    return (px - h * uy, py + h * ux), (px + h * uy, py - h * ux)
+
+
+def _tangency_point(a: Circle, b: Circle):
+    """Touching point of two circles, external or internal, whichever
+    tangency their center distance is closer to."""
+    dx, dy = b.cx - a.cx, b.cy - a.cy
+    d = math.hypot(dx, dy)
+    if abs(d - (a.r + b.r)) <= abs(abs(a.r - b.r) - d):
+        t = a.r / d  # external tangency: between the centers
+    elif a.r >= b.r:
+        t = a.r / d  # a contains b: past b's center
+    else:
+        t = -a.r / d  # b contains a: on the far side of a
+    return (a.cx + t * dx, a.cy + t * dy)
+
+
 @dataclass(frozen=True)
 class Triangulation:
     """Apex-augmented graph in which every face is a triangle."""
@@ -172,11 +216,10 @@ def _layout(tg: EmbeddedGraph, radii, boundary_face):
     pos[t0] = (0.0, 0.0)
     pos[t1] = (radii[t0] + radii[t1], 0.0)
     # boundary triangle counterclockwise in the plane (it is the outer face)
-    r0, r1, r2 = radii[t0], radii[t1], radii[t2]
-    d01 = r0 + r1
-    x = (d01 * d01 + (r0 + r2) ** 2 - (r1 + r2) ** 2) / (2.0 * d01)
-    y = math.sqrt(max(0.0, (r0 + r2) ** 2 - x * x))
-    pos[t2] = (x, y)
+    pos[t2], _ = _circle_intersections(
+        Circle(*pos[t0], radii[t0] + radii[t2]),
+        Circle(*pos[t1], radii[t1] + radii[t2]),
+    )
 
     processed = {boundary_face}
     queue = deque()
@@ -197,17 +240,12 @@ def _layout(tg: EmbeddedGraph, radii, boundary_face):
             a = tails[(i + 1) % 3]
             b = tails[(i + 2) % 3]
             c = tails[i]
-            ax, ay = pos[a]
-            bx, by = pos[b]
-            rac = radii[a] + radii[c]
-            rbc = radii[b] + radii[c]
-            dx, dy = bx - ax, by - ay
-            dist = math.hypot(dx, dy)
-            ux, uy = dx / dist, dy / dist
-            xx = (dist * dist + rac * rac - rbc * rbc) / (2.0 * dist)
-            yy = math.sqrt(max(0.0, rac * rac - xx * xx))
-            # clockwise triangle: c on the right of a->b
-            pos[c] = (ax + xx * ux + yy * uy, ay + xx * uy - yy * ux)
+            # c's center is where the circles of radius r_a + r_c around a
+            # and r_b + r_c around b cross; clockwise triangle: right of a->b
+            _, pos[c] = _circle_intersections(
+                Circle(*pos[a], radii[a] + radii[c]),
+                Circle(*pos[b], radii[b] + radii[c]),
+            )
         for x in cycle:
             r = tg.dart_rev[x]
             if tg.dart_face[r] not in processed:
@@ -253,8 +291,7 @@ def pack(g: EmbeddedGraph, tol: float = 1e-9) -> Packing:
 def _tangency_residual(circles, g):
     worst = 0.0
     for u, v in g.edges():
-        a, b = circles[u], circles[v]
-        gap = abs(math.hypot(a.cx - b.cx, a.cy - b.cy) - (a.r + b.r)) / (a.r + b.r)
+        gap = _tangency_gap(circles[u], circles[v])
         if gap > worst:
             worst = gap
     return worst

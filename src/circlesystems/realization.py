@@ -23,7 +23,7 @@ from .errors import (
     TooSmall,
 )
 from .isomorphism import find_isomorphism
-from .packing import Circle, pack
+from .packing import Circle, _tangency, _tangency_point, pack
 
 KIND_TOUCH = "TOUCH"
 KIND_CROSS = "CROSS"
@@ -76,16 +76,52 @@ def angle_on(circle: Circle, xy) -> float:
 def point_kind(a: Circle, b: Circle, tol: float = 1e-8) -> str:
     """TOUCH when the circles are externally or internally tangent within
     tolerance, CROSS otherwise."""
-    d = math.hypot(a.cx - b.cx, a.cy - b.cy)
-    scale = a.r + b.r
-    if abs(d - scale) <= tol * scale or abs(d - abs(a.r - b.r)) <= tol * scale:
-        return KIND_TOUCH
-    return KIND_CROSS
+    return KIND_CROSS if _tangency(a, b, tol) is None else KIND_TOUCH
 
 
 def point_angle(r: Realization, point_id: int, circle_id: int) -> float:
     p = r.points[point_id]
     return angle_on(r.circles[circle_id], (p.x, p.y))
+
+
+def _angle_gap(a: float, b: float) -> float:
+    """Distance between two angles around the circle, in [0, pi]."""
+    return abs((a - b + math.pi) % TWO_PI - math.pi)
+
+
+def _angular_order(circles, points):
+    """Per circle, the (angle, point id) pairs of the points on it, sorted
+    counterclockwise from angle 0; ties keep point id order."""
+    order = [[] for _ in circles]
+    for pid, p in enumerate(points):
+        for ci in set(p.on):
+            if 0 <= ci < len(order):
+                order[ci].append((angle_on(circles[ci], (p.x, p.y)), pid))
+    for pairs in order:
+        pairs.sort()
+    return order
+
+
+def _nearest_point(pairs, angle):
+    """(point id, angle gap) of the entry of one circle's angular order
+    nearest to ``angle``; the first wins ties; (None, None) when empty."""
+    best, best_gap = None, None
+    for a, pid in pairs:
+        gap = _angle_gap(a, angle)
+        if best_gap is None or gap < best_gap:
+            best, best_gap = pid, gap
+    return best, best_gap
+
+
+def _consecutive_arcs(order):
+    """Arcs joining angularly consecutive points of every circle, with
+    fresh edge ids in circle order."""
+    arcs = []
+    for ci, pairs in enumerate(order):
+        k = len(pairs)
+        for j in range(k):
+            arcs.append(Arc(ci, pairs[j][0], pairs[(j + 1) % k][0], len(arcs)))
+    return arcs
 
 
 @dataclass(frozen=True)
@@ -143,17 +179,8 @@ def realize(g: EmbeddedGraph, tol: float = 1e-9) -> Realization:
     points = []
     for v in range(g.n):
         a, b = il.vertex_gray_pair[v]
-        ca, cb = circles[a], circles[b]
-        d = math.hypot(cb.cx - ca.cx, cb.cy - ca.cy)
-        t = ca.r / d
-        points.append(
-            RealPoint(
-                ca.cx + t * (cb.cx - ca.cx),
-                ca.cy + t * (cb.cy - ca.cy),
-                (a, b),
-                KIND_TOUCH,
-            )
-        )
+        x, y = _tangency_point(circles[a], circles[b])
+        points.append(RealPoint(x, y, (a, b), KIND_TOUCH))
 
     arcs = []
     for i, f in enumerate(il.gray_faces):
@@ -188,20 +215,6 @@ class ExtractedGraph:
     arc_darts: tuple  # arc index -> (ccw dart, cw dart)
 
 
-def _match_point(points_by_circle, circle_id, angle, tol):
-    best, best_gap = None, None
-    for pid, a in points_by_circle[circle_id]:
-        gap = abs((a - angle + math.pi) % TWO_PI - math.pi)
-        if best_gap is None or gap < best_gap:
-            best, best_gap = pid, gap
-    if best is None or best_gap > max(tol * 10.0, 1e-9):
-        raise DegenerateArc(
-            f"arc endpoint at angle {angle:.6f} on circle {circle_id} "
-            "matches no point"
-        )
-    return best
-
-
 def extract_with_arcs(r: Realization, tol: float = 1e-8) -> ExtractedGraph:
     """Embedded abstract graph of a realization.
 
@@ -209,20 +222,14 @@ def extract_with_arcs(r: Realization, tol: float = 1e-8) -> ExtractedGraph:
     orders the four arc ends by departure tangent, with curvature breaking
     the ties that tangencies create.
     """
-    points_by_circle = {}
-    for ci in range(len(r.circles)):
-        lst = []
-        for pid, p in enumerate(r.points):
-            if ci in p.on:
-                lst.append((pid, angle_on(r.circles[ci], (p.x, p.y))))
-        lst.sort(key=lambda t: t[1])
-        if len(lst) > 1:
-            for (p1, a1), (p2, a2) in zip(lst, lst[1:] + lst[:1]):
+    order = _angular_order(r.circles, r.points)
+    for ci, pairs in enumerate(order):
+        if len(pairs) > 1:
+            for (a1, p1), (a2, p2) in zip(pairs, pairs[1:] + pairs[:1]):
                 if (a2 - a1) % TWO_PI < tol:
                     raise DegenerateArc(
                         f"points {p1} and {p2} nearly coincide on circle {ci}"
                     )
-        points_by_circle[ci] = lst
 
     # one dart per arc end; 2k and 2k+1 are the ccw and cw traversals
     germs = [[] for _ in r.points]
@@ -230,8 +237,14 @@ def extract_with_arcs(r: Realization, tol: float = 1e-8) -> ExtractedGraph:
     arc_darts = []
     for k, arc in enumerate(r.arcs):
         c = r.circles[arc.circle]
-        p_from = _match_point(points_by_circle, arc.circle, arc.from_angle, tol)
-        p_to = _match_point(points_by_circle, arc.circle, arc.to_angle, tol)
+        ends = []
+        for angle in (arc.from_angle, arc.to_angle):
+            pid, gap = _nearest_point(order[arc.circle], angle)
+            if pid is None or gap > max(tol * 10.0, 1e-9):
+                raise DegenerateArc(f"arc endpoint at angle {angle:.6f} on "
+                                    f"circle {arc.circle} matches no point")
+            ends.append(pid)
+        p_from, p_to = ends
         d_ccw, d_cw = 2 * k, 2 * k + 1
         dart_arc.append((k, True))
         dart_arc.append((k, False))
@@ -360,13 +373,13 @@ def verify_realization(r: Realization, g: EmbeddedGraph | None = None,
                 f"point {pid} declared {p.kind}, circles say otherwise",
             )
 
+    order = _angular_order(r.circles, r.points)
     pair_points = {}
-    for ci in range(len(r.circles)):
-        pts = r.points_on(ci)
-        if len(pts) < 3:
+    for ci, pairs in enumerate(order):
+        if len(pairs) < 3:
             report.add(
                 "three-points-per-circle",
-                f"circle {ci} carries {len(pts)} points",
+                f"circle {ci} carries {len(pairs)} points",
             )
     for pid, p in enumerate(r.points):
         a, b = p.on
@@ -381,27 +394,25 @@ def verify_realization(r: Realization, g: EmbeddedGraph | None = None,
             )
 
     ang_tol = max(tol, 1e-12)
-    for ci in range(len(r.circles)):
-        angles = sorted(
-            point_angle(r, pid, ci) for pid in r.points_on(ci)
-        )
-        if not angles:
+    arcs_by_circle = [[] for _ in r.circles]
+    for a in r.arcs:
+        if 0 <= a.circle < len(arcs_by_circle):
+            arcs_by_circle[a.circle].append(a)
+    for ci, pairs in enumerate(order):
+        if not pairs:
             continue
-        expected = set()
-        k = len(angles)
-        for j in range(k):
-            expected.add((angles[j], angles[(j + 1) % k]))
-        arcs = r.arcs_on(ci)
-        if len(arcs) != k:
+        arcs = arcs_by_circle[ci]
+        if len(arcs) != len(pairs):
             report.add(
                 "arcs-partition-circle",
-                f"circle {ci} has {len(arcs)} arcs for {k} points",
+                f"circle {ci} has {len(arcs)} arcs for {len(pairs)} points",
             )
             continue
+        expected = {(a.from_angle, a.to_angle) for a in _consecutive_arcs([pairs])}
         for a in arcs:
             ok = any(
-                abs((a.from_angle - e0 + math.pi) % TWO_PI - math.pi) <= ang_tol
-                and abs((a.to_angle - e1 + math.pi) % TWO_PI - math.pi) <= ang_tol
+                _angle_gap(a.from_angle, e0) <= ang_tol
+                and _angle_gap(a.to_angle, e1) <= ang_tol
                 for (e0, e1) in expected
             )
             if not ok:

@@ -5,7 +5,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, strategies as st
 
-from circlesystems import jsonio
+from circlesystems import cli, errors, jsonio
 from circlesystems.cli import run_cli
 from circlesystems.equivalence import RealizationClass
 from circlesystems.generators import canonical_octahedron_realization, flower, octahedron
@@ -257,3 +257,113 @@ def test_packing_roundtrip():
 def test_float_serialization_roundtrips_exactly(values):
     text = jsonio.dumps({"values": values})
     assert json.loads(text)["values"] == values
+
+
+def test_dumps_rejects_non_finite_floats():
+    with pytest.raises(ValueError):
+        jsonio.dumps({"radius": float("nan")})
+
+
+def test_non_finite_result_is_usage_error():
+    code, out, err = run(["geom", "outer-mate", "--r1", "1e308",
+                          "--r2", "1e308", "--phi", "0.1"])
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+
+
+_CIRCLE = {"id": 0, "cx": 0.0, "cy": 0.0, "r": 1.0}
+
+
+@pytest.mark.parametrize("argv, doc", [
+    (["verify"], {"type": "realization"}),
+    (["realize"], {"type": "graph"}),
+    (["realize"], {"type": "graph", "rotation": "abc"}),
+    (["realize"], {"type": "graph", "rotation": [[1], [0.5]]}),
+    (["verify"], {"type": "realization", "circles": [{"id": 0, "cx": 0.0}],
+                  "points": [], "arcs": []}),
+    (["verify"], {"type": "realization", "circles": [_CIRCLE],
+                  "points": [{"id": 0, "x": "1", "y": 0.0, "on": [0, 0],
+                              "kind": "TOUCH"}], "arcs": []}),
+    (["verify"], {"type": "realization", "circles": [_CIRCLE],
+                  "points": [], "arcs": [{"circle": 3, "from_angle": 0.0,
+                                          "to_angle": 1.0, "edge": 0}]}),
+    (["classify"], {"type": "realization", "circles": [_CIRCLE],
+                    "points": [{"id": 0, "x": 1.0, "y": 0.0, "on": [0, 7],
+                                "kind": "TOUCH"}], "arcs": []}),
+    (["render"], {"type": "packing", "circles": [dict(_CIRCLE, id=2)],
+                  "residual": 0.0}),
+    (["render"], {"type": "packing", "circles": [dict(_CIRCLE, r=0.0)],
+                  "residual": 0.0}),
+    (["render"], {"type": "oriented_dual", "nodes": [0], "edges": [[0]],
+                  "outer": 1}),
+    (["render"], [1, 2]),
+])
+def test_malformed_document_exits_2(argv, doc):
+    code, out, err = run(argv, json.dumps(doc))
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ")
+
+
+def test_non_finite_document_field_exits_2():
+    obj = jsonio.packing_to_obj(pack(octahedron(), 1e-9))
+    obj["residual"] = float("nan")
+    code, _, err = run(["render"], json.dumps(obj))
+    assert code == 2 and "Traceback" not in err
+
+
+def test_equiv_duplicated_point_is_numeric_failure(tmp_path):
+    r = canonical_octahedron_realization(RealizationClass.THREE_CROSSING)
+    obj = jsonio.realization_to_obj(r)
+    obj["points"].append(dict(obj["points"][0], id=len(obj["points"])))
+    good, dup = tmp_path / "good.json", tmp_path / "dup.json"
+    good.write_text(jsonio.dumps(jsonio.realization_to_obj(r)))
+    dup.write_text(jsonio.dumps(obj))
+    code, out, err = run(["equiv", str(good), str(dup)])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numeric failure: ")
+
+
+_EXIT_CODES = {
+    "CircleSystemsError": 1,
+    "UsageError": 2,
+    "MalformedRotation": 2,
+    "NonPlanarEmbedding": 2,
+    "Disconnected": 2,
+    "NotBipartiteDual": 2,
+    "TooSmall": 2,
+    "NotThreeConnected": 2,
+    "DomainError": 2,
+    "InvalidConfig": 2,
+    "NotTangent": 2,
+    "EmptyInput": 2,
+    "NumericError": 3,
+    "NoConvergence": 3,
+    "DegenerateArc": 3,
+    "DegenerateRadius": 3,
+    "VertexNotOnTwoGrayFaces": 1,
+    "ILNotSimple": 1,
+    "NoInnermostFace": 1,
+    "NoClassMatch": 1,
+}
+_PREFIXES = {1: "internal error", 2: "error", 3: "numeric failure"}
+
+
+def test_exit_code_table_covers_every_error_class():
+    assert set(_EXIT_CODES) == {
+        name for name, value in vars(errors).items()
+        if isinstance(value, type) and issubclass(value, Exception)
+    }
+
+
+@pytest.mark.parametrize("name, expected", sorted(_EXIT_CODES.items()))
+def test_exit_code_follows_error_class(monkeypatch, name, expected):
+    def fail(args):
+        raise getattr(errors, name)("boom")
+
+    monkeypatch.setitem(cli._COMMANDS, "bounds", fail)
+    code, out, err = run(["bounds", "--n", "6"])
+    assert (code, out, err) == (expected, "", f"{_PREFIXES[expected]}: boom\n")

@@ -12,7 +12,12 @@ from circlesystems.equivalence import (
     smooth_degree_two,
 )
 from circlesystems.errors import NoClassMatch
-from circlesystems.generators import canonical_octahedron_realization, octahedron
+from circlesystems.generators import (
+    canonical_octahedron_realization,
+    flower,
+    octahedron,
+    upper_bound_family,
+)
 from circlesystems.packing import Circle
 from circlesystems.realization import Arc, RealPoint, Realization, realize
 
@@ -132,10 +137,14 @@ def test_scaled_translated_equivalent():
 
 
 def test_smooth_identity_without_degree_two_points():
-    r = canonical_octahedron_realization(RealizationClass.THREE_CROSSING)
-    s = smooth_degree_two(r)
-    assert len(s.points) == len(r.points)
-    assert len(s.arcs) == len(r.arcs)
+    # the point and arc order fix the oriented dual's face ids, and through
+    # them the isomorphism search order, so smoothing must not reorder them
+    systems = [canonical_octahedron_realization(k) for k in RealizationClass]
+    systems += [flower(c)[1] for c in (3, 4, 5)]
+    systems += [upper_bound_family(c)[1] for c in (4, 8)]
+    for r in systems:
+        s = smooth_degree_two(r)
+        assert s.points == r.points and s.arcs == r.arcs
 
 
 def test_smooth_removes_subdivision_point():

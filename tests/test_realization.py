@@ -20,6 +20,7 @@ from circlesystems.packing import Circle
 from circlesystems.realization import (
     KIND_CROSS,
     KIND_TOUCH,
+    Arc,
     Realization,
     circle_count_bounds,
     extract_abstract_graph,
@@ -180,6 +181,16 @@ def test_extract_rejects_coincident_points(octa):
     )
     with pytest.raises(DegenerateArc):
         extract_abstract_graph(squeezed)
+    # an arc end 0.1 rad away from every point matches none of them
+    arc = r.arcs[0]
+    rotated = Realization(
+        list(r.circles),
+        list(r.points),
+        [Arc(arc.circle, arc.from_angle + 0.1, arc.to_angle, arc.edge)]
+        + list(r.arcs[1:]),
+    )
+    with pytest.raises(DegenerateArc, match="matches no point"):
+        extract_abstract_graph(rotated)
 
 
 def test_verify_bounds_rule(octa):
