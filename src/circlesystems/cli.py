@@ -6,9 +6,10 @@ commands compose in shell pipelines:
     circlesystems generate octahedron | circlesystems realize | circlesystems verify
 
 Exit codes: 0 success, 1 verification/classification failure or internal
-error, 2 usage or domain error (including malformed documents and results
-that are not finite), 3 numeric failure (non-convergence or degeneracy).
-The codes follow the base classes in ``errors``.
+error, 2 usage or domain error (including malformed documents, files that
+cannot be read or written, and results that are not finite), 3 numeric
+failure (non-convergence or degeneracy).  The codes follow the base classes
+in ``errors``.
 """
 
 from __future__ import annotations
@@ -198,8 +199,7 @@ def _cmd_verify(args):
     real = jsonio.parse_realization(_read_input(args.infile))
     graph = None
     if args.graph:
-        with open(args.graph, "r", encoding="utf-8") as fh:
-            graph = jsonio.parse_graph(fh.read())
+        graph = jsonio.parse_graph(_read_input(args.graph))
     report = verify_realization(real, graph, args.tol)
     obj = {
         "type": "verify_report",
@@ -225,10 +225,8 @@ def _cmd_bounds(args):
 
 
 def _cmd_equiv(args):
-    with open(args.first, "r", encoding="utf-8") as fh:
-        r1 = jsonio.parse_realization(fh.read())
-    with open(args.second, "r", encoding="utf-8") as fh:
-        r2 = jsonio.parse_realization(fh.read())
+    r1 = jsonio.parse_realization(_read_input(args.first))
+    r2 = jsonio.parse_realization(_read_input(args.second))
     result = equivalent(r1, r2)
     _emit(jsonio.dumps({"equivalent": result}), args.out)
     return 0
@@ -341,7 +339,7 @@ def run_cli(argv) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 3
-    except (UsageError, ValueError) as exc:
+    except (UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except CircleSystemsError as exc:

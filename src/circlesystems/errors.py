@@ -79,3 +79,7 @@ class DegenerateRadius(NumericError):
 
 class EmptyInput(UsageError):
     """Nothing to render or process."""
+
+
+class NotRenderable(UsageError):
+    """Document type that has no drawing (a graph or an oriented dual)."""

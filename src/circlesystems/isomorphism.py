@@ -1,89 +1,51 @@
-"""Backtracking isomorphism tests for small graphs and digraphs.
+"""Isomorphism of directed multigraphs, and of undirected ones through them.
 
-Plain depth-first search with degree-signature pruning; adequate for the
-desk-scale graphs this package produces (tens of vertices).  Multigraphs
-are handled by matching adjacency multiplicities.
+One backtracking search, in the frontier order of VF2 (Cordella et al., "A
+(sub)graph isomorphism algorithm for matching large graphs", IEEE TPAMI
+26(10), 2004): the next node is the unmapped node with the most mapped
+neighbours, its candidates are the neighbours of a mapped neighbour's image,
+and a node pairs only with nodes of its own degree signature.  Each pairing
+is checked against the mapped neighbours of both nodes, in O(degree).
+Parallel edges and loops are matched by multiplicity.  An undirected
+multigraph is searched as the digraph with each edge in both directions.
 """
 
 from __future__ import annotations
 
-from collections import Counter
-
-
-def _multi_adjacency(n, edges):
-    adj = [Counter() for _ in range(n)]
-    for u, v in edges:
-        adj[u][v] += 1
-        if u != v:
-            adj[v][u] += 1
-    return adj
-
-
-def _signature(adj, v):
-    deg = sum(adj[v].values())
-    nbr_degs = tuple(sorted(sum(adj[w].values()) for w in adj[v] for _ in range(adj[v][w])))
-    return (deg, adj[v][v], nbr_degs)
+from collections import Counter, defaultdict
 
 
 def find_isomorphism(n1, edges1, n2, edges2):
     """Mapping list (vertex of graph 1 -> vertex of graph 2) or None."""
-    if n1 != n2 or len(edges1) != len(edges2):
-        return None
-    adj1 = _multi_adjacency(n1, edges1)
-    adj2 = _multi_adjacency(n2, edges2)
-    sig1 = [_signature(adj1, v) for v in range(n1)]
-    sig2 = [_signature(adj2, v) for v in range(n2)]
-    if sorted(sig1) != sorted(sig2):
-        return None
+    mapping = digraph_isomorphism(range(n1), _both_ways(edges1),
+                                  range(n2), _both_ways(edges2))
+    return None if mapping is None else [mapping[v] for v in range(n1)]
 
-    candidates = [
-        [w for w in range(n2) if sig2[w] == sig1[v]] for v in range(n1)
-    ]
-    mapping = [-1] * n1
-    used = [False] * n2
 
-    def pick_next():
-        best, best_key = -1, None
-        for v in range(n1):
-            if mapping[v] != -1:
-                continue
-            mapped_nbrs = sum(1 for w in adj1[v] if mapping[w] != -1)
-            key = (-mapped_nbrs, len(candidates[v]), v)
-            if best_key is None or key < best_key:
-                best, best_key = v, key
-        return best
-
-    def consistent(v, x):
-        for w, cnt in adj1[v].items():
-            mw = mapping[w] if w != v else x
-            if mw != -1 and adj2[x][mw] != cnt:
-                return False
-        for w in range(n1):
-            if mapping[w] != -1 and adj2[x][mapping[w]] != adj1[v][w]:
-                return False
-        return True
-
-    def dfs(depth):
-        if depth == n1:
-            return True
-        v = pick_next()
-        for x in candidates[v]:
-            if used[x] or not consistent(v, x):
-                continue
-            mapping[v] = x
-            used[x] = True
-            if dfs(depth + 1):
-                return True
-            mapping[v] = -1
-            used[x] = False
-        return False
-
-    return list(mapping) if dfs(0) else None
+def _both_ways(edges):
+    return [(u, v) for u, v in edges] + [(v, u) for u, v in edges]
 
 
 def graphs_isomorphic(g1, g2):
     """Abstract (embedding-ignoring) isomorphism of two EmbeddedGraphs."""
     return find_isomorphism(g1.n, g1.edges(), g2.n, g2.edges()) is not None
+
+
+def _adjacency(nodes, edges):
+    """Out- and in-neighbour multisets by node index, and each node's
+    signature: (out-degree, in-degree, loops) and its neighbours' degrees."""
+    index = {v: i for i, v in enumerate(nodes)}
+    out = [Counter() for _ in nodes]
+    inn = [Counter() for _ in nodes]
+    for t, h in edges:
+        out[index[t]][index[h]] += 1
+        inn[index[h]][index[t]] += 1
+    degree = [(sum(o.values()), sum(i.values()), o[v])
+              for v, (o, i) in enumerate(zip(out, inn))]
+    sig = [(degree[v], tuple(sorted(degree[w] for w in out[v].elements())),
+            tuple(sorted(degree[w] for w in inn[v].elements())))
+           for v in range(len(nodes))]
+    return index, out, inn, sig
 
 
 def digraph_isomorphism(nodes1, edges1, nodes2, edges2, forced=()):
@@ -94,55 +56,86 @@ def digraph_isomorphism(nodes1, edges1, nodes2, edges2, forced=()):
     """
     if len(nodes1) != len(nodes2) or len(edges1) != len(edges2):
         return None
-    out1 = {v: Counter() for v in nodes1}
-    in1 = {v: Counter() for v in nodes1}
-    for t, h in edges1:
-        out1[t][h] += 1
-        in1[h][t] += 1
-    out2 = {v: Counter() for v in nodes2}
-    in2 = {v: Counter() for v in nodes2}
-    for t, h in edges2:
-        out2[t][h] += 1
-        in2[h][t] += 1
-
-    def sig(outs, ins, v):
-        return (sum(outs[v].values()), sum(ins[v].values()))
-
-    sig1 = {v: sig(out1, in1, v) for v in nodes1}
-    sig2 = {v: sig(out2, in2, v) for v in nodes2}
-    if sorted(sig1.values()) != sorted(sig2.values()):
+    index1, out1, in1, sig1 = _adjacency(nodes1, edges1)
+    index2, out2, in2, sig2 = _adjacency(nodes2, edges2)
+    if Counter(sig1) != Counter(sig2):
         return None
-
-    mapping = {}
-    used = set()
-    for a, b in forced:
-        if sig1[a] != sig2[b]:
-            return None
-        mapping[a] = b
-        used.add(b)
-
-    order = sorted((v for v in nodes1 if v not in mapping),
-                   key=lambda v: (sig1[v], v))
+    n = len(nodes1)
+    same_sig = defaultdict(list)
+    for x in range(n):
+        same_sig[sig2[x]].append(x)
+    rank = [len(same_sig[sig1[v]]) for v in range(n)]
+    starts = sorted(range(n), key=lambda v: (rank[v], v))
+    nbrs1 = [sorted((set(out1[v]) | set(in1[v])) - {v}) for v in range(n)]
+    mapping, inverse = [-1] * n, [-1] * n
+    mapped_nbrs = [0] * n
+    frontier = set()  # unmapped nodes with a mapped neighbour
 
     def consistent(v, x):
-        for w, m in mapping.items():
-            if out1[v][w] != out2[x][m] or in1[v][w] != in2[x][m]:
+        # equal signatures also match the loops, which the checks below skip
+        if sig1[v] != sig2[x] or inverse[x] != -1:
+            return False
+        for a, b in ((out1[v], out2[x]), (in1[v], in2[x])):
+            if any(mapping[w] != -1 and b[mapping[w]] != m for w, m in a.items()):
                 return False
-        return out1[v][v] == out2[x][x]
+            if any(inverse[y] != -1 and a[inverse[y]] != m for y, m in b.items()):
+                return False
+        return True
 
-    def dfs(i):
-        if i == len(order):
-            return True
-        v = order[i]
-        for x in nodes2:
-            if x in used or sig2[x] != sig1[v] or not consistent(v, x):
-                continue
-            mapping[v] = x
-            used.add(x)
-            if dfs(i + 1):
-                return True
-            del mapping[v]
-            used.discard(x)
-        return False
+    def assign(v, x):
+        mapping[v], inverse[x] = x, v
+        frontier.discard(v)
+        for w in nbrs1[v]:
+            mapped_nbrs[w] += 1
+            if mapping[w] == -1:
+                frontier.add(w)
 
-    return dict(mapping) if dfs(0) else None
+    def unassign(v):
+        inverse[mapping[v]], mapping[v] = -1, -1
+        for w in nbrs1[v]:
+            mapped_nbrs[w] -= 1
+            if not mapped_nbrs[w]:
+                frontier.discard(w)
+        if mapped_nbrs[v]:
+            frontier.add(v)
+
+    def pick():
+        """The next node to map and the nodes it may map to."""
+        if not frontier:  # first node of a component
+            v = next(v for v in starts if mapping[v] == -1)
+            return v, same_sig[sig1[v]]
+        v = max(frontier, key=lambda v: (mapped_nbrs[v], -rank[v], -v))
+        w = next(w for w in nbrs1[v] if mapping[w] != -1)
+        return v, in2[mapping[w]] if w in out1[v] else out2[mapping[w]]
+
+    def dfs():
+        """Extend the mapping to every node, backtracking on dead ends."""
+        stack = []  # (node, its remaining candidates) per search level
+        left = mapping.count(-1)
+        while left:
+            v, candidates = pick()
+            candidates = iter(candidates)
+            while True:
+                x = next((x for x in candidates if consistent(v, x)), None)
+                if x is not None:
+                    break
+                if not stack:
+                    return False
+                v, candidates = stack.pop()
+                unassign(v)
+                left += 1
+            assign(v, x)
+            left -= 1
+            stack.append((v, candidates))
+        return True
+
+    for a, b in forced:
+        v, x = index1[a], index2[b]
+        if mapping[v] != x:
+            if mapping[v] != -1 or not consistent(v, x):
+                return None
+            assign(v, x)
+
+    if not dfs():
+        return None
+    return {nodes1[v]: nodes2[x] for v, x in enumerate(mapping)}

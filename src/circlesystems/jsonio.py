@@ -175,8 +175,8 @@ def parse_realization(data) -> Realization:
 
     def point(entry):
         on = _ints(_field(entry, "on", doc, list), doc, "on", len(circles))
-        if len(on) != 2:
-            raise ValueError(f"{doc} document: 'on' must name two circles")
+        if len(on) != 2 or on[0] == on[1]:
+            raise ValueError(f"{doc} document: 'on' must name two different circles")
         return RealPoint(_field(entry, "x", doc), _field(entry, "y", doc),
                          tuple(on), _field(entry, "kind", doc, str))
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import EmptyInput
+from .errors import EmptyInput, NotRenderable
 from .packing import Packing
 from .realization import Realization
 
@@ -75,7 +75,8 @@ def render_svg(obj, opts: RenderOptions = RenderOptions()) -> str:
         points = list(obj.points)
         arcs = list(obj.arcs)
     else:
-        raise TypeError(f"cannot render {type(obj)!r}")
+        raise NotRenderable(
+            f"only packings and realizations render, not {type(obj).__name__}")
     if not circles:
         raise EmptyInput("nothing to render")
 

@@ -6,6 +6,7 @@ import pytest
 
 from circlesystems.embedding import build_embedding
 from circlesystems.generators import octahedron
+from circlesystems.realization import Arc, RealPoint, Realization
 
 
 def brute_force_connectivity(g, cap=3):
@@ -92,6 +93,22 @@ def pinched_octahedra():
         g.dart_face[g.dart_rev[d]] for d in g.faces[pinch[0]]
     }
     return g.with_outer_face(sorted(neighbor_faces)[0])
+
+
+def relabel_realization(r, rng):
+    """The same system of circles with circles, points and arcs listed in a
+    random order and every circle reference renumbered to match."""
+    pc, pp, pa = (list(range(len(xs))) for xs in (r.circles, r.points, r.arcs))
+    for perm in (pc, pp, pa):
+        rng.shuffle(perm)
+    circles, points, arcs = [None] * len(pc), [None] * len(pp), [None] * len(pa)
+    for i, c in enumerate(r.circles):
+        circles[pc[i]] = c
+    for i, q in enumerate(r.points):
+        points[pp[i]] = RealPoint(q.x, q.y, (pc[q.on[0]], pc[q.on[1]]), q.kind)
+    for i, a in enumerate(r.arcs):
+        arcs[pa[i]] = Arc(pc[a.circle], a.from_angle, a.to_angle, a.edge)
+    return Realization(circles, points, arcs)
 
 
 @pytest.fixture

@@ -273,6 +273,10 @@ def test_non_finite_result_is_usage_error():
 
 
 _CIRCLE = {"id": 0, "cx": 0.0, "cy": 0.0, "r": 1.0}
+# a canonical octahedron whose first point names circle 0 twice
+_REPEATED_CIRCLE = jsonio.realization_to_obj(
+    canonical_octahedron_realization(RealizationClass.THREE_CROSSING))
+_REPEATED_CIRCLE["points"][0]["on"] = [0, 0]
 
 
 @pytest.mark.parametrize("argv, doc", [
@@ -298,6 +302,10 @@ _CIRCLE = {"id": 0, "cx": 0.0, "cy": 0.0, "r": 1.0}
     (["render"], {"type": "oriented_dual", "nodes": [0], "edges": [[0]],
                   "outer": 1}),
     (["render"], [1, 2]),
+    (["render"], {"type": "oriented_dual", "version": 1, "nodes": [0, 1],
+                  "edges": [[0, 1], [1, 2], [2, 0]], "outer": 2}),
+    (["render"], jsonio.graph_to_obj(octahedron())),
+    (["classify"], _REPEATED_CIRCLE),
 ])
 def test_malformed_document_exits_2(argv, doc):
     code, out, err = run(argv, json.dumps(doc))
@@ -305,6 +313,26 @@ def test_malformed_document_exits_2(argv, doc):
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["realize", "--in", "{missing}"],
+    ["verify", "--in", "{missing}"],
+    ["verify", "--in", "{good}", "--graph", "{missing}"],
+    ["equiv", "{missing}", "{good}"],
+    ["equiv", "{good}", "{missing}"],
+    ["classify", "--in", "{missing}"],
+    ["render", "--in", "{missing}"],
+])
+def test_missing_input_file_exits_2(tmp_path, argv):
+    good = tmp_path / "good.json"
+    good.write_text(jsonio.serialize_realization(
+        canonical_octahedron_realization(RealizationClass.THREE_CROSSING)))
+    paths = {"missing": tmp_path / "missing.json", "good": good}
+    code, out, err = run([arg.format(**paths) for arg in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and "missing.json" in err
 
 
 def test_non_finite_document_field_exits_2():
@@ -340,6 +368,7 @@ _EXIT_CODES = {
     "InvalidConfig": 2,
     "NotTangent": 2,
     "EmptyInput": 2,
+    "NotRenderable": 2,
     "NumericError": 3,
     "NoConvergence": 3,
     "DegenerateArc": 3,

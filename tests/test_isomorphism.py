@@ -1,0 +1,168 @@
+"""The isomorphism search against a brute-force permutation oracle, and on
+the oriented duals and augmented octahedra that need its dynamic order."""
+
+import itertools
+import random
+from collections import Counter, defaultdict
+
+import pytest
+
+from circlesystems.equivalence import equivalent
+from circlesystems.generators import (
+    BIGADGET, GADGET, augment_octahedron, flower, upper_bound_family,
+)
+from circlesystems.isomorphism import (
+    digraph_isomorphism, find_isomorphism, graphs_isomorphic,
+)
+
+from conftest import relabel_realization
+
+
+def _image(edges, p, directed):
+    """Edge multiset of ``edges`` with every node ``v`` renamed ``p[v]``."""
+    return Counter((p[t], p[h]) if directed else tuple(sorted((p[t], p[h])))
+                   for t, h in edges)
+
+
+def _search(n, edges1, edges2, directed, forced=()):
+    if directed:
+        return digraph_isomorphism(range(n), edges1, range(n), edges2, forced)
+    assert not forced
+    return find_isomorphism(n, edges1, n, edges2)
+
+
+def _degrees(edges, n, directed):
+    """Sorted (out-degree, in-degree) pairs, both ends counted if undirected."""
+    out, inn = Counter(t for t, _ in edges), Counter(h for _, h in edges)
+    if directed:
+        return sorted((out[v], inn[v]) for v in range(n))
+    return sorted(out[v] + inn[v] for v in range(n))
+
+
+def _check_against_oracle(n, graphs, directed):
+    """Search every graph against one member of each isomorphism class with
+    its degree sequence, and digraphs against their own class's member under
+    each forced pair: a mapping comes back exactly when some permutation of
+    the nodes carries one edge multiset onto the other (and respects the
+    forced pairs), and it is such a permutation.  Both outcomes must occur."""
+    perms = list(itertools.permutations(range(n)))  # identity first
+    images = [[_image(edges, p, directed) for p in perms] for edges in graphs]
+    canon = [tuple(min(sorted(img.elements()) for img in imgs)) for imgs in images]
+    members = defaultdict(dict)  # degrees -> canonical form -> first graph
+    for i, edges in enumerate(graphs):
+        members[repr(_degrees(edges, n, directed))].setdefault(canon[i], i)
+    forced_lists = [[(a, b)] for a in range(n) for b in range(n)]
+    forced_lists += [[(0, b), (1, c)] for b in range(n) for c in range(n)]
+    found = Counter()
+
+    def check(i, j, expected, forced=()):
+        mapping = _search(n, graphs[i], graphs[j], directed, forced)
+        assert (mapping is not None) == expected, (graphs[i], graphs[j], forced)
+        if mapping is not None:
+            p = [mapping[v] for v in range(n)]
+            assert sorted(p) == list(range(n))
+            assert _image(graphs[i], p, directed) == images[j][0]
+            assert all(p[a] == b for a, b in forced)
+        found[expected] += 1
+
+    for i, edges in enumerate(graphs):
+        classes = members[repr(_degrees(edges, n, directed))]
+        for form, j in classes.items():
+            check(i, j, form == canon[i])
+        if directed:
+            j = classes[canon[i]]
+            carrying = [p for p, img in zip(perms, images[i]) if img == images[j][0]]
+            for forced in forced_lists:
+                check(i, j, any(all(p[a] == b for a, b in forced) for p in carrying),
+                      forced)
+    assert found[True] and found[False]
+
+
+def _multisets(pairs, max_edges):
+    return [list(es) for k in range(max_edges + 1)
+            for es in itertools.combinations_with_replacement(pairs, k)]
+
+
+def test_digraphs_with_loops_and_parallel_arcs_match_oracle():
+    pairs = list(itertools.product(range(3), repeat=2))
+    _check_against_oracle(3, _multisets(pairs, 4), directed=True)
+
+
+def test_multigraphs_with_loops_and_parallel_edges_match_oracle():
+    pairs = list(itertools.combinations_with_replacement(range(4), 2))
+    _check_against_oracle(4, _multisets(pairs, 4), directed=False)
+
+
+def test_simple_graphs_on_five_nodes_match_oracle():
+    pairs = list(itertools.combinations(range(5), 2))
+    graphs = [[e for e, bit in zip(pairs, bits) if bit]
+              for bits in itertools.product((0, 1), repeat=len(pairs))]
+    _check_against_oracle(5, graphs, directed=False)
+
+
+def test_random_multi_digraphs_on_five_nodes_match_oracle():
+    rng = random.Random(5)
+    perms = list(itertools.permutations(range(5)))
+    pairs = list(itertools.product(range(5), repeat=2))
+    for _ in range(300):
+        edges1 = [rng.choice(pairs) for _ in range(rng.randrange(4, 10))]
+        p = rng.choice(perms)
+        edges2 = [(p[t], p[h]) for t, h in edges1]
+        if rng.random() < 0.5:  # move one arc's head; degrees may still agree
+            t, _ = edges2.pop(rng.randrange(len(edges2)))
+            edges2.append((t, rng.randrange(5)))
+        forced = [(rng.randrange(5), rng.randrange(5))] if rng.random() < 0.5 else []
+        target = Counter(edges2)
+        expected = any(_image(edges1, q, True) == target
+                       and all(q[a] == b for a, b in forced) for q in perms)
+        mapping = _search(5, edges1, edges2, True, forced)
+        assert (mapping is not None) == expected, (edges1, edges2, forced)
+
+
+def _cycles(*lengths):
+    edges, start = [], 0
+    for k in lengths:
+        edges += [(start + i, start + (i + 1) % k) for i in range(k)]
+        start += k
+    return edges
+
+
+def test_equal_degree_sequences_need_the_search():
+    c6, triangles = _cycles(6), _cycles(3, 3)
+    assert find_isomorphism(6, c6, 6, triangles) is None
+    assert digraph_isomorphism(range(6), c6, range(6), triangles) is None
+    prism = _cycles(3, 3) + [(0, 3), (1, 4), (2, 5)]
+    k33 = [(a, b) for a in range(3) for b in range(3, 6)]
+    assert find_isomorphism(6, prism, 6, k33) is None
+    assert find_isomorphism(6, k33, 6, [(2 * a, 2 * b + 1)
+                                        for a in range(3) for b in range(3)])
+
+
+def test_node_labels_and_forced_pairs():
+    nodes1, edges1 = ["a", "b", "c"], [("a", "b"), ("b", "c"), ("c", "a")]
+    nodes2, edges2 = [(0,), (1,), (2,)], [((0,), (2,)), ((2,), (1,)), ((1,), (0,))]
+    assert digraph_isomorphism(nodes1, edges1, nodes2, edges2, [("a", (1,))]) == {
+        "a": (1,), "b": (0,), "c": (2,)}
+    # forced pairs that no bijection can contain
+    assert digraph_isomorphism(nodes1, edges1, nodes2, edges2,
+                               [("a", (1,)), ("b", (1,))]) is None
+    assert digraph_isomorphism(nodes1, edges1, nodes2, edges2,
+                               [("a", (1,)), ("a", (0,))]) is None
+    assert digraph_isomorphism(nodes1, edges1, nodes2, edges2,
+                               [("a", (1,)), ("b", (2,))]) is None
+    assert digraph_isomorphism(nodes1, edges1, nodes2[:2], edges2) is None
+
+
+@pytest.mark.parametrize("family, count", [
+    (flower, 6), (flower, 7), (flower, 8),
+    (upper_bound_family, 32), (upper_bound_family, 64),
+])
+def test_relabelled_system_is_equivalent(family, count):
+    _, r = family(count)
+    for seed in range(3):
+        assert equivalent(r, relabel_realization(r, random.Random(seed)))
+
+
+def test_gadget_and_bigadget_octahedra_differ():
+    assert not graphs_isomorphic(augment_octahedron(GADGET),
+                                 augment_octahedron(BIGADGET))
