@@ -5,11 +5,11 @@ commands compose in shell pipelines:
 
     circlesystems generate octahedron | circlesystems realize | circlesystems verify
 
-Exit codes: 0 success, 1 verification/classification failure or internal
-error, 2 usage or domain error (including malformed documents, files that
-cannot be read or written, and results that are not finite), 3 numeric
-failure (non-convergence or degeneracy).  The codes follow the base classes
-in ``errors``.
+Exit codes: 0 success, 1 verification failure, no matching octahedron
+class or internal error, 2 usage or domain error (including malformed
+documents, files that cannot be read or written, and results that are not
+finite), 3 numeric failure (non-convergence or degeneracy).  The codes
+follow the base classes in ``errors``.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 from . import generators, geometry, jsonio
 from .embedding import medial
 from .equivalence import RealizationClass, classify_octahedron, equivalent
-from .errors import CircleSystemsError, NumericError, UsageError
+from .errors import CircleSystemsError, NoClassMatch, NumericError, UsageError
 from .packing import Circle
 from .realization import circle_count_bounds, realize, verify_realization
 from .svgrender import RenderOptions, render_svg
@@ -236,7 +236,7 @@ def _cmd_classify(args):
     real = jsonio.parse_realization(_read_input(args.infile))
     try:
         kind = classify_octahedron(real)
-    except CircleSystemsError as exc:
+    except NoClassMatch as exc:
         print(f"classification failed: {exc}", file=sys.stderr)
         return 1
     _emit(jsonio.dumps({"class": kind.value}), args.out)

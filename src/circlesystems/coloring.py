@@ -73,7 +73,6 @@ class ILGraph:
     edge_vertex: list
     vertex_gray_pair: list
     multiplicity: dict = field(default_factory=dict)
-    selfloops: int = 0
 
 
 @dataclass(frozen=True)
@@ -91,56 +90,40 @@ def build_il(g: EmbeddedGraph, coloring: TwoColoring) -> ILGraph:
     non-3-connected inputs can be inspected.
     """
     gray = coloring.gray_faces()
-    il_index = {f: i for i, f in enumerate(gray)}
 
-    # corner j of face f sits at the tail of the j-th dart of its cycle
-    gray_corners = [[] for _ in range(g.n)]
-    for f in gray:
-        for j, d in enumerate(g.faces[f]):
-            gray_corners[g.dart_tail[d]].append((f, j))
+    # the corner named by cycle dart d of a gray face sits at d's tail v;
+    # dart pair (2v, 2v+1) realizes the edge of v, one dart at each of its
+    # two gray corners in face order
+    corner_count = [0] * g.n
+    il_dart = [0] * len(g.dart_tail)
+    dart_tail = [0] * (2 * g.n)
+    for i, f in enumerate(gray):
+        for d in g.faces[f]:
+            v = g.dart_tail[d]
+            k = corner_count[v]
+            corner_count[v] += 1
+            if k < 2:
+                il_dart[d] = 2 * v + k
+                dart_tail[2 * v + k] = i
 
-    for v, cs in enumerate(gray_corners):
-        if len(cs) != 2:
+    for v, count in enumerate(corner_count):
+        if count != 2:
             raise VertexNotOnTwoGrayFaces(
-                f"vertex {v} lies on {len(cs)} gray corners, expected 2"
+                f"vertex {v} lies on {count} gray corners, expected 2"
             )
 
-    # dart pair (2v, 2v+1) realizes the edge of graph vertex v, one dart at
-    # each of its two gray corners (ordered by face id, then corner index)
-    corner_dart = {}
-    dart_tail = [0] * (2 * g.n)
-    dart_rev = [0] * (2 * g.n)
-    for v, cs in enumerate(gray_corners):
-        cs_sorted = sorted(cs)
-        for k, (f, j) in enumerate(cs_sorted):
-            d = 2 * v + k
-            corner_dart[(f, j)] = d
-            dart_tail[d] = il_index[f]
-        dart_rev[2 * v] = 2 * v + 1
-        dart_rev[2 * v + 1] = 2 * v
-
-    rotation = []
-    for f in gray:
-        rotation.append([corner_dart[(f, j)] for j in range(len(g.faces[f]))])
-
+    rotation = [[il_dart[d] for d in g.faces[f]] for f in gray]
+    dart_rev = [d ^ 1 for d in range(2 * g.n)]
     il_graph = EmbeddedGraph(rotation, dart_tail, dart_rev)
 
-    edge_vertex = []
-    for d, _ in il_graph.edge_darts:
-        edge_vertex.append(d // 2)
-    vertex_gray_pair = []
-    for v, cs in enumerate(gray_corners):
-        cs_sorted = sorted(cs)
-        vertex_gray_pair.append(
-            (il_index[cs_sorted[0][0]], il_index[cs_sorted[1][0]])
-        )
+    edge_vertex = [d // 2 for d, _ in il_graph.edge_darts]
+    vertex_gray_pair = [
+        (dart_tail[2 * v], dart_tail[2 * v + 1]) for v in range(g.n)
+    ]
 
     multiplicity = {}
-    selfloops = 0
     for a, b in vertex_gray_pair:
-        if a == b:
-            selfloops += 1
-        else:
+        if a != b:
             key = (a, b) if a < b else (b, a)
             multiplicity[key] = multiplicity.get(key, 0) + 1
 
@@ -150,7 +133,6 @@ def build_il(g: EmbeddedGraph, coloring: TwoColoring) -> ILGraph:
         edge_vertex=edge_vertex,
         vertex_gray_pair=vertex_gray_pair,
         multiplicity=multiplicity,
-        selfloops=selfloops,
     )
 
 

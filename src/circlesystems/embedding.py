@@ -380,45 +380,30 @@ def medial(g):
 
     Always 4-regular; preserves 3-connectivity of simple inputs.
     """
-    corner_ids = {}
-    corners = []
-    for u in range(g.n):
-        rot = g.rotation[u]
-        k = len(rot)
-        for i in range(k):
-            corner_ids[(u, i)] = len(corners)
-            corners.append((rot[i], rot[(i + 1) % k]))
-
-    # medial darts 2c and 2c+1 live at the medial vertices of the corner's
-    # first and second edge respectively
+    # the corner named by dart d runs from d to sigma(d); corners are
+    # numbered in rotation order, and medial darts 2c and 2c+1 of corner c
+    # live at the medial vertices of its first and second edge
+    corner = [0] * len(g.dart_tail)
     dart_tail = []
     dart_rev = []
-    for c, (da, db) in enumerate(corners):
-        dart_tail.append(g.edge_of_dart[da])
-        dart_tail.append(g.edge_of_dart[db])
-        dart_rev.append(2 * c + 1)
-        dart_rev.append(2 * c)
+    for rot in g.rotation:
+        for d in rot:
+            c = len(dart_tail) // 2
+            corner[d] = c
+            dart_tail += [g.edge_of_dart[d], g.edge_of_dart[g.sigma_next(d)]]
+            dart_rev += [2 * c + 1, 2 * c]
 
-    def corner_at(d):
-        # corner starting with dart d: (d, sigma(d))
-        return corner_ids[(g.dart_tail[d], g.dart_pos[d])]
-
-    def corner_before(d):
-        # corner ending with dart d: (sigma_inv(d), d)
-        u = g.dart_tail[d]
-        k = len(g.rotation[u])
-        return corner_ids[(u, (g.dart_pos[d] - 1) % k)]
-
-    rotation = []
-    for eid, (d, dr) in enumerate(g.edge_darts):
-        rotation.append(
-            [
-                2 * corner_before(dr) + 1,
-                2 * corner_at(d),
-                2 * corner_before(d) + 1,
-                2 * corner_at(dr),
-            ]
-        )
+    # around edge (d, dr): the corner ending at dr, the one starting at d,
+    # the one ending at d, the one starting at dr
+    rotation = [
+        [
+            2 * corner[g.sigma_prev(dr)] + 1,
+            2 * corner[d],
+            2 * corner[g.sigma_prev(d)] + 1,
+            2 * corner[dr],
+        ]
+        for d, dr in g.edge_darts
+    ]
     return EmbeddedGraph(rotation, dart_tail, dart_rev)
 
 

@@ -12,15 +12,16 @@ isomorphism maps outer to outer.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
-from .errors import NoClassMatch
+from .errors import DegenerateArc, NoClassMatch
 from .isomorphism import digraph_isomorphism
 from .realization import (
     Realization,
     _angular_order,
+    _arc_ends,
     _consecutive_arcs,
-    _nearest_point,
     extract_with_arcs,
     outer_face_of,
 )
@@ -70,8 +71,10 @@ def smooth_degree_two(r: Realization) -> Realization:
     end_count = [0] * len(r.points)
     for arc in r.arcs:
         # each arc contributes one end at each endpoint angle
-        for angle in (arc.from_angle, arc.to_angle):
-            pid, _ = _nearest_point(order[arc.circle], angle)
+        ends = _arc_ends(order, arc, math.inf)
+        if ends is None:
+            raise DegenerateArc(f"circle {arc.circle} carries an arc but no points")
+        for pid in ends:
             end_count[pid] += 1
 
     kept_order = []

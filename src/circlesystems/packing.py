@@ -105,47 +105,25 @@ def triangulate(g: EmbeddedGraph) -> Triangulation:
     of the outer face; its three circles anchor the layout.
     """
     n = g.n
-    m = len(g.dart_tail)
-    f_count = g.face_count
 
-    # new darts: for corner j of face f (at the tail of the j-th cycle dart)
-    # a dart up to the apex and one back down
-    corner_base = {}
-    next_dart = m
-    for f in range(f_count):
-        for j in range(len(g.faces[f])):
-            corner_base[(f, j)] = next_dart
-            next_dart += 2
+    # the corner named by cycle dart d of face f sits at d's tail; it gets
+    # a dart up to the apex n + f and one back down, numbered in face order
+    up = [0] * len(g.dart_tail)
+    dart_tail = list(g.dart_tail)
+    dart_rev = list(g.dart_rev)
+    for f, cycle in enumerate(g.faces):
+        for d in cycle:
+            up[d] = len(dart_tail)
+            dart_tail += [g.dart_tail[d], n + f]
+            dart_rev += [up[d] + 1, up[d]]
 
-    dart_tail = list(g.dart_tail) + [0] * (next_dart - m)
-    dart_rev = list(g.dart_rev) + [0] * (next_dart - m)
-    for f in range(f_count):
-        for j, d in enumerate(g.faces[f]):
-            up = corner_base[(f, j)]
-            down = up + 1
-            dart_tail[up] = g.dart_tail[d]
-            dart_tail[down] = n + f
-            dart_rev[up] = down
-            dart_rev[down] = up
-
-    # base vertex u: insert the apex dart of corner (rot[i], rot[i+1]) right
-    # after rot[i]; that corner belongs to the face containing rot[i+1]
-    rotation = []
-    for u in range(n):
-        rot = g.rotation[u]
-        k = len(rot)
-        row = []
-        for i in range(k):
-            nxt = rot[(i + 1) % k]
-            f = g.dart_face[nxt]
-            j = g.faces[f].index(nxt)
-            row.append(rot[i])
-            row.append(corner_base[(f, j)])
-        rotation.append(row)
+    # base vertex u: the corner (d, sigma(d)) belongs to the face of
+    # sigma(d), so its apex dart follows d
+    rotation = [
+        [e for d in rot for e in (d, up[g.sigma_next(d)])] for rot in g.rotation
+    ]
     # apex of face f: the down darts in reversed cycle order
-    for f in range(f_count):
-        row = [corner_base[(f, j)] + 1 for j in reversed(range(len(g.faces[f])))]
-        rotation.append(row)
+    rotation += [[up[d] + 1 for d in reversed(cycle)] for cycle in g.faces]
 
     tg = EmbeddedGraph(rotation, dart_tail, dart_rev)
 
@@ -156,7 +134,7 @@ def triangulate(g: EmbeddedGraph) -> Triangulation:
     return Triangulation(
         graph=tg,
         base_n=n,
-        apex_of_face=tuple(n + f for f in range(f_count)),
+        apex_of_face=tuple(n + f for f in range(g.face_count)),
         boundary_face=boundary_face,
     )
 

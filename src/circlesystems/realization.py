@@ -10,6 +10,7 @@ reads the touching points back off the packing.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .coloring import build_il, il_simplicity, two_color_faces
@@ -102,15 +103,20 @@ def _angular_order(circles, points):
     return order
 
 
-def _nearest_point(pairs, angle):
-    """(point id, angle gap) of the entry of one circle's angular order
-    nearest to ``angle``; the first wins ties; (None, None) when empty."""
-    best, best_gap = None, None
-    for a, pid in pairs:
-        gap = _angle_gap(a, angle)
-        if best_gap is None or gap < best_gap:
-            best, best_gap = pid, gap
-    return best, best_gap
+def _arc_ends(order, arc, tol):
+    """(from, to) point ids of an arc: at each end, the point of its
+    circle's angular order nearest to the end angle, the first winning
+    ties; None when an end is farther than ``tol`` from every point."""
+    pairs = order[arc.circle]
+    if not pairs:
+        return None
+    ends = []
+    for angle in (arc.from_angle, arc.to_angle):
+        a, pid = min(pairs, key=lambda e: _angle_gap(e[0], angle))
+        if _angle_gap(a, angle) > tol:
+            return None
+        ends.append(pid)
+    return tuple(ends)
 
 
 def _consecutive_arcs(order):
@@ -237,13 +243,10 @@ def extract_with_arcs(r: Realization, tol: float = 1e-8) -> ExtractedGraph:
     arc_darts = []
     for k, arc in enumerate(r.arcs):
         c = r.circles[arc.circle]
-        ends = []
-        for angle in (arc.from_angle, arc.to_angle):
-            pid, gap = _nearest_point(order[arc.circle], angle)
-            if pid is None or gap > max(tol * 10.0, 1e-9):
-                raise DegenerateArc(f"arc endpoint at angle {angle:.6f} on "
-                                    f"circle {arc.circle} matches no point")
-            ends.append(pid)
+        ends = _arc_ends(order, arc, max(tol * 10.0, 1e-9))
+        if ends is None:
+            raise DegenerateArc(f"an end of arc {k} on circle {arc.circle} "
+                                "matches no point")
         p_from, p_to = ends
         d_ccw, d_cw = 2 * k, 2 * k + 1
         dart_arc.append((k, True))
@@ -408,14 +411,12 @@ def verify_realization(r: Realization, g: EmbeddedGraph | None = None,
                 f"circle {ci} has {len(arcs)} arcs for {len(pairs)} points",
             )
             continue
-        expected = {(a.from_angle, a.to_angle) for a in _consecutive_arcs([pairs])}
-        for a in arcs:
-            ok = any(
-                _angle_gap(a.from_angle, e0) <= ang_tol
-                and _angle_gap(a.to_angle, e1) <= ang_tol
-                for (e0, e1) in expected
-            )
-            if not ok:
+        # each arc starts at its own point and ends at the next one ccw
+        succ = {p: q for (_, p), (_, q) in zip(pairs, pairs[1:] + pairs[:1])}
+        ends = [_arc_ends(order, a, ang_tol) for a in arcs]
+        starts = Counter(e[0] for e in ends if e is not None)
+        for a, e in zip(arcs, ends):
+            if e is None or starts[e[0]] > 1 or succ[e[0]] != e[1]:
                 report.add(
                     "arcs-partition-circle",
                     f"arc {a} does not join consecutive points of circle {ci}",

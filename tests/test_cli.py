@@ -1,14 +1,20 @@
+import copy
 import io
 import json
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from circlesystems import cli, errors, jsonio
 from circlesystems.cli import run_cli
 from circlesystems.equivalence import RealizationClass
-from circlesystems.generators import canonical_octahedron_realization, flower, octahedron
+from circlesystems.generators import (
+    canonical_octahedron_realization,
+    flower,
+    octahedron,
+    upper_bound_family,
+)
 from circlesystems.packing import pack
 from circlesystems.realization import realize
 
@@ -355,6 +361,65 @@ def test_equiv_duplicated_point_is_numeric_failure(tmp_path):
     assert err.startswith("numeric failure: ")
 
 
+def _duplicated_arc_doc():
+    # circle 0's second arc replaced by a copy of its first
+    obj = jsonio.realization_to_obj(realize(octahedron()))
+    first, second = [i for i, a in enumerate(obj["arcs"]) if a["circle"] == 0][:2]
+    obj["arcs"][second] = dict(obj["arcs"][first])
+    return obj
+
+
+@pytest.mark.parametrize("with_graph", [False, True])
+def test_verify_duplicated_arc_fails_partition(tmp_path, with_graph):
+    graph = tmp_path / "g.json"
+    graph.write_text(jsonio.serialize_graph(octahedron()))
+    argv = ["verify", "--graph", str(graph)] if with_graph else ["verify"]
+    code, out, err = run(argv, json.dumps(_duplicated_arc_doc()))
+    assert code == 1
+    assert json.loads(out)["passed"] is False
+    assert err.startswith("violation [arcs-partition-circle]: ")
+
+
+def _no_point_circle_doc():
+    # an extra circle that carries one arc and no points
+    obj = jsonio.realization_to_obj(
+        canonical_octahedron_realization(RealizationClass.THREE_CROSSING))
+    c = len(obj["circles"])
+    obj["circles"].append({"id": c, "cx": 9.0, "cy": 9.0, "r": 1.0})
+    obj["arcs"].append({"circle": c, "from_angle": 0.0, "to_angle": 1.0,
+                        "edge": len(obj["arcs"])})
+    return obj
+
+
+@pytest.mark.parametrize("argv", [["equiv", "{doc}", "{doc}"],
+                                  ["classify", "--in", "{doc}"]])
+def test_arc_on_circle_without_points_is_numeric_failure(tmp_path, argv):
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(_no_point_circle_doc()))
+    code, out, err = run([arg.format(doc=doc) for arg in argv])
+    assert code == 3
+    assert out == ""
+    assert err.startswith("numeric failure: ") and "Traceback" not in err
+
+
+def test_classify_maps_errors_like_equiv(tmp_path):
+    # point 0 moved onto a circle it does not lie on: the arcs then fail
+    # the Euler check, a usage error under every command
+    obj = jsonio.realization_to_obj(
+        canonical_octahedron_realization(RealizationClass.THREE_CROSSING))
+    obj["points"][0]["on"] = [2, 1]
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(obj))
+    for argv in (["classify", "--in", str(doc)], ["equiv", str(doc), str(doc)]):
+        code, out, err = run(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+    _, real = flower(4)
+    code, _, err = run(["classify"], jsonio.serialize_realization(real))
+    assert code == 1
+    assert err.startswith("classification failed: realization matches none")
+
+
 _EXIT_CODES = {
     "CircleSystemsError": 1,
     "UsageError": 2,
@@ -396,3 +461,102 @@ def test_exit_code_follows_error_class(monkeypatch, name, expected):
     monkeypatch.setitem(cli._COMMANDS, "bounds", fail)
     code, out, err = run(["bounds", "--n", "6"])
     assert (code, out, err) == (expected, "", f"{_PREFIXES[expected]}: boom\n")
+
+
+def _base_documents():
+    """(realization object, graph object) pairs the mutations start from."""
+    octa_graph = jsonio.graph_to_obj(octahedron())
+    pairs = [(canonical_octahedron_realization(kind), octa_graph)
+             for kind in RealizationClass]
+    pairs.append((realize(octahedron()), octa_graph))
+    for graph, real in (flower(4), upper_bound_family(6)):
+        pairs.append((real, jsonio.graph_to_obj(graph)))
+    return [(jsonio.realization_to_obj(r), g) for r, g in pairs]
+
+
+_BASES = _base_documents()
+_FLOAT_FIELDS = {"circles": ("cx", "cy", "r"), "points": ("x", "y"),
+                 "arcs": ("from_angle", "to_angle")}
+
+
+@st.composite
+def _mutated_documents(draw):
+    """A base document index and a copy of it with one mutation applied."""
+    index = draw(st.sampled_from(range(len(_BASES))))
+    doc = copy.deepcopy(_BASES[index][0])
+    circles, points, arcs = doc["circles"], doc["points"], doc["arcs"]
+
+    def pick(seq):
+        return draw(st.sampled_from(range(len(seq))))
+
+    def other_circle(c):
+        return (c + 1 + pick(circles[1:])) % len(circles)
+
+    kind = draw(st.sampled_from([
+        "drop-point", "drop-arc", "duplicate-arc", "pointless-circle",
+        "nudge", "arc-circle", "swap-angles", "point-on",
+    ]))
+    if kind == "drop-point":
+        del points[pick(points)]
+        for i, p in enumerate(points):
+            p["id"] = i
+    elif kind == "drop-arc":
+        del arcs[pick(arcs)]
+    elif kind == "duplicate-arc":
+        arcs[pick(arcs)] = dict(arcs[pick(arcs)])
+    elif kind == "pointless-circle":
+        c = len(circles)
+        circles.append({"id": c, "cx": 5.0, "cy": -3.0, "r": 0.5})
+        arcs.append({"circle": c, "from_angle": 0.5, "to_angle": 2.0,
+                     "edge": len(arcs)})
+    elif kind == "nudge":
+        part = draw(st.sampled_from(sorted(_FLOAT_FIELDS)))
+        entry = doc[part][pick(doc[part])]
+        key = draw(st.sampled_from(_FLOAT_FIELDS[part]))
+        step = draw(st.sampled_from([1e-12, 1e-6, 0.1]))
+        entry[key] += draw(st.sampled_from([step, -step]))
+    elif kind == "arc-circle":
+        arc = arcs[pick(arcs)]
+        arc["circle"] = other_circle(arc["circle"])
+    elif kind == "swap-angles":
+        arc = arcs[pick(arcs)]
+        arc["from_angle"], arc["to_angle"] = arc["to_angle"], arc["from_angle"]
+    else:
+        on = points[pick(points)]["on"]
+        j = draw(st.sampled_from([0, 1]))
+        on[j] = other_circle(on[j])
+    return index, doc
+
+
+@pytest.fixture(scope="module")
+def base_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("bases")
+    paths = []
+    for i, (real, graph) in enumerate(_BASES):
+        real_path, graph_path = root / f"real{i}.json", root / f"graph{i}.json"
+        real_path.write_text(json.dumps(real))
+        graph_path.write_text(json.dumps(graph))
+        paths.append((str(real_path), str(graph_path)))
+    return paths
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(case=_mutated_documents())
+def test_mutated_documents_keep_the_exit_code_contract(base_files, case):
+    index, doc = case
+    real_path, graph_path = base_files[index]
+    text = json.dumps(doc)
+    for argv in (["verify"], ["verify", "--graph", graph_path],
+                 ["equiv", "-", real_path], ["classify"], ["render"]):
+        code, _, err = run(argv, text)
+        assert code in (0, 1, 2, 3), (argv, code, err)
+        if code == 0:
+            assert err == "", (argv, err)
+        elif code == 1:
+            expected = {
+                "verify": "violation [",
+                "classify": "classification failed: realization matches none",
+            }.get(argv[0])
+            assert expected and err.startswith(expected), (argv, err)
+        else:
+            assert err.startswith(_PREFIXES[code] + ": "), (argv, code, err)

@@ -78,6 +78,25 @@ def test_il_edge_count_equals_vertex_count(maker):
     assert len(il.vertex_gray_pair) == g.n
 
 
+@pytest.mark.parametrize(
+    "maker", CORPUS + [lambda: medial(medial(cube())), pinched_octahedra]
+)
+def test_il_darts_follow_gray_corners(maker):
+    g = maker()
+    coloring = two_color_faces(g)
+    il = build_il(g, coloring)
+    for v, pair in enumerate(il.vertex_gray_pair):
+        # v's gray corners are its darts that lie in gray faces
+        faces = sorted(
+            g.dart_face[d] for d in g.rotation[v]
+            if coloring.colors[g.dart_face[d]] == GRAY
+        )
+        assert [il.gray_faces[i] for i in pair] == faces
+        assert (il.graph.dart_tail[2 * v], il.graph.dart_tail[2 * v + 1]) == pair
+    for i, f in enumerate(il.gray_faces):
+        assert [d // 2 for d in il.graph.rotation[i]] == g.face_tails(f)
+
+
 def test_biconnected_pinch_has_multiplicity_two():
     g = pinched_octahedra()
     il = build_il(g, two_color_faces(g))

@@ -145,6 +145,21 @@ def test_medial_always_four_regular(maker):
     assert medial(maker()).is_regular(4)
 
 
+@pytest.mark.parametrize("maker", [
+    lambda: dual(icosahedron()),
+    lambda: medial(medial(cube())),
+])
+def test_medial_faces_on_darts_out_of_rotation_order(maker):
+    g = maker()
+    assert [d for rot in g.rotation for d in rot] != list(range(len(g.dart_tail)))
+    m = medial(g)
+    # one medial face around each vertex and inside each face of g
+    assert m.face_count == g.n + g.face_count
+    assert sorted(len(cycle) for cycle in m.faces) == sorted(
+        [g.degree(v) for v in range(g.n)] + [len(cycle) for cycle in g.faces]
+    )
+
+
 def test_subdivide_counts(octa):
     assert subdivide_edges(octa, 8).n == 6 + 12 * 8
 

@@ -3,11 +3,11 @@ import math
 import pytest
 
 from circlesystems.coloring import build_il, two_color_faces
-from circlesystems.embedding import build_embedding, medial
+from circlesystems.embedding import build_embedding, dual, medial
 from circlesystems.errors import Disconnected, TooSmall
 from circlesystems.geometry import descartes_check
 from circlesystems.packing import Circle, Packing, pack, packing_residual, triangulate
-from circlesystems.generators import cube, octahedron, tetrahedron
+from circlesystems.generators import cube, icosahedron, octahedron, prism, tetrahedron
 
 
 def test_pack_k4_descartes():
@@ -76,6 +76,28 @@ def test_apex_degree_equals_face_length(octa):
     tri = triangulate(octa)
     for f, apex in enumerate(tri.apex_of_face):
         assert tri.graph.degree(apex) == len(octa.faces[f])
+
+
+@pytest.mark.parametrize("maker", [
+    octahedron,
+    lambda: prism(7),
+    lambda: dual(icosahedron()),
+    lambda: medial(medial(cube())),
+])
+def test_triangulate_apex_darts_follow_corners(maker):
+    g = maker()
+    tri = triangulate(g)
+    tg = tri.graph
+    for u, rot in enumerate(g.rotation):
+        row = tg.rotation[u]
+        assert row[0::2] == rot
+        for d, up in zip(rot, row[1::2]):
+            # the corner (d, sigma(d)) lies in the face of sigma(d)
+            assert tg.dart_head[up] == tri.apex_of_face[g.dart_face[g.sigma_next(d)]]
+    for f, cycle in enumerate(g.faces):
+        # the up dart of cycle dart d's corner sits just before d
+        downs = [tg.dart_rev[tg.sigma_prev(d)] for d in reversed(cycle)]
+        assert tg.rotation[tri.apex_of_face[f]] == downs
 
 
 def test_residual_of_exact_triangle_packing():
