@@ -3,8 +3,11 @@
 
 Usage: python scripts/realize_corpus.py [--tol 1e-9] [--outdir DIR]
 
-With --outdir, the realization JSON and an SVG drawing of every corpus
-graph are written next to each other.
+The corpus is the medials of the Platonic solids plus the iterated medials
+of the icosahedron up to n=960.  Exits 1 when a graph fails to realize, to
+verify, or to match its extracted graph.  With --outdir, the realization
+JSON and an SVG drawing of every corpus graph are written next to each
+other.
 """
 
 import argparse
@@ -16,6 +19,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from circlesystems import jsonio
 from circlesystems.embedding import medial
+from circlesystems.errors import CircleSystemsError
 from circlesystems.generators import (
     cube,
     dodecahedron,
@@ -42,6 +46,21 @@ CORPUS = [
 ]
 
 
+def _iterated_medial(depth):
+    def make():
+        g = icosahedron()
+        for _ in range(depth):
+            g = medial(g)
+        return g
+    return make
+
+
+CORPUS += [
+    (f"icosahedron-medial-n{30 * 2 ** (d - 1)}", _iterated_medial(d))
+    for d in range(2, 7)
+]
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--tol", type=float, default=1e-9)
@@ -49,22 +68,29 @@ def main():
     args = parser.parse_args()
 
     header = (
-        f"{'graph':<22}{'n':>4}{'circles':>9}{'bounds':>14}"
+        f"{'graph':<26}{'n':>4}{'circles':>9}{'bounds':>18}"
         f"{'residual ok':>13}{'iso':>5}{'time':>9}"
     )
     print(header)
     print("-" * len(header))
+    failed = 0
     for name, maker in CORPUS:
         g = maker()
         t0 = time.monotonic()
-        r = realize(g, args.tol)
+        try:
+            r = realize(g, args.tol)
+        except CircleSystemsError as exc:
+            failed += 1
+            print(f"{name:<26}{g.n:>4}  realize failed: {exc}")
+            continue
         elapsed = time.monotonic() - t0
         b = circle_count_bounds(g.n)
         verified = verify_realization(r, g).passed
         iso = graphs_isomorphic(extract_abstract_graph(r), g)
+        failed += not (verified and iso)
         print(
-            f"{name:<22}{g.n:>4}{len(r.circles):>9}"
-            f"{'[%.2f, %.2f]' % (b.lower, b.upper):>14}"
+            f"{name:<26}{g.n:>4}{len(r.circles):>9}"
+            f"{'[%.2f, %.2f]' % (b.lower, b.upper):>18}"
             f"{str(verified):>13}{str(iso):>5}{elapsed:>8.3f}s"
         )
         if args.outdir:
@@ -75,7 +101,8 @@ def main():
             (args.outdir / f"{name}.svg").write_text(
                 render_svg(r, RenderOptions(shade_gray=True))
             )
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -12,7 +12,6 @@ isomorphism maps outer to outer.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 from .errors import DegenerateArc, NoClassMatch
@@ -20,7 +19,9 @@ from .isomorphism import digraph_isomorphism
 from .realization import (
     Realization,
     _angular_order,
-    _arc_ends,
+    _arc_end_slack,
+    _arc_partition_faults,
+    _check_circle_ids,
     _consecutive_arcs,
     extract_with_arcs,
     outer_face_of,
@@ -65,25 +66,34 @@ def smooth_degree_two(r: Realization) -> Realization:
 
     Such points sit in the interior of a single circle's boundary; circles
     are unchanged and surviving points keep their coordinates.  Merged arcs
-    get fresh edge ids.
+    get fresh edge ids.  Raises MalformedRealization when a point or an arc
+    names a missing circle or a point is off a circle it names, and
+    DegenerateArc when the arcs do not partition the circles: an arc
+    dropped, repeated, or not joining consecutive points within
+    extraction's tolerance.
     """
+    # the points must lie on their circles and the arcs partition the
+    # circles as extraction reads them, since the smoothed arcs are rebuilt
+    # from the points alone
+    slack = _arc_end_slack(1e-8)
+    _check_circle_ids(r, slack)
     order = _angular_order(r.circles, r.points)
-    end_count = [0] * len(r.points)
     for arc in r.arcs:
-        # each arc contributes one end at each endpoint angle
-        ends = _arc_ends(order, arc, math.inf)
-        if ends is None:
+        if not order[arc.circle]:
             raise DegenerateArc(f"circle {arc.circle} carries an arc but no points")
-        for pid in ends:
-            end_count[pid] += 1
+    faults = _arc_partition_faults(order, r.arcs, slack)
+    if faults:
+        raise DegenerateArc(faults[0])
 
+    # so a point has two arc ends exactly when it names one circle twice
+    smoothed = [p.on[0] == p.on[1] for p in r.points]
     kept_order = []
     for ci, pairs in enumerate(order):
-        kept_here = [(a, pid) for (a, pid) in pairs if end_count[pid] != 2]
+        kept_here = [(a, pid) for (a, pid) in pairs if not smoothed[pid]]
         if not kept_here:
             raise ValueError(f"circle {ci} would lose all its points")
         kept_order.append(kept_here)
-    points = [p for p, ends in zip(r.points, end_count) if ends != 2]
+    points = [p for p, gone in zip(r.points, smoothed) if not gone]
     return Realization(list(r.circles), points, _consecutive_arcs(kept_order))
 
 

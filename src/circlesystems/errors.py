@@ -17,6 +17,10 @@ class MalformedRotation(UsageError):
     """Rotation data is not a valid dart system (asymmetric adjacency etc.)."""
 
 
+class MalformedRealization(UsageError):
+    """A point or an arc names a circle the realization does not have."""
+
+
 class NonPlanarEmbedding(UsageError):
     """The supplied rotation system violates the Euler formula."""
 

@@ -1,11 +1,16 @@
 """Tangent-circle packing of embedded planar graphs.
 
 The solver triangulates the input by placing one apex vertex inside every
-face, runs the classical angle-sum radius iteration (each interior radius is
-updated through the uniform-neighbor closed form until every interior angle
-sum is 2*pi within tolerance), and then lays circles out by walking the
-triangles from a fixed boundary triangle.  Apex circles are discarded at the
-end; the required tangencies between base circles survive.
+face and solves for the radii with Newton's method on the log-radii u: the
+angle sums at the interior vertices must all be 2*pi, and their Jacobian
+in u is minus a symmetric weighted Laplacian, the Hessian of the convex
+functional of Bobenko and Springborn (Trans. AMS 356, 2004).  Each Newton
+step is one Jacobi-preconditioned conjugate-gradient solve.  Iteration
+stops when the largest angle-sum error stops decreasing; the circles are
+then laid out by walking the triangles from a fixed boundary triangle, and
+the packing is certified by its tangency and overlap residuals.  Apex
+circles are discarded at the end; the required tangencies between base
+circles survive.
 
 Normalization: the three boundary-triangle circles get radius 1 and centers
 on an equilateral triangle of side 2, making output coordinates (and hence
@@ -21,7 +26,12 @@ from dataclasses import dataclass
 from .embedding import EmbeddedGraph
 from .errors import Disconnected, NoConvergence, TooSmall
 
-MAX_SWEEPS = 10**6
+# Newton steps (the corpus needs 7 to 15) and the largest change of one
+# log-radius in one step; together they keep every radius within e**200
+# of 1, far from overflow and underflow
+MAX_STEPS = 100
+MAX_LOG_STEP = 2.0
+CG_RTOL = 1e-3  # relative residual at which a conjugate-gradient solve stops
 
 
 @dataclass(frozen=True)
@@ -91,7 +101,12 @@ class Triangulation:
 
 @dataclass(frozen=True)
 class Packing:
-    """Circles for the base vertices plus the certified tangency residual."""
+    """Circles for the base vertices plus the certified tangency residual.
+
+    ``iterations`` counts the Newton steps of the radius solve, including
+    a last step that was dropped because it did not lower the angle-sum
+    error.
+    """
 
     circles: tuple
     residual: float
@@ -139,48 +154,128 @@ def triangulate(g: EmbeddedGraph) -> Triangulation:
     )
 
 
-def _relax_radii(tg: EmbeddedGraph, boundary, atol):
-    """Angle-sum iteration; boundary radii stay 1.  Returns (radii, sweeps)."""
-    n = tg.n
-    radii = [1.0] * n
-    interior = [v for v in range(n) if v not in boundary]
-    flowers = [[tg.dart_head[d] for d in tg.rotation[v]] for v in range(n)]
-    sin_target = {
-        k: math.sin(math.pi / k) for k in {len(flowers[v]) for v in interior}
-    }
-    two_pi = 2.0 * math.pi
-    asin = math.asin
-    sin = math.sin
-    sqrt = math.sqrt
+def _sparsity(tg: EmbeddedGraph, boundary):
+    """The sparsity pattern of the Newton system, built once per packing.
 
-    for sweep in range(1, MAX_SWEEPS + 1):
-        worst = 0.0
-        for v in interior:
-            nbrs = flowers[v]
-            k = len(nbrs)
-            rv = radii[v]
-            theta = 0.0
-            prev = radii[nbrs[-1]]
-            for w in nbrs:
-                rw = radii[w]
-                s = sqrt((prev / (rv + prev)) * (rw / (rv + rw)))
-                theta += asin(s if s < 1.0 else 1.0)
-                prev = rw
-            theta *= 2.0
-            err = theta - two_pi
-            if err < 0.0:
-                err = -err
-            if err > worst:
-                worst = err
-            beta = sin(theta / (2.0 * k))
-            delta = sin_target[k]
-            rhat = rv * beta / (1.0 - beta)
-            radii[v] = rhat * (1.0 - delta) / delta
-        if worst < atol:
-            return radii, sweep
-    raise NoConvergence(
-        f"angle-sum error above {atol:.3e} after {MAX_SWEEPS} sweeps"
-    )
+    Returns the interior vertices, the interior-interior edges (the
+    off-diagonal entries of L), and per face its corners (i, j, k) with
+    the ids of the edges ij, jk and ki; an edge with a boundary end gets
+    the spare id ``len(edges)``.
+    """
+    interior = [v for v in range(tg.n) if v not in boundary]
+    edge_id = {}
+    edges = []
+    for u, v in tg.edges():
+        if u not in boundary and v not in boundary:
+            edge_id[u, v] = edge_id[v, u] = len(edges)
+            edges.append((u, v))
+    spare = len(edges)
+    triangles = []
+    for cycle in tg.faces:
+        i, j, k = (tg.dart_tail[d] for d in cycle)
+        triangles.append((i, j, k, edge_id.get((i, j), spare),
+                          edge_id.get((j, k), spare), edge_id.get((k, i), spare)))
+    return interior, edges, triangles
+
+
+def _linearize(radii, interior, edge_count, triangles):
+    """Angle-sum errors and their Jacobian at ``radii``.
+
+    The angle at corner i of the triangle of centers (i, j, k) is
+    2 atan(h / r_i), where h = sqrt(r_i r_j r_k / (r_i + r_j + r_k)) is the
+    triangle's inradius, and its derivative in u_j = log r_j is
+    h / (r_i + r_j).  Returns the angle-sum errors theta - 2 pi (0 off the
+    interior), their largest magnitude, and the diagonal and the edge
+    weights of the Laplacian L = -d theta / d u.
+    """
+    n = len(radii)
+    theta = [0.0] * n
+    diag = [0.0] * n
+    weight = [0.0] * (edge_count + 1)
+    sqrt = math.sqrt
+    atan = math.atan
+    for i, j, k, eij, ejk, eki in triangles:
+        ri, rj, rk = radii[i], radii[j], radii[k]
+        h = sqrt(ri * rj * rk / (ri + rj + rk))
+        theta[i] += atan(h / ri)
+        theta[j] += atan(h / rj)
+        theta[k] += atan(h / rk)
+        wij = h / (ri + rj)
+        wjk = h / (rj + rk)
+        wki = h / (rk + ri)
+        # every angle is scale invariant, so a row of L sums to 0
+        diag[i] += wij + wki
+        diag[j] += wij + wjk
+        diag[k] += wjk + wki
+        weight[eij] += wij
+        weight[ejk] += wjk
+        weight[eki] += wki
+    err = [0.0] * n
+    worst = 0.0
+    for v in interior:
+        e = 2.0 * theta[v] - 2.0 * math.pi
+        err[v] = e
+        if abs(e) > worst:
+            worst = abs(e)
+    return err, worst, diag, weight
+
+
+def _conjugate_gradients(rhs, diag, edges, weight, max_iter):
+    """Solve L x = rhs by Jacobi-preconditioned conjugate gradients.
+
+    L has diagonal ``diag`` and entry -w at (a, b) and (b, a) for every
+    edge (a, b) with weight w; entries where ``rhs`` is 0 and no edge
+    reaches stay 0.  Stops once the residual has shrunk by ``CG_RTOL``.
+    """
+    x = [0.0] * len(rhs)
+    res = rhs[:]
+    z = [r / d for r, d in zip(res, diag)]
+    p = z[:]
+    rz = sum(r * zi for r, zi in zip(res, z))
+    stop = CG_RTOL * CG_RTOL * sum(r * r for r in res)
+    for _ in range(max_iter):
+        if sum(r * r for r in res) <= stop:
+            break
+        q = [d * pi for d, pi in zip(diag, p)]
+        for (a, b), w in zip(edges, weight):
+            q[a] -= w * p[b]
+            q[b] -= w * p[a]
+        alpha = rz / sum(pi * qi for pi, qi in zip(p, q))
+        x = [xi + alpha * pi for xi, pi in zip(x, p)]
+        res = [r - alpha * qi for r, qi in zip(res, q)]
+        z = [r / d for r, d in zip(res, diag)]
+        rz_next = sum(r * zi for r, zi in zip(res, z))
+        beta = rz_next / rz
+        rz = rz_next
+        p = [zi + beta * pi for zi, pi in zip(z, p)]
+    return x
+
+
+def _newton_radii(tg: EmbeddedGraph, boundary):
+    """Radii whose angle sums are 2 pi at every interior vertex; the
+    boundary radii stay 1.
+
+    Newton's method on u = log r: each step solves L delta = theta - 2 pi
+    and moves u by delta, scaled down so that no log-radius moves by more
+    than ``MAX_LOG_STEP``.  It stops when a step does not lower the largest
+    angle-sum error, which keeps the radii before that step, or after
+    ``MAX_STEPS`` steps.  Returns (radii, steps, largest angle-sum error).
+    """
+    interior, edges, triangles = _sparsity(tg, boundary)
+    radii = [1.0] * tg.n
+    err, worst, diag, weight = _linearize(radii, interior, len(edges), triangles)
+    steps = 0
+    while steps < MAX_STEPS and worst > 0.0:
+        steps += 1
+        delta = _conjugate_gradients(err, diag, edges, weight, len(interior))
+        scale = min(1.0, MAX_LOG_STEP / max(abs(x) for x in delta))
+        trial = [r * math.exp(scale * x) for r, x in zip(radii, delta)]
+        state = _linearize(trial, interior, len(edges), triangles)
+        if not state[1] < worst:
+            break
+        radii = trial
+        err, worst, diag, weight = state
+    return radii, steps, worst
 
 
 def _layout(tg: EmbeddedGraph, radii, boundary_face):
@@ -218,6 +313,10 @@ def _layout(tg: EmbeddedGraph, radii, boundary_face):
             a = tails[(i + 1) % 3]
             b = tails[(i + 2) % 3]
             c = tails[i]
+            if pos[a] == pos[b]:
+                raise NoConvergence(
+                    f"layout puts circles {a} and {b} at one center"
+                )
             # c's center is where the circles of radius r_a + r_c around a
             # and r_b + r_c around b cross; clockwise triangle: right of a->b
             _, pos[c] = _circle_intersections(
@@ -236,10 +335,18 @@ def _layout(tg: EmbeddedGraph, radii, boundary_face):
 def pack(g: EmbeddedGraph, tol: float = 1e-9) -> Packing:
     """Circle packing whose tangency graph equals the edges of ``g``.
 
+    Newton's method on the log-radii runs until the largest angle-sum
+    error stops decreasing; the circles are then laid out once and the
+    result is certified: the tangency residual over the edges and the
+    overlap residual over the non-edges must both be at most ``tol``,
+    otherwise NoConvergence names the Newton step count, the final
+    angle-sum error and both residuals.  ``tol`` is used by this
+    certificate only.
+
     The input must be simple, connected, and embedded; face boundaries must
     be simple cycles (no cut vertices), otherwise the packing has hinge
-    freedom and the iteration ends in NoConvergence.  Deterministic:
-    identical inputs give bit-identical radii and centers.
+    freedom and ends in NoConvergence.  Deterministic: identical inputs
+    give bit-identical radii and centers.
     """
     if g.n < 3:
         raise TooSmall("packing needs at least 3 vertices")
@@ -248,11 +355,12 @@ def pack(g: EmbeddedGraph, tol: float = 1e-9) -> Packing:
 
     tri = triangulate(g)
     tg = tri.graph
-    boundary = set(tri.boundary_vertices)
-    # layout amplifies angle-sum error, so iterate well past the target
-    atol = max(tol * 1e-4, 1e-14)
-    radii, sweeps = _relax_radii(tg, boundary, atol)
-    pos = _layout(tg, radii, tri.boundary_face)
+    radii, steps, angle_error = _newton_radii(tg, set(tri.boundary_vertices))
+    diagnosis = f"after {steps} Newton steps, angle-sum error {angle_error:.3e}"
+    try:
+        pos = _layout(tg, radii, tri.boundary_face)
+    except NoConvergence as exc:
+        raise NoConvergence(f"{diagnosis}: {exc}") from None
 
     circles = tuple(
         Circle(pos[v][0], pos[v][1], radii[v]) for v in range(tri.base_n)
@@ -261,9 +369,10 @@ def pack(g: EmbeddedGraph, tol: float = 1e-9) -> Packing:
     overlap = _overlap_residual(circles, g)
     if residual > tol or overlap > tol:
         raise NoConvergence(
-            f"residual {residual:.3e} / overlap {overlap:.3e} above tol {tol:.3e}"
+            f"{diagnosis}: tangency residual {residual:.3e}, "
+            f"overlap {overlap:.3e}, tol {tol:.3e}"
         )
-    return Packing(circles=circles, residual=residual, iterations=sweeps)
+    return Packing(circles=circles, residual=residual, iterations=steps)
 
 
 def _tangency_residual(circles, g):

@@ -18,6 +18,7 @@ from .embedding import EmbeddedGraph, connectivity_level
 from .errors import (
     DegenerateArc,
     ILNotSimple,
+    MalformedRealization,
     NoInnermostFace,
     NonPlanarEmbedding,
     NotThreeConnected,
@@ -130,6 +131,68 @@ def _consecutive_arcs(order):
     return arcs
 
 
+def _arc_end_slack(tol):
+    """Angle by which an arc end may miss its point when a realization is
+    read as a graph at tolerance ``tol``."""
+    return max(tol * 10.0, 1e-9)
+
+
+def _check_circle_ids(r: Realization, slack=None):
+    """Raise MalformedRealization when a point or an arc names a circle
+    that ``r`` does not have, or, given ``slack``, when a point lies farther
+    than ``slack`` times the radius off a circle it names."""
+    k = len(r.circles)
+    for pid, p in enumerate(r.points):
+        if not all(0 <= ci < k for ci in p.on):
+            raise MalformedRealization(
+                f"point {pid} names circles {p.on}; there are {k} circles"
+            )
+        if slack is None:
+            continue
+        for ci in p.on:
+            c = r.circles[ci]
+            if abs(math.hypot(p.x - c.cx, p.y - c.cy) - c.r) > slack * c.r:
+                raise MalformedRealization(f"point {pid} is not on circle {ci}")
+    for i, a in enumerate(r.arcs):
+        if not 0 <= a.circle < k:
+            raise MalformedRealization(
+                f"arc {i} names circle {a.circle}; there are {k} circles"
+            )
+
+
+def _arc_partition_faults(order, arcs, tol):
+    """Why ``arcs`` fail to partition the circles, one detail per fault.
+
+    Every circle with points in ``order`` needs as many arcs as points, and
+    each arc must start at a point no other arc of its circle starts at and
+    end at the next point counterclockwise, both ends within ``tol``.
+    Circles without points and arcs naming no circle are not checked.
+    """
+    by_circle = [[] for _ in order]
+    for a in arcs:
+        if 0 <= a.circle < len(order):
+            by_circle[a.circle].append(a)
+    faults = []
+    for ci, pairs in enumerate(order):
+        if not pairs:
+            continue
+        on_circle = by_circle[ci]
+        if len(on_circle) != len(pairs):
+            faults.append(
+                f"circle {ci} has {len(on_circle)} arcs for {len(pairs)} points"
+            )
+            continue
+        succ = {p: q for (_, p), (_, q) in zip(pairs, pairs[1:] + pairs[:1])}
+        ends = [_arc_ends(order, a, tol) for a in on_circle]
+        starts = Counter(e[0] for e in ends if e is not None)
+        for a, e in zip(on_circle, ends):
+            if e is None or starts[e[0]] > 1 or succ[e[0]] != e[1]:
+                faults.append(
+                    f"arc {a} does not join consecutive points of circle {ci}"
+                )
+    return faults
+
+
 @dataclass(frozen=True)
 class BoundsResult:
     """Circle-count bounds for an n-vertex 4-regular planar graph."""
@@ -228,6 +291,7 @@ def extract_with_arcs(r: Realization, tol: float = 1e-8) -> ExtractedGraph:
     orders the four arc ends by departure tangent, with curvature breaking
     the ties that tangencies create.
     """
+    _check_circle_ids(r)
     order = _angular_order(r.circles, r.points)
     for ci, pairs in enumerate(order):
         if len(pairs) > 1:
@@ -243,7 +307,7 @@ def extract_with_arcs(r: Realization, tol: float = 1e-8) -> ExtractedGraph:
     arc_darts = []
     for k, arc in enumerate(r.arcs):
         c = r.circles[arc.circle]
-        ends = _arc_ends(order, arc, max(tol * 10.0, 1e-9))
+        ends = _arc_ends(order, arc, _arc_end_slack(tol))
         if ends is None:
             raise DegenerateArc(f"an end of arc {k} on circle {arc.circle} "
                                 "matches no point")
@@ -272,6 +336,9 @@ def extract_with_arcs(r: Realization, tol: float = 1e-8) -> ExtractedGraph:
                 merged[-1][1].append((kappa, d))
             else:
                 merged.append((tau, [(kappa, d)]))
+        if len(merged) > 1 and keyed[0][0] + TWO_PI - keyed[-1][0] < 1e-6:
+            # the last group continues the first one across angle 0
+            merged[0][1].extend(merged.pop()[1])
         row = []
         for _, group in merged:
             group.sort()
@@ -396,31 +463,8 @@ def verify_realization(r: Realization, g: EmbeddedGraph | None = None,
                 f"circles {key} share points {pts}",
             )
 
-    ang_tol = max(tol, 1e-12)
-    arcs_by_circle = [[] for _ in r.circles]
-    for a in r.arcs:
-        if 0 <= a.circle < len(arcs_by_circle):
-            arcs_by_circle[a.circle].append(a)
-    for ci, pairs in enumerate(order):
-        if not pairs:
-            continue
-        arcs = arcs_by_circle[ci]
-        if len(arcs) != len(pairs):
-            report.add(
-                "arcs-partition-circle",
-                f"circle {ci} has {len(arcs)} arcs for {len(pairs)} points",
-            )
-            continue
-        # each arc starts at its own point and ends at the next one ccw
-        succ = {p: q for (_, p), (_, q) in zip(pairs, pairs[1:] + pairs[:1])}
-        ends = [_arc_ends(order, a, ang_tol) for a in arcs]
-        starts = Counter(e[0] for e in ends if e is not None)
-        for a, e in zip(arcs, ends):
-            if e is None or starts[e[0]] > 1 or succ[e[0]] != e[1]:
-                report.add(
-                    "arcs-partition-circle",
-                    f"arc {a} does not join consecutive points of circle {ci}",
-                )
+    for detail in _arc_partition_faults(order, r.arcs, max(tol, 1e-12)):
+        report.add("arcs-partition-circle", detail)
 
     n = len(r.points)
     if n >= 6:

@@ -1,11 +1,13 @@
 """Shared builders and brute-force oracles for the test suite."""
 
 import itertools
+import math
 
 import pytest
 
 from circlesystems.embedding import build_embedding
 from circlesystems.generators import octahedron
+from circlesystems.packing import triangulate
 from circlesystems.realization import Arc, RealPoint, Realization
 
 
@@ -46,6 +48,42 @@ def brute_force_connectivity(g, cap=3):
             break
         level = k
     return level
+
+
+def gauss_seidel_radii(g, atol=1e-14, max_sweeps=10**5):
+    """Base-vertex radii of the packing of ``g`` by the uniform-neighbour
+    angle-sum sweep of Collins and Stephenson (Comput. Geom. 25, 2003).
+
+    The oracle the Newton solver in ``pack`` must agree with: it shares the
+    triangulation and the unit boundary radii, and sweeps the interior
+    vertices until every angle sum is within ``atol`` of 2 pi.
+    """
+    tri = triangulate(g)
+    tg = tri.graph
+    boundary = set(tri.boundary_vertices)
+    radii = [1.0] * tg.n
+    interior = [v for v in range(tg.n) if v not in boundary]
+    flowers = [[tg.dart_head[d] for d in tg.rotation[v]] for v in range(tg.n)]
+    for _ in range(max_sweeps):
+        worst = 0.0
+        for v in interior:
+            nbrs = flowers[v]
+            k = len(nbrs)
+            rv = radii[v]
+            theta = 0.0
+            for prev, w in zip(nbrs[-1:] + nbrs[:-1], nbrs):
+                s = math.sqrt(radii[prev] / (rv + radii[prev])
+                              * radii[w] / (rv + radii[w]))
+                theta += 2.0 * math.asin(min(s, 1.0))
+            worst = max(worst, abs(theta - 2.0 * math.pi))
+            # the radius for which k neighbours of the current mean size
+            # close up exactly
+            beta = math.sin(theta / (2.0 * k))
+            delta = math.sin(math.pi / k)
+            radii[v] = rv * beta / (1.0 - beta) * (1.0 - delta) / delta
+        if worst < atol:
+            return radii[:tri.base_n]
+    raise AssertionError(f"oracle sweep above {atol} after {max_sweeps} sweeps")
 
 
 def _subst(row, old, new):

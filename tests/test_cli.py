@@ -6,7 +6,7 @@ from contextlib import redirect_stderr, redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from circlesystems import cli, errors, jsonio
+from circlesystems import cli, errors, jsonio, packing
 from circlesystems.cli import run_cli
 from circlesystems.equivalence import RealizationClass
 from circlesystems.generators import (
@@ -71,6 +71,15 @@ def test_numeric_failure_exit_code():
     code, _, err = run(["realize", "--tol", "1e-30"], graph_json)
     assert code == 3
     assert "numeric failure" in err
+
+
+def test_newton_step_cap_exits_3_with_diagnosis(monkeypatch):
+    monkeypatch.setattr(packing, "MAX_STEPS", 1)
+    _, graph_json, _ = run(["generate", "medial", "--base", "cube"])
+    code, out, err = run(["realize"], graph_json)
+    assert code == 3 and out == ""
+    assert err.startswith("numeric failure: after 1 Newton steps, angle-sum error ")
+    assert "tangency residual" in err and "overlap" in err
 
 
 def test_usage_error_exit_code():
@@ -424,6 +433,7 @@ _EXIT_CODES = {
     "CircleSystemsError": 1,
     "UsageError": 2,
     "MalformedRotation": 2,
+    "MalformedRealization": 2,
     "NonPlanarEmbedding": 2,
     "Disconnected": 2,
     "NotBipartiteDual": 2,

@@ -11,7 +11,7 @@ from circlesystems.equivalence import (
     oriented_dual,
     smooth_degree_two,
 )
-from circlesystems.errors import NoClassMatch
+from circlesystems.errors import DegenerateArc, MalformedRealization, NoClassMatch
 from circlesystems.generators import (
     canonical_octahedron_realization,
     flower,
@@ -19,7 +19,13 @@ from circlesystems.generators import (
     upper_bound_family,
 )
 from circlesystems.packing import Circle
-from circlesystems.realization import Arc, RealPoint, Realization, realize
+from circlesystems.realization import (
+    Arc,
+    RealPoint,
+    Realization,
+    extract_with_arcs,
+    realize,
+)
 
 EXPECTED_OUT3 = {
     RealizationClass.THREE_CROSSING: 1,
@@ -231,3 +237,56 @@ def test_dual_degrees_invariant_under_rigid_motions():
 
     assert degree_multiset(d0) == degree_multiset(d1)
     assert digraph_isomorphic(d0, d1)
+
+
+def _arc_dropped(r):
+    return Realization(list(r.circles), list(r.points), list(r.arcs[1:]))
+
+
+def _arc_repeated(r):
+    return Realization(list(r.circles), list(r.points), r.arcs + r.arcs[:1])
+
+
+def _arc_end_rotated(r):
+    a = r.arcs[0]
+    moved = Arc(a.circle, a.from_angle, a.to_angle + 0.1, a.edge)
+    return Realization(list(r.circles), list(r.points), [moved] + r.arcs[1:])
+
+
+def _circle_dropped(r):
+    return Realization(r.circles[:-1], list(r.points), list(r.arcs))
+
+
+_SYSTEMS = [
+    ("flower5", lambda: flower(5)[1]),
+    ("touching-disjoint", lambda: canonical_octahedron_realization(
+        RealizationClass.FOUR_TOUCHING_DISJOINT)),
+]
+
+
+@pytest.mark.parametrize("name, make", _SYSTEMS)
+@pytest.mark.parametrize("mutate", [_arc_dropped, _arc_repeated, _arc_end_rotated])
+def test_arcs_that_do_not_partition_the_circles_are_rejected(name, make, mutate):
+    r = make()
+    with pytest.raises(DegenerateArc):
+        equivalent(r, mutate(r))
+    with pytest.raises(DegenerateArc):
+        classify_octahedron(mutate(r))
+
+
+@pytest.mark.parametrize("name, make", _SYSTEMS)
+def test_missing_circle_is_a_package_error(name, make):
+    r = make()
+    bad = _circle_dropped(r)
+    with pytest.raises(MalformedRealization):
+        equivalent(r, bad)
+    with pytest.raises(MalformedRealization):
+        classify_octahedron(bad)
+    with pytest.raises(MalformedRealization):
+        extract_with_arcs(bad)
+    # only the arcs name the missing circle
+    arcs_only = Realization(r.circles[:-1],
+                            [p for p in r.points if len(r.circles) - 1 not in p.on],
+                            list(r.arcs))
+    with pytest.raises(MalformedRealization):
+        equivalent(arcs_only, r)

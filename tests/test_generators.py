@@ -114,6 +114,12 @@ def test_upper_bound_family(c):
     assert verify_realization(real, tol=1e-8).passed
 
 
+def test_upper_bound_family_80_verifies_against_its_graph():
+    graph, real = upper_bound_family(80)
+    assert len(real.circles) == 80 and graph.n == 120
+    assert verify_realization(real, graph).passed
+
+
 def test_upper_bound_4_is_octahedron(octa):
     graph, _ = upper_bound_family(4)
     assert graphs_isomorphic(graph, octa)

@@ -1,13 +1,21 @@
 import math
+import random
 
 import pytest
 
+from circlesystems import packing
 from circlesystems.coloring import build_il, two_color_faces
 from circlesystems.embedding import build_embedding, dual, medial
-from circlesystems.errors import Disconnected, TooSmall
+from circlesystems.errors import Disconnected, NoConvergence, TooSmall
 from circlesystems.geometry import descartes_check
 from circlesystems.packing import Circle, Packing, pack, packing_residual, triangulate
 from circlesystems.generators import cube, icosahedron, octahedron, prism, tetrahedron
+
+from conftest import gauss_seidel_radii, joined_octahedra
+
+
+def _gray_face_graph(g):
+    return build_il(g, two_color_faces(g)).graph
 
 
 def test_pack_k4_descartes():
@@ -127,3 +135,66 @@ def test_pack_certificate_on_polyhedra(maker):
     g = maker()
     p = pack(g, 1e-9)
     assert packing_residual(p, g) <= 2e-9
+
+
+@pytest.mark.parametrize("maker", [
+    tetrahedron,
+    cube,
+    octahedron,
+    lambda: prism(8),
+    lambda: _gray_face_graph(medial(cube())),
+    lambda: _gray_face_graph(medial(icosahedron())),
+    lambda: _gray_face_graph(medial(medial(icosahedron()))),
+], ids=["tetrahedron", "cube", "octahedron", "prism8", "gray-medial-cube",
+        "gray-icosahedron-n30", "gray-icosahedron-n60"])
+def test_newton_radii_match_gauss_seidel_oracle(maker):
+    g = maker()
+    p = pack(g, 1e-9)
+    oracle = gauss_seidel_radii(g)
+    assert max(abs(c.r - r) / r for c, r in zip(p.circles, oracle)) <= 1e-9
+    # Newton takes 8 to 10 steps here; with a wrong Laplacian weight it
+    # still reaches the oracle's radii, but in 15 to 90 steps or never
+    assert p.iterations <= 12
+
+
+def test_laplacian_is_minus_the_angle_sum_jacobian():
+    tri = triangulate(_gray_face_graph(medial(cube())))
+    tg = tri.graph
+    boundary = set(tri.boundary_vertices)
+    interior, edges, triangles = packing._sparsity(tg, boundary)
+    rng = random.Random(5)
+    radii = [1.0 if v in boundary else math.exp(rng.uniform(-1.5, 1.5))
+             for v in range(tg.n)]
+    _, _, diag, weight = packing._linearize(radii, interior, len(edges), triangles)
+    entry = {}
+    for (a, b), w in zip(edges, weight):
+        entry[a, b] = entry[b, a] = -w
+    eps = 1e-6
+    for j in interior:
+        up = radii[:]
+        up[j] *= math.exp(eps)
+        down = radii[:]
+        down[j] *= math.exp(-eps)
+        e_up = packing._linearize(up, interior, len(edges), triangles)[0]
+        e_down = packing._linearize(down, interior, len(edges), triangles)[0]
+        for i in interior:
+            d_theta = (e_up[i] - e_down[i]) / (2.0 * eps)
+            expected = diag[i] if i == j else entry.get((i, j), 0.0)
+            assert abs(d_theta + expected) <= 1e-7
+
+
+def test_no_convergence_names_steps_and_residuals(monkeypatch):
+    monkeypatch.setattr(packing, "MAX_STEPS", 1)
+    with pytest.raises(NoConvergence) as info:
+        pack(_gray_face_graph(medial(cube())), 1e-9)
+    message = str(info.value)
+    assert message.startswith("after 1 Newton steps, angle-sum error ")
+    for name in ("tangency residual", "overlap"):
+        assert name in message
+
+
+def test_pack_cut_vertex_is_no_convergence():
+    # a face boundary through a cut vertex leaves a hinge: radii collapse
+    with pytest.raises(NoConvergence) as info:
+        pack(joined_octahedra(), 1e-9)
+    assert str(info.value).startswith("after ")

@@ -21,7 +21,9 @@ from circlesystems.realization import (
     KIND_CROSS,
     KIND_TOUCH,
     Arc,
+    RealPoint,
     Realization,
+    angle_on,
     circle_count_bounds,
     extract_abstract_graph,
     innermost_face_arc_check,
@@ -64,6 +66,45 @@ def test_pipeline_closure_iterated_medial():
     r = realize(g, 1e-9)
     assert verify_realization(r, g, 1e-8).passed
     assert graphs_isomorphic(extract_abstract_graph(r), g)
+
+
+def test_realize_icosahedron_medial_n480():
+    # the rung the angle-sum sweep could not certify at this tolerance
+    g = icosahedron()
+    for _ in range(5):
+        g = medial(g)
+    assert g.n == 480
+    r = realize(g, 1e-9)
+    assert verify_realization(r, g).passed
+
+
+@pytest.mark.parametrize("pid", range(6))
+def test_extraction_groups_tangents_across_angle_zero(octa, pid):
+    # turn the octahedron's system so that touching point pid sits at the
+    # bottom of one circle, then nudge the two arc ends there whose
+    # tangents are horizontal to either side of angle 0
+    r = realize(octa, 1e-9)
+    a, b = r.points[pid].on
+    p = r.points[pid]
+    phi = 1.5 * math.pi - angle_on(r.circles[a], (p.x, p.y))
+    c, s = math.cos(phi), math.sin(phi)
+    circles = [Circle(c * k.cx - s * k.cy, s * k.cx + c * k.cy, k.r)
+               for k in r.circles]
+    points = [RealPoint(c * q.x - s * q.y, s * q.x + c * q.y, q.on, q.kind)
+              for q in r.points]
+    bottom, top = 1.5 * math.pi, 0.5 * math.pi
+    arcs = []
+    for arc in r.arcs:
+        start, end = arc.from_angle + phi, arc.to_angle + phi
+        if arc.circle == a and abs(math.remainder(start - bottom, 2 * math.pi)) < 1e-6:
+            start = bottom - 1e-9  # departs along angle -1e-9
+        if arc.circle == b and abs(math.remainder(end - top, 2 * math.pi)) < 1e-6:
+            end = top + 1e-9  # departs backwards along angle 1e-9
+        arcs.append(Arc(arc.circle, start % (2 * math.pi), end % (2 * math.pi),
+                        arc.edge))
+    turned = Realization(circles, points, arcs)
+    assert graphs_isomorphic(extract_abstract_graph(turned), octa)
+    assert verify_realization(turned, octa).passed
 
 
 def test_realize_rejects_not_three_connected():
