@@ -4,7 +4,7 @@
 Usage: python scripts/realize_corpus.py [--tol 1e-9] [--outdir DIR]
 
 The corpus is the medials of the Platonic solids plus the iterated medials
-of the icosahedron up to n=960.  Exits 1 when a graph fails to realize, to
+of the icosahedron up to n=1920.  Exits 1 when a graph fails to realize, to
 verify, or to match its extracted graph.  With --outdir, the realization
 JSON and an SVG drawing of every corpus graph are written next to each
 other.
@@ -57,7 +57,7 @@ def _iterated_medial(depth):
 
 CORPUS += [
     (f"icosahedron-medial-n{30 * 2 ** (d - 1)}", _iterated_medial(d))
-    for d in range(2, 7)
+    for d in range(2, 8)
 ]
 
 

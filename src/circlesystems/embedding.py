@@ -6,12 +6,14 @@ its outgoing darts.  Faces are traced with ``next = successor(reverse(d))``,
 which places each face on the right-hand side of its darts.  The embedding
 supplied by the caller is trusted and then validated through the Euler
 formula per connected component; no planarity test for abstract graphs is
-performed here.
+performed here.  Connectivity up to 3 is read off the vertex–face
+incidences of the embedding (see :func:`connectivity_level`).
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
+from itertools import combinations
 
 from .errors import Disconnected, MalformedRotation, NonPlanarEmbedding
 
@@ -45,6 +47,8 @@ class EmbeddedGraph:
             r = dart_rev[d]
             if r == d or not (0 <= r < m) or dart_rev[r] != d:
                 raise MalformedRotation("reversal is not a fixed-point-free involution")
+        if not rotation:
+            raise MalformedRotation("graph has no vertices")
         self.n = len(rotation)
         self.rotation = [list(r) for r in rotation]
         self.dart_tail = list(dart_tail)
@@ -122,13 +126,6 @@ class EmbeddedGraph:
             adj[u].add(v)
             adj[v].add(u)
         return adj
-
-    def adjacency_with_edges(self):
-        """Per-vertex list of (neighbor, edge id), in rotation order."""
-        return [
-            [(self.dart_head[d], self.edge_of_dart[d]) for d in rot]
-            for rot in self.rotation
-        ]
 
     def to_neighbor_lists(self):
         return [[self.dart_head[d] for d in rot] for rot in self.rotation]
@@ -291,73 +288,69 @@ def build_embedding(neighbor_lists, outer_face=None, require_simple=False):
 # -- connectivity -----------------------------------------------------------
 
 
-def _has_articulation(adj, n, skip=-1):
-    """True if the graph (minus the skipped vertex) has a cut vertex or is
-    disconnected.  ``adj`` is per-vertex [(neighbor, edge id)]."""
-    start = 0
-    while start == skip:
-        start += 1
-    if start >= n:
-        return False
-    disc = [-1] * n
-    low = [0] * n
-    parent_eid = [-1] * n
-    ptr = [0] * n
-    disc[start] = low[start] = 0
-    timer = 1
-    root_children = 0
-    stack = [start]
-    while stack:
-        v = stack[-1]
-        if ptr[v] < len(adj[v]):
-            w, eid = adj[v][ptr[v]]
-            ptr[v] += 1
-            if w == skip:
-                continue
-            if disc[w] == -1:
-                parent_eid[w] = eid
-                disc[w] = low[w] = timer
-                timer += 1
-                if v == start:
-                    root_children += 1
-                stack.append(w)
-            elif eid != parent_eid[v]:
-                if disc[w] < low[v]:
-                    low[v] = disc[w]
-        else:
-            stack.pop()
-            if stack:
-                u = stack[-1]
-                if low[v] < low[u]:
-                    low[u] = low[v]
-                if u != start and low[v] >= disc[u]:
-                    return True
-    if root_children >= 2:
-        return True
-    expected = n - (1 if 0 <= skip < n else 0)
-    if timer < expected:
-        return True
-    return False
+def _simple_part(g):
+    """``g`` without loops and with one edge of each parallel class;
+    deleting edges keeps the embedding plane."""
+    firsts = {}
+    for d, r in g.edge_darts:
+        u, v = g.dart_tail[d], g.dart_head[d]
+        if u != v:
+            firsts.setdefault((min(u, v), max(u, v)), (d, r))
+    kept = sorted(d for pair in firsts.values() for d in pair)
+    new_id = {d: i for i, d in enumerate(kept)}
+    return EmbeddedGraph(
+        [[new_id[d] for d in rot if d in new_id] for rot in g.rotation],
+        [g.dart_tail[d] for d in kept],
+        [new_id[g.dart_rev[d]] for d in kept],
+    )
 
 
 def connectivity_level(g):
     """0 for disconnected input, otherwise the largest k <= 3 such that the
-    graph is k-connected (higher connectivity still reports 3)."""
+    graph is k-connected (higher connectivity still reports 3).
+
+    Read off the faces once loops and parallel copies are dropped (Mohar
+    and Thomassen, *Graphs on Surfaces*, 2001):
+
+    1. a connected plane graph has a cut vertex if and only if some facial
+       walk visits a vertex twice;
+    2. so in a 2-connected one every face is bounded by a cycle;
+    3. a 2-connected simple plane graph on n >= 4 vertices is 3-connected
+       if and only if every two face boundaries meet in nothing, in one
+       vertex, or in one edge that has those two faces on its sides.
+
+    Recording each vertex under every pair of faces around it makes this
+    O(sum of deg^2).
+    """
     if len(g.connected_components()) != 1:
         return 0
-    n = g.n
-    if n == 1:
-        return 0
-    if n == 2:
-        return 1
-    adj = g.adjacency_with_edges()
-    if _has_articulation(adj, n):
-        return 1
-    if n == 3:
+    if g.n <= 2:
+        return g.n - 1  # a lone vertex counts as 0, an edge bundle as 1
+    if not g.is_simple():
+        g = _simple_part(g)
+    for cycle in g.faces:
+        if len({g.dart_tail[d] for d in cycle}) != len(cycle):
+            return 1
+    if g.n == 3:
         return 2
-    for a in range(n):
-        if _has_articulation(adj, n, skip=a):
-            return 2
+    nf = len(g.faces)
+    # face pair -> the one vertex seen on both so far, or -1 after two.
+    # The second vertex must see the two faces in consecutive corners, on
+    # the sides of one of its edges; if that edge does not end at the
+    # first vertex, its far end comes later as a third.
+    met = {}
+    for v, rot in enumerate(g.rotation):
+        faces = [g.dart_face[d] for d in rot]
+        k = len(faces)
+        for i, j in combinations(range(k), 2):
+            f, h = faces[i], faces[j]
+            key = f * nf + h if f < h else h * nf + f
+            u = met.setdefault(key, v)
+            if u == v:
+                continue
+            if u < 0 or j - i not in (1, k - 1):
+                return 2
+            met[key] = -1
     return 3
 
 

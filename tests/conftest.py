@@ -133,6 +133,19 @@ def pinched_octahedra():
     return g.with_outer_face(sorted(neighbor_faces)[0])
 
 
+def relabel_graph(g, rng):
+    """The same plane graph with its vertex ids permuted and each rotation
+    list started at a random neighbour."""
+    lists = g.to_neighbor_lists()
+    perm = list(range(len(lists)))
+    rng.shuffle(perm)
+    new = [None] * len(lists)
+    for v, row in enumerate(lists):
+        k = rng.randrange(len(row))
+        new[perm[v]] = [perm[w] for w in row[k:] + row[:k]]
+    return build_embedding(new)
+
+
 def relabel_realization(r, rng):
     """The same system of circles with circles, points and arcs listed in a
     random order and every circle reference renumbered to match."""

@@ -292,6 +292,7 @@ _CIRCLE = {"id": 0, "cx": 0.0, "cy": 0.0, "r": 1.0}
 _REPEATED_CIRCLE = jsonio.realization_to_obj(
     canonical_octahedron_realization(RealizationClass.THREE_CROSSING))
 _REPEATED_CIRCLE["points"][0]["on"] = [0, 0]
+_EMPTY_GRAPH = {"type": "graph", "version": 1, "n": 0, "rotation": []}
 
 
 @pytest.mark.parametrize("argv, doc", [
@@ -321,6 +322,7 @@ _REPEATED_CIRCLE["points"][0]["on"] = [0, 0]
                   "edges": [[0, 1], [1, 2], [2, 0]], "outer": 2}),
     (["render"], jsonio.graph_to_obj(octahedron())),
     (["classify"], _REPEATED_CIRCLE),
+    (["realize"], _EMPTY_GRAPH),
 ])
 def test_malformed_document_exits_2(argv, doc):
     code, out, err = run(argv, json.dumps(doc))
@@ -328,6 +330,12 @@ def test_malformed_document_exits_2(argv, doc):
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("error: ")
+
+
+def test_empty_graph_document_names_the_fault():
+    code, out, err = run(["realize"], json.dumps(_EMPTY_GRAPH))
+    assert code == 2
+    assert err == "error: graph has no vertices\n"
 
 
 @pytest.mark.parametrize("argv", [

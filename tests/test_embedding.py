@@ -1,7 +1,10 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
 from circlesystems.embedding import (
+    EmbeddedGraph,
     build_embedding,
     connectivity_level,
     dual,
@@ -10,15 +13,24 @@ from circlesystems.embedding import (
 )
 from circlesystems.errors import Disconnected, MalformedRotation, NonPlanarEmbedding
 from circlesystems.generators import (
+    BIGADGET,
+    GADGET,
+    augment_octahedron,
     cube,
     dodecahedron,
     icosahedron,
     octahedron,
+    prism,
     tetrahedron,
 )
 from circlesystems.isomorphism import graphs_isomorphic
 
-from conftest import brute_force_connectivity, joined_octahedra, pinched_octahedra
+from conftest import (
+    brute_force_connectivity,
+    joined_octahedra,
+    pinched_octahedra,
+    relabel_graph,
+)
 
 PLATONICS = [tetrahedron, cube, octahedron, dodecahedron, icosahedron]
 
@@ -76,14 +88,106 @@ def test_connectivity_disconnected():
     assert connectivity_level(build_embedding(two_triangles)) == 0
 
 
+def wheel(k):
+    """Hub 0 joined to every vertex of the rim cycle 1..k."""
+    rim = [[i % k + 1, 0, (i - 2) % k + 1] for i in range(1, k + 1)]
+    return build_embedding([list(range(1, k + 1))] + rim)
+
+
+def octahedron_with_double_edge():
+    lists = octahedron().to_neighbor_lists()
+    v = lists[0][0]
+    # the copy sits beside the original at 0 and wraps around at v, so the
+    # two copies bound an empty digon
+    lists[0].insert(1, v)
+    k = lists[v].index(0)
+    lists[v] = lists[v][k:] + lists[v][:k] + [0]
+    return build_embedding(lists)
+
+
+def octahedron_with_loop():
+    lists = octahedron().to_neighbor_lists()
+    lists[0][1:1] = [0, 0]
+    return build_embedding(lists)
+
+
+def doubled_cycle(k):
+    return build_embedding(
+        [[(i + 1) % k, (i - 1) % k, (i - 1) % k, (i + 1) % k] for i in range(k)]
+    )
+
+
+def octahedra_sharing_an_edge():
+    """Two octahedra glued along the edge 0-1, one on each side of it.
+
+    {0, 1} is a 2-cut: the face around both copies meets each triangle
+    beside 0-1 in just 0 and 1, and 0-1 does not lie between them."""
+    base = octahedron().to_neighbor_lists()
+    copy = {0: 0, 1: 1, 2: 6, 3: 7, 4: 8, 5: 9}
+    lists = base + [[copy[w] for w in base[v]] for v in range(2, 6)]
+
+    def after(row, start):
+        k = row.index(start)
+        return row[k + 1:] + row[:k]
+
+    lists[0] = [1] + after(base[0], 1) + [copy[w] for w in after(base[0], 1)]
+    lists[1] = [0] + [copy[w] for w in after(base[1], 0)] + after(base[1], 0)
+    return build_embedding(lists)
+
+
+def four_parallel_edges():
+    # dart i at vertex 0 pairs with dart -i at vertex 1: four nested digons
+    return EmbeddedGraph(
+        [[0, 1, 2, 3], [4, 5, 6, 7]], [0] * 4 + [1] * 4, [4, 7, 6, 5, 0, 3, 2, 1]
+    )
+
+
+SMALL_GRAPHS = (
+    [(f"dual-{m.__name__}", lambda m=m: dual(m())) for m in PLATONICS]
+    + [(f"medial-{m.__name__}", lambda m=m: medial(m())) for m in PLATONICS]
+    + [(f"prism{k}", lambda k=k: prism(k)) for k in range(3, 12)]
+    + [
+        (f"{m.__name__}-sub{k}", lambda m=m, k=k: subdivide_edges(m(), k))
+        for m in (tetrahedron, cube, octahedron)
+        for k in (1, 2)
+    ]
+    + [(f"wheel{k}", lambda k=k: wheel(k)) for k in range(3, 9)]
+    + [("octahedra-sharing-an-edge", octahedra_sharing_an_edge)]
+    + [
+        ("octahedron-double-edge", octahedron_with_double_edge),
+        ("octahedron-loop", octahedron_with_loop),
+        ("four-parallel-edges", four_parallel_edges),
+    ]
+    + [(f"doubled-cycle{k}", lambda k=k: doubled_cycle(k)) for k in range(3, 7)]
+)
+
+
 @pytest.mark.parametrize(
     "maker",
-    PLATONICS + [joined_octahedra, pinched_octahedra],
+    PLATONICS
+    + [joined_octahedra, pinched_octahedra]
+    + [pytest.param(maker, id=name) for name, maker in SMALL_GRAPHS],
 )
 def test_connectivity_matches_brute_force(maker):
     g = maker()
-    assert g.n <= 30
+    assert g.n <= 40
     assert connectivity_level(g) == brute_force_connectivity(g)
+
+
+@pytest.mark.parametrize("depth, n", [(5, 480), (6, 960)])
+def test_connectivity_of_large_medials(depth, n):
+    g = icosahedron()
+    for _ in range(depth):
+        g = medial(g)
+    assert g.n == n
+    assert connectivity_level(g) == 3
+
+
+@pytest.mark.parametrize("kind, level", [(GADGET, 1), (BIGADGET, 2)])
+@pytest.mark.parametrize("seed", range(3))
+def test_connectivity_of_relabelled_gadgets(kind, level, seed):
+    g = relabel_graph(augment_octahedron(kind), random.Random(seed))
+    assert connectivity_level(g) == level
 
 
 def test_dual_octahedron_is_cube(octa):
