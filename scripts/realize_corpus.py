@@ -4,10 +4,13 @@
 Usage: python scripts/realize_corpus.py [--tol 1e-9] [--outdir DIR]
 
 The corpus is the medials of the Platonic solids plus the iterated medials
-of the icosahedron up to n=1920.  Exits 1 when a graph fails to realize, to
-verify, or to match its extracted graph.  With --outdir, the realization
-JSON and an SVG drawing of every corpus graph are written next to each
-other.
+of the icosahedron up to n=1920, each realized by `realize`, and the coin
+systems `upper_bound_family(16)` and `(64)`, generated with their
+realizations; these pack the 8- and 32-gonal prisms, whose cap apexes stay
+in the Newton system.  Exits 1 when a graph fails to realize or generate,
+to verify, or to match its extracted graph.  With --outdir, the
+realization JSON and an SVG drawing of every corpus graph are written next
+to each other.
 """
 
 import argparse
@@ -26,6 +29,7 @@ from circlesystems.generators import (
     icosahedron,
     octahedron,
     tetrahedron,
+    upper_bound_family,
 )
 from circlesystems.isomorphism import graphs_isomorphic
 from circlesystems.realization import (
@@ -60,6 +64,29 @@ CORPUS += [
     for d in range(2, 8)
 ]
 
+# (name, c): generated with their realizations, verified like the rest
+GENERATED = [(f"upper-bound-family-{c}", c) for c in (16, 64)]
+
+
+def _check(name, g, r, elapsed, outdir):
+    """Verify ``r`` against ``g``, print its row and write its files;
+    True when it verifies and its extracted graph matches ``g``."""
+    b = circle_count_bounds(g.n)
+    verified = verify_realization(r, g).passed
+    iso = graphs_isomorphic(extract_abstract_graph(r), g)
+    print(
+        f"{name:<26}{g.n:>4}{len(r.circles):>9}"
+        f"{'[%.2f, %.2f]' % (b.lower, b.upper):>18}"
+        f"{str(verified):>13}{str(iso):>5}{elapsed:>8.3f}s"
+    )
+    if outdir:
+        outdir.mkdir(parents=True, exist_ok=True)
+        (outdir / f"{name}.json").write_text(jsonio.serialize_realization(r))
+        (outdir / f"{name}.svg").write_text(
+            render_svg(r, RenderOptions(shade_gray=True))
+        )
+    return verified and iso
+
 
 def main():
     parser = argparse.ArgumentParser()
@@ -83,24 +110,16 @@ def main():
             failed += 1
             print(f"{name:<26}{g.n:>4}  realize failed: {exc}")
             continue
-        elapsed = time.monotonic() - t0
-        b = circle_count_bounds(g.n)
-        verified = verify_realization(r, g).passed
-        iso = graphs_isomorphic(extract_abstract_graph(r), g)
-        failed += not (verified and iso)
-        print(
-            f"{name:<26}{g.n:>4}{len(r.circles):>9}"
-            f"{'[%.2f, %.2f]' % (b.lower, b.upper):>18}"
-            f"{str(verified):>13}{str(iso):>5}{elapsed:>8.3f}s"
-        )
-        if args.outdir:
-            args.outdir.mkdir(parents=True, exist_ok=True)
-            (args.outdir / f"{name}.json").write_text(
-                jsonio.serialize_realization(r)
-            )
-            (args.outdir / f"{name}.svg").write_text(
-                render_svg(r, RenderOptions(shade_gray=True))
-            )
+        failed += not _check(name, g, r, time.monotonic() - t0, args.outdir)
+    for name, c in GENERATED:
+        t0 = time.monotonic()
+        try:
+            g, r = upper_bound_family(c)
+        except CircleSystemsError as exc:
+            failed += 1
+            print(f"{name:<26}  generate failed: {exc}")
+            continue
+        failed += not _check(name, g, r, time.monotonic() - t0, args.outdir)
     return 1 if failed else 0
 
 

@@ -4,13 +4,16 @@ The solver triangulates the input by placing one apex vertex inside every
 face and solves for the radii with Newton's method on the log-radii u: the
 angle sums at the interior vertices must all be 2*pi, and their Jacobian
 in u is minus a symmetric weighted Laplacian, the Hessian of the convex
-functional of Bobenko and Springborn (Trans. AMS 356, 2004).  Each Newton
-step is one Jacobi-preconditioned conjugate-gradient solve.  Iteration
-stops when the largest angle-sum error stops decreasing; the circles are
-then laid out by walking the triangles from a fixed boundary triangle, and
-the packing is certified by its tangency and overlap residuals.  Apex
-circles are discarded at the end; the required tangencies between base
-circles survive.
+functional of Bobenko and Springborn (Trans. AMS 356, 2004).  An apex
+touches base vertices only, so each Newton step first eliminates the apexes
+of the faces with at most 5 corners exactly (static condensation, a Schur
+complement), runs one Jacobi-preconditioned conjugate-gradient solve on the
+base unknowns and the apexes of larger faces, and recovers the eliminated
+apexes by back-substitution.  Iteration stops when the largest angle-sum
+error stops decreasing; the circles are then laid out by walking the
+triangles from a fixed boundary triangle, and the packing is certified by
+its tangency and overlap residuals.  Apex circles are discarded at the end;
+the required tangencies between base circles survive.
 
 Normalization: the three boundary-triangle circles get radius 1 and centers
 on an equilateral triangle of side 2, making output coordinates (and hence
@@ -178,6 +181,63 @@ def _sparsity(tg: EmbeddedGraph, boundary):
     return interior, edges, triangles
 
 
+def _condensation(tg: EmbeddedGraph, base_n, interior, edges):
+    """The pattern of the condensed Newton system, built once per packing.
+
+    An apex touches base vertices only, so its row of L couples it to its
+    face's corners alone and it can be eliminated exactly (a Schur
+    complement).  Eliminating the apex of a d-corner face removes its d
+    entries and couples every pair of its corners, which adds d(d-3)/2
+    entries between corners that are not neighbours; so only the interior
+    apexes of faces with at most 5 corners are eliminated, and the system
+    never grows.
+
+    Returns the kept interior vertices, in the order of the condensed
+    unknowns; the condensed system's edges as pairs of those positions, the
+    kept edges of ``edges`` first and the fill after them; the ids in
+    ``edges`` of the kept edges; and per eliminated apex the tuple (apex,
+    positions of its interior corners, ids in ``edges`` of the edges to
+    them, and (condensed edge, corner s, corner t) per pair of corners).
+    """
+    eliminated = [v for v in interior if v >= base_n and tg.degree(v) <= 5]
+    dropped = set(eliminated)
+    kept = [v for v in interior if v not in dropped]
+    position = {v: i for i, v in enumerate(kept)}
+    pair_id = {}
+    pairs = []
+    sources = []
+    apex_edge = {}
+    # a repeated edge keeps its weight on its last id, as in _sparsity
+    for e, (u, v) in enumerate(edges):
+        if u in position and v in position:
+            pair_id[u, v] = pair_id[v, u] = len(pairs)
+            pairs.append((position[u], position[v]))
+            sources.append(e)
+        else:
+            apex_edge[u, v] = apex_edge[v, u] = e
+    apexes = []
+    for a in eliminated:
+        # a corner repeated around the face (a cut vertex) is coupled once
+        corners = list(dict.fromkeys(
+            v for v in tg.neighbors(a) if v in position
+        ))
+        couplings = []
+        for s, j in enumerate(corners):
+            for t in range(s + 1, len(corners)):
+                k = corners[t]
+                if (j, k) not in pair_id:
+                    pair_id[j, k] = pair_id[k, j] = len(pairs)
+                    pairs.append((position[j], position[k]))
+                couplings.append((pair_id[j, k], s, t))
+        apexes.append((
+            a,
+            [position[j] for j in corners],
+            [apex_edge[a, j] for j in corners],
+            couplings,
+        ))
+    return kept, pairs, sources, apexes
+
+
 def _linearize(radii, interior, edge_count, triangles):
     """Angle-sum errors and their Jacobian at ``radii``.
 
@@ -251,23 +311,62 @@ def _conjugate_gradients(rhs, diag, edges, weight, max_iter):
     return x
 
 
-def _newton_radii(tg: EmbeddedGraph, boundary):
+def _newton_direction(err, diag, weight, condensation):
+    """Solve L delta = err through the condensed system.
+
+    Each eliminated apex a, with diagonal d_a, right-hand side b_a and edge
+    weights w_aj to its corners, subtracts w_aj w_ak / d_a from every entry
+    (j, k) among its corners and adds w_aj b_a / d_a to the right-hand side
+    at j.  Conjugate gradients solve for the kept unknowns, and each apex
+    follows by back-substitution: delta_a = (b_a + sum_j w_aj delta_j) / d_a.
+    Returns delta over all vertices, 0 on the boundary.
+    """
+    kept, pairs, sources, apexes = condensation
+    rhs = [err[v] for v in kept]
+    cdiag = [diag[v] for v in kept]
+    cweight = [weight[e] for e in sources]
+    cweight += [0.0] * (len(pairs) - len(sources))
+    for a, corners, apex_edges, couplings in apexes:
+        da, ba = diag[a], err[a]
+        w = [weight[e] for e in apex_edges]
+        for c, wj in zip(corners, w):
+            rhs[c] += wj * ba / da
+            cdiag[c] -= wj * wj / da
+        for p, s, t in couplings:
+            cweight[p] += w[s] * w[t] / da
+    x = _conjugate_gradients(rhs, cdiag, pairs, cweight, len(kept))
+    delta = [0.0] * len(err)
+    for v, xv in zip(kept, x):
+        delta[v] = xv
+    for a, corners, apex_edges, _ in apexes:
+        delta[a] = (err[a] + sum(
+            weight[e] * x[c] for c, e in zip(corners, apex_edges)
+        )) / diag[a]
+    return delta
+
+
+def _newton_radii(tri: Triangulation):
     """Radii whose angle sums are 2 pi at every interior vertex; the
     boundary radii stay 1.
 
     Newton's method on u = log r: each step solves L delta = theta - 2 pi
     and moves u by delta, scaled down so that no log-radius moves by more
-    than ``MAX_LOG_STEP``.  It stops when a step does not lower the largest
-    angle-sum error, which keeps the radii before that step, or after
-    ``MAX_STEPS`` steps.  Returns (radii, steps, largest angle-sum error).
+    than ``MAX_LOG_STEP``.  The solve eliminates the apexes of faces with at
+    most 5 corners, runs conjugate gradients on the remaining unknowns and
+    recovers the apexes by back-substitution (``_newton_direction``).  It
+    stops when a step does not lower the largest angle-sum error, which
+    keeps the radii before that step, or after ``MAX_STEPS`` steps.
+    Returns (radii, steps, largest angle-sum error).
     """
-    interior, edges, triangles = _sparsity(tg, boundary)
+    tg = tri.graph
+    interior, edges, triangles = _sparsity(tg, set(tri.boundary_vertices))
+    condensation = _condensation(tg, tri.base_n, interior, edges)
     radii = [1.0] * tg.n
     err, worst, diag, weight = _linearize(radii, interior, len(edges), triangles)
     steps = 0
     while steps < MAX_STEPS and worst > 0.0:
         steps += 1
-        delta = _conjugate_gradients(err, diag, edges, weight, len(interior))
+        delta = _newton_direction(err, diag, weight, condensation)
         scale = min(1.0, MAX_LOG_STEP / max(abs(x) for x in delta))
         trial = [r * math.exp(scale * x) for r, x in zip(radii, delta)]
         state = _linearize(trial, interior, len(edges), triangles)
@@ -355,7 +454,7 @@ def pack(g: EmbeddedGraph, tol: float = 1e-9) -> Packing:
 
     tri = triangulate(g)
     tg = tri.graph
-    radii, steps, angle_error = _newton_radii(tg, set(tri.boundary_vertices))
+    radii, steps, angle_error = _newton_radii(tri)
     diagnosis = f"after {steps} Newton steps, angle-sum error {angle_error:.3e}"
     try:
         pos = _layout(tg, radii, tri.boundary_face)

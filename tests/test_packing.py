@@ -198,3 +198,73 @@ def test_pack_cut_vertex_is_no_convergence():
     with pytest.raises(NoConvergence) as info:
         pack(joined_octahedra(), 1e-9)
     assert str(info.value).startswith("after ")
+
+
+def _system_at_random_radii(g, seed):
+    tri = triangulate(g)
+    tg = tri.graph
+    boundary = set(tri.boundary_vertices)
+    interior, edges, triangles = packing._sparsity(tg, boundary)
+    condensation = packing._condensation(tg, tri.base_n, interior, edges)
+    rng = random.Random(seed)
+    radii = [1.0 if v in boundary else math.exp(rng.uniform(-1.5, 1.5))
+             for v in range(tg.n)]
+    err, _, diag, weight = packing._linearize(
+        radii, interior, len(edges), triangles)
+    return tri, interior, edges, condensation, err, diag, weight
+
+
+@pytest.mark.parametrize("maker, apexes_kept", [
+    (lambda: _gray_face_graph(medial(cube())), 0),
+    (lambda: prism(8), 1),
+], ids=["gray-medial-cube", "prism8"])
+def test_condensed_direction_matches_full_solve(monkeypatch, maker, apexes_kept):
+    monkeypatch.setattr(packing, "CG_RTOL", 1e-13)
+    tri, interior, edges, condensation, err, diag, weight = (
+        _system_at_random_radii(maker(), 11))
+    kept = condensation[0]
+    # every interior apex is eliminated, except prism(8)'s inner octagon
+    assert sum(v >= tri.base_n for v in kept) == apexes_kept
+    assert len(kept) + len(condensation[3]) == len(interior)
+    full = packing._conjugate_gradients(err, diag, edges, weight, 10 * len(interior))
+    delta = packing._newton_direction(err, diag, weight, condensation)
+    scale = max(abs(x) for x in full)
+    assert max(abs(x - y) for x, y in zip(delta, full)) <= 1e-9 * scale
+
+
+@pytest.mark.parametrize("maker", [
+    lambda: _gray_face_graph(medial(cube())),
+    lambda: prism(8),
+    lambda: dual(icosahedron()),
+    lambda: _gray_face_graph(medial(medial(icosahedron()))),
+], ids=["gray-medial-cube", "prism8", "dodecahedron", "gray-icosahedron-n60"])
+def test_condensation_fill(maker):
+    tri, interior, edges, condensation, *_ = _system_at_random_radii(maker(), 3)
+    tg = tri.graph
+    kept, pairs, sources, apexes = condensation
+    # exactly the interior apexes of faces with at most 5 corners go
+    assert [a for a, *_ in apexes] == [
+        v for v in interior if v >= tri.base_n and tg.degree(v) <= 5
+    ]
+    assert all(tg.degree(v) > 5 for v in kept if v >= tri.base_n)
+    position = {v: i for i, v in enumerate(kept)}
+    neighbours = {(position[u], position[v]) for u, v in edges
+                  if u in position and v in position}
+    neighbours |= {(b, a) for a, b in neighbours}
+    fill = 0
+    whole = 0
+    for a, corners, _, couplings in apexes:
+        # every pair of interior corners is coupled; the pairs that are
+        # not neighbours are new entries, made by this apex alone
+        assert len(couplings) == len(corners) * (len(corners) - 1) // 2
+        new = [p for p, _, _ in couplings if p >= len(sources)]
+        assert len(new) == sum((corners[s], corners[t]) not in neighbours
+                               for _, s, t in couplings)
+        d = len(corners)
+        if d == tg.degree(a):
+            assert len(new) == d * (d - 3) // 2
+            whole += d > 3
+        fill += len(new)
+    assert len(pairs) - len(sources) == fill
+    assert whole > 0  # some face with fill has no boundary corner
+    assert len(pairs) <= len(edges)
