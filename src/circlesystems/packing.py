@@ -9,11 +9,15 @@ touches base vertices only, so each Newton step first eliminates the apexes
 of the faces with at most 5 corners exactly (static condensation, a Schur
 complement), runs one Jacobi-preconditioned conjugate-gradient solve on the
 base unknowns and the apexes of larger faces, and recovers the eliminated
-apexes by back-substitution.  Iteration stops when the largest angle-sum
-error stops decreasing; the circles are then laid out by walking the
-triangles from a fixed boundary triangle, and the packing is certified by
-its tangency and overlap residuals.  Apex circles are discarded at the end;
-the required tangencies between base circles survive.
+apexes by back-substitution.  The solve is inexact: conjugate gradients stop
+at a forcing term that shrinks with the angle-sum error but never asks for
+more than the rounding floor can show.  A step that does not lower the
+largest angle-sum error is halved until it does.  Iteration stops once every
+angle-sum error is within the rounding floor of its sum; the circles are
+then laid out by walking the triangles from a fixed boundary triangle, and
+the packing is certified by its tangency and overlap residuals.  Apex
+circles are discarded at the end; the required tangencies between base
+circles survive.
 
 Normalization: the three boundary-triangle circles get radius 1 and centers
 on an equilateral triangle of side 2, making output coordinates (and hence
@@ -23,18 +27,21 @@ golden files) reproducible bit-for-bit.
 from __future__ import annotations
 
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, mul, sub, truediv
 
 from .embedding import EmbeddedGraph
-from .errors import Disconnected, NoConvergence, TooSmall
+from .errors import Disconnected, DomainError, NoConvergence, TooSmall
 
-# Newton steps (the corpus needs 7 to 15) and the largest change of one
-# log-radius in one step; together they keep every radius within e**200
-# of 1, far from overflow and underflow
+# Newton directions (the corpus needs 7 to 10 to reach the rounding floor)
+# and the largest change of one log-radius in one step; together they keep
+# every radius within e**200 of 1, far from overflow and underflow
 MAX_STEPS = 100
 MAX_LOG_STEP = 2.0
-CG_RTOL = 1e-3  # relative residual at which a conjugate-gradient solve stops
+CG_RTOL = 1e-3  # cap of the forcing term: the loosest relative CG residual
 
 
 @dataclass(frozen=True)
@@ -42,6 +49,14 @@ class Circle:
     cx: float
     cy: float
     r: float
+
+
+def _check_tol(tol: float) -> None:
+    """Refuse a tolerance that no residual can be compared with: NaN passes
+    every ``residual > tol`` test, and an infinite or negative one makes
+    the certificate meaningless."""
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"tol must be finite and at least 0, got {tol!r}")
 
 
 def _tangency(a: Circle, b: Circle, tol: float):
@@ -106,9 +121,9 @@ class Triangulation:
 class Packing:
     """Circles for the base vertices plus the certified tangency residual.
 
-    ``iterations`` counts the Newton steps of the radius solve, including
-    a last step that was dropped because it did not lower the angle-sum
-    error.
+    ``iterations`` counts the Newton directions solved by the radius
+    solve, including a last one that no halving could make lower the
+    angle-sum error; the halvings themselves are not counted.
     """
 
     circles: tuple
@@ -280,38 +295,38 @@ def _linearize(radii, interior, edge_count, triangles):
     return err, worst, diag, weight
 
 
-def _conjugate_gradients(rhs, diag, edges, weight, max_iter):
+def _conjugate_gradients(rhs, diag, edges, weight, max_iter, rtol):
     """Solve L x = rhs by Jacobi-preconditioned conjugate gradients.
 
     L has diagonal ``diag`` and entry -w at (a, b) and (b, a) for every
     edge (a, b) with weight w; entries where ``rhs`` is 0 and no edge
-    reaches stay 0.  Stops once the residual has shrunk by ``CG_RTOL``.
+    reaches stay 0.  Stops once the residual has shrunk by ``rtol``.
     """
     x = [0.0] * len(rhs)
     res = rhs[:]
-    z = [r / d for r, d in zip(res, diag)]
+    z = list(map(truediv, res, diag))
     p = z[:]
-    rz = sum(r * zi for r, zi in zip(res, z))
-    stop = CG_RTOL * CG_RTOL * sum(r * r for r in res)
+    rz = sum(map(mul, res, z))
+    stop = rtol * rtol * sum(map(mul, res, res))
     for _ in range(max_iter):
-        if sum(r * r for r in res) <= stop:
+        if sum(map(mul, res, res)) <= stop:
             break
-        q = [d * pi for d, pi in zip(diag, p)]
+        q = list(map(mul, diag, p))
         for (a, b), w in zip(edges, weight):
             q[a] -= w * p[b]
             q[b] -= w * p[a]
-        alpha = rz / sum(pi * qi for pi, qi in zip(p, q))
-        x = [xi + alpha * pi for xi, pi in zip(x, p)]
-        res = [r - alpha * qi for r, qi in zip(res, q)]
-        z = [r / d for r, d in zip(res, diag)]
-        rz_next = sum(r * zi for r, zi in zip(res, z))
+        alpha = rz / sum(map(mul, p, q))
+        x = list(map(add, x, map(mul, repeat(alpha), p)))
+        res = list(map(sub, res, map(mul, repeat(alpha), q)))
+        z = list(map(truediv, res, diag))
+        rz_next = sum(map(mul, res, z))
         beta = rz_next / rz
         rz = rz_next
-        p = [zi + beta * pi for zi, pi in zip(z, p)]
+        p = list(map(add, z, map(mul, repeat(beta), p)))
     return x
 
 
-def _newton_direction(err, diag, weight, condensation):
+def _newton_direction(err, diag, weight, condensation, rtol):
     """Solve L delta = err through the condensed system.
 
     Each eliminated apex a, with diagonal d_a, right-hand side b_a and edge
@@ -334,7 +349,7 @@ def _newton_direction(err, diag, weight, condensation):
             cdiag[c] -= wj * wj / da
         for p, s, t in couplings:
             cweight[p] += w[s] * w[t] / da
-    x = _conjugate_gradients(rhs, cdiag, pairs, cweight, len(kept))
+    x = _conjugate_gradients(rhs, cdiag, pairs, cweight, len(kept), rtol)
     delta = [0.0] * len(err)
     for v, xv in zip(kept, x):
         delta[v] = xv
@@ -353,25 +368,47 @@ def _newton_radii(tri: Triangulation):
     and moves u by delta, scaled down so that no log-radius moves by more
     than ``MAX_LOG_STEP``.  The solve eliminates the apexes of faces with at
     most 5 corners, runs conjugate gradients on the remaining unknowns and
-    recovers the apexes by back-substitution (``_newton_direction``).  It
-    stops when a step does not lower the largest angle-sum error, which
-    keeps the radii before that step, or after ``MAX_STEPS`` steps.
-    Returns (radii, steps, largest angle-sum error).
+    recovers the apexes by back-substitution (``_newton_direction``).
+
+    - Floor stop: the iteration ends once every interior error
+      |theta_v - 2 pi| is at most 2 deg(v) pi eps (eps the float epsilon),
+      the rounding error of summing deg(v) arctangents, each below pi/2,
+      and doubling the sum; below it an error is rounding, not a defect.
+    - Backtracking: a step that does not lower the largest error is halved
+      and tried again (Armijo).  The solve gives up, keeping the radii
+      before the step, only when a halved step no longer changes any
+      radius, or after ``MAX_STEPS`` directions.
+    - Forcing terms: conjugate gradients stop at the relative residual
+      eta = min(CG_RTOL, max(|err|, floor / (2 |err|))), |err| the largest
+      error and floor the smallest bound above (Eisenstat and Walker,
+      SIAM J. Sci. Comput. 17, 1996, with the guard of Kelley, Iterative
+      Methods for Linear and Nonlinear Equations, 1995, section 6.3, that
+      does not solve past what the floor can show).
+
+    Returns (radii, Newton directions solved, largest angle-sum error).
     """
     tg = tri.graph
     interior, edges, triangles = _sparsity(tg, set(tri.boundary_vertices))
     condensation = _condensation(tg, tri.base_n, interior, edges)
+    eps = sys.float_info.epsilon
+    floor = [(v, 2.0 * tg.degree(v) * math.pi * eps) for v in interior]
+    guard = 0.5 * min(b for _, b in floor)
     radii = [1.0] * tg.n
     err, worst, diag, weight = _linearize(radii, interior, len(edges), triangles)
     steps = 0
-    while steps < MAX_STEPS and worst > 0.0:
+    while steps < MAX_STEPS and any(abs(err[v]) > b for v, b in floor):
         steps += 1
-        delta = _newton_direction(err, diag, weight, condensation)
+        eta = min(CG_RTOL, max(worst, guard / worst))
+        delta = _newton_direction(err, diag, weight, condensation, eta)
         scale = min(1.0, MAX_LOG_STEP / max(abs(x) for x in delta))
-        trial = [r * math.exp(scale * x) for r, x in zip(radii, delta)]
-        state = _linearize(trial, interior, len(edges), triangles)
-        if not state[1] < worst:
-            break
+        while True:
+            trial = [r * math.exp(scale * x) for r, x in zip(radii, delta)]
+            if trial == radii:
+                return radii, steps, worst
+            state = _linearize(trial, interior, len(edges), triangles)
+            if state[1] < worst:
+                break
+            scale *= 0.5
         radii = trial
         err, worst, diag, weight = state
     return radii, steps, worst
@@ -434,19 +471,22 @@ def _layout(tg: EmbeddedGraph, radii, boundary_face):
 def pack(g: EmbeddedGraph, tol: float = 1e-9) -> Packing:
     """Circle packing whose tangency graph equals the edges of ``g``.
 
-    Newton's method on the log-radii runs until the largest angle-sum
-    error stops decreasing; the circles are then laid out once and the
-    result is certified: the tangency residual over the edges and the
-    overlap residual over the non-edges must both be at most ``tol``,
-    otherwise NoConvergence names the Newton step count, the final
-    angle-sum error and both residuals.  ``tol`` is used by this
-    certificate only.
+    Newton's method on the log-radii runs until every angle-sum error is
+    within the rounding floor of its sum, backtracking on steps that do
+    not lower the largest error (``_newton_radii``); the circles are then
+    laid out once and the result is certified: the tangency residual over
+    the edges and the overlap residual over the non-edges must both be at
+    most ``tol``, otherwise NoConvergence names the Newton step count, the
+    final angle-sum error and both residuals.  ``tol`` is used by this
+    certificate only; one that is not finite or is negative raises
+    DomainError.
 
     The input must be simple, connected, and embedded; face boundaries must
     be simple cycles (no cut vertices), otherwise the packing has hinge
     freedom and ends in NoConvergence.  Deterministic: identical inputs
     give bit-identical radii and centers.
     """
+    _check_tol(tol)
     if g.n < 3:
         raise TooSmall("packing needs at least 3 vertices")
     if len(g.connected_components()) != 1:

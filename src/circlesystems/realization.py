@@ -25,7 +25,7 @@ from .errors import (
     TooSmall,
 )
 from .isomorphism import find_isomorphism
-from .packing import Circle, _tangency, _tangency_point, pack
+from .packing import Circle, _check_tol, _tangency, _tangency_point, pack
 
 KIND_TOUCH = "TOUCH"
 KIND_CROSS = "CROSS"
@@ -226,6 +226,7 @@ def realize(g: EmbeddedGraph, tol: float = 1e-9) -> Realization:
     vertex their faces share; the arcs of each circle carry the edges of its
     face in boundary order.
     """
+    _check_tol(tol)
     if not g.is_regular(4):
         raise NotThreeConnected("input must be 4-regular")
     if not g.is_simple():
@@ -419,8 +420,10 @@ def verify_realization(r: Realization, g: EmbeddedGraph | None = None,
     Violations are reported, not raised: every point on exactly two circles,
     at least three points per circle, at most two shared points per circle
     pair, arcs partitioning each circle, circle count within bounds, and
-    (optionally) the abstract graph matching ``g``.
+    (optionally) the abstract graph matching ``g``.  A ``tol`` that is not
+    finite or is negative raises DomainError.
     """
+    _check_tol(tol)
     report = VerifyReport(
         circle_count=len(r.circles), point_count=len(r.points)
     )

@@ -73,6 +73,16 @@ def test_numeric_failure_exit_code():
     assert "numeric failure" in err
 
 
+@pytest.mark.parametrize("command", ["realize", "verify"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_tol_outside_zero_to_infinity_exits_2(command, tol):
+    _, graph_json, _ = run(["generate", "octahedron"])
+    _, real_json, _ = run(["realize"], graph_json)
+    stdin = graph_json if command == "realize" else real_json
+    code, out, _ = run([command, "--tol", tol], stdin)
+    assert code == 2 and out == ""
+
+
 def test_newton_step_cap_exits_3_with_diagnosis(monkeypatch):
     monkeypatch.setattr(packing, "MAX_STEPS", 1)
     _, graph_json, _ = run(["generate", "medial", "--base", "cube"])

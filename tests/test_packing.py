@@ -1,15 +1,17 @@
 import math
 import random
+import sys
 
 import pytest
 
 from circlesystems import packing
 from circlesystems.coloring import build_il, two_color_faces
 from circlesystems.embedding import build_embedding, dual, medial
-from circlesystems.errors import Disconnected, NoConvergence, TooSmall
+from circlesystems.errors import Disconnected, DomainError, NoConvergence, TooSmall
 from circlesystems.geometry import descartes_check
 from circlesystems.packing import Circle, Packing, pack, packing_residual, triangulate
 from circlesystems.generators import cube, icosahedron, octahedron, prism, tetrahedron
+from circlesystems.realization import realize, verify_realization
 
 from conftest import gauss_seidel_radii, joined_octahedra
 
@@ -152,7 +154,7 @@ def test_newton_radii_match_gauss_seidel_oracle(maker):
     p = pack(g, 1e-9)
     oracle = gauss_seidel_radii(g)
     assert max(abs(c.r - r) / r for c, r in zip(p.circles, oracle)) <= 1e-9
-    # Newton takes 8 to 10 steps here; with a wrong Laplacian weight it
+    # Newton takes 7 or 8 steps here; with a wrong Laplacian weight it
     # still reaches the oracle's radii, but in 15 to 90 steps or never
     assert p.iterations <= 12
 
@@ -193,6 +195,63 @@ def test_no_convergence_names_steps_and_residuals(monkeypatch):
         assert name in message
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_pack_rejects_tol_outside_zero_to_infinity(tol):
+    # NaN would pass every residual comparison and certify anything
+    with pytest.raises(DomainError):
+        pack(octahedron(), tol)
+
+
+def _icosahedron_medial(depth):
+    g = icosahedron()
+    for _ in range(depth):
+        g = medial(g)
+    return g
+
+
+def test_loose_cg_still_realizes_n480(monkeypatch):
+    # at this CG tolerance some Newton steps do not lower the error; ending
+    # the solve at the first of them leaves n=480 at angle-sum error 1.0e-1
+    # after 4 steps, so such a step must be halved instead
+    monkeypatch.setattr(packing, "CG_RTOL", 0.3)
+    g = _icosahedron_medial(5)
+    assert g.n == 480
+    r = realize(g, 1e-9)
+    assert verify_realization(r, g).passed
+
+
+@pytest.mark.parametrize("maker", [
+    lambda: _gray_face_graph(_icosahedron_medial(1)),
+    lambda: _gray_face_graph(_icosahedron_medial(2)),
+    lambda: _gray_face_graph(_icosahedron_medial(3)),
+    lambda: _gray_face_graph(_icosahedron_medial(4)),
+    lambda: prism(8),
+], ids=["gray-icosahedron-n30", "gray-icosahedron-n60", "gray-icosahedron-n120",
+        "gray-icosahedron-n240", "prism8"])
+def test_newton_stops_at_the_rounding_floor(monkeypatch, maker):
+    tri = triangulate(maker())
+    tg = tri.graph
+    interior, edges, triangles = packing._sparsity(tg, set(tri.boundary_vertices))
+    # summing deg(v) arctangents below pi/2 and doubling the sum rounds by
+    # at most this much
+    bound = {v: 2 * tg.degree(v) * math.pi * sys.float_info.epsilon
+             for v in interior}
+    at_floor = []
+    linearize = packing._linearize
+
+    def recorded(*args):
+        state = linearize(*args)
+        at_floor.append(all(abs(state[0][v]) <= bound[v] for v in interior))
+        return state
+
+    monkeypatch.setattr(packing, "_linearize", recorded)
+    radii, steps, worst = packing._newton_radii(tri)
+    # one linearization at the start and one per step, none of them halved,
+    # and only the last one at the floor: no direction is solved there
+    assert at_floor == [False] * steps + [True]
+    assert linearize(radii, interior, len(edges), triangles)[1] == worst
+
+
 def test_pack_cut_vertex_is_no_convergence():
     # a face boundary through a cut vertex leaves a hinge: radii collapse
     with pytest.raises(NoConvergence) as info:
@@ -218,16 +277,16 @@ def _system_at_random_radii(g, seed):
     (lambda: _gray_face_graph(medial(cube())), 0),
     (lambda: prism(8), 1),
 ], ids=["gray-medial-cube", "prism8"])
-def test_condensed_direction_matches_full_solve(monkeypatch, maker, apexes_kept):
-    monkeypatch.setattr(packing, "CG_RTOL", 1e-13)
+def test_condensed_direction_matches_full_solve(maker, apexes_kept):
     tri, interior, edges, condensation, err, diag, weight = (
         _system_at_random_radii(maker(), 11))
     kept = condensation[0]
     # every interior apex is eliminated, except prism(8)'s inner octagon
     assert sum(v >= tri.base_n for v in kept) == apexes_kept
     assert len(kept) + len(condensation[3]) == len(interior)
-    full = packing._conjugate_gradients(err, diag, edges, weight, 10 * len(interior))
-    delta = packing._newton_direction(err, diag, weight, condensation)
+    full = packing._conjugate_gradients(
+        err, diag, edges, weight, 10 * len(interior), 1e-13)
+    delta = packing._newton_direction(err, diag, weight, condensation, 1e-13)
     scale = max(abs(x) for x in full)
     assert max(abs(x - y) for x, y in zip(delta, full)) <= 1e-9 * scale
 

@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from circlesystems.embedding import medial
 from circlesystems.equivalence import RealizationClass
-from circlesystems.errors import NotThreeConnected, TooSmall
+from circlesystems.errors import DomainError, NotThreeConnected, TooSmall
 from circlesystems.generators import (
     canonical_octahedron_realization,
     cube,
@@ -105,6 +105,17 @@ def test_extraction_groups_tangents_across_angle_zero(octa, pid):
     turned = Realization(circles, points, arcs)
     assert graphs_isomorphic(extract_abstract_graph(turned), octa)
     assert verify_realization(turned, octa).passed
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_realize_and_verify_reject_tol_outside_zero_to_infinity(octa, tol):
+    with pytest.raises(DomainError):
+        realize(octa, tol)
+    r = realize(octa)
+    with pytest.raises(DomainError):
+        verify_realization(r, octa, tol)
+    with pytest.raises(DomainError):
+        verify_realization(r, tol=tol)
 
 
 def test_realize_rejects_not_three_connected():
