@@ -81,7 +81,7 @@ def smooth_degree_two(r: Realization) -> Realization:
     for arc in r.arcs:
         if not order[arc.circle]:
             raise DegenerateArc(f"circle {arc.circle} carries an arc but no points")
-    faults = _arc_partition_faults(order, r.arcs, slack)
+    faults, _ = _arc_partition_faults(order, r.arcs, slack)
     if faults:
         raise DegenerateArc(faults[0])
 

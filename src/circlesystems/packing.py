@@ -103,6 +103,67 @@ def _tangency_point(a: Circle, b: Circle):
     return (a.cx + t * dx, a.cy + t * dy)
 
 
+# relative pad of a circle's box: far above the few roundings between a
+# point on the circle within tol and the box's edges
+_BOX_MARGIN = 2.0 ** -20
+
+
+def _circles_near(circles, tol: float):
+    """``near(x, y)``: the ids of the circles that a point (x, y) may lie
+    on within ``tol``, in no set order.  The list holds every circle with
+    abs(hypot(x - cx, y - cy) - r) <= tol * r, and in general few others.
+
+    Circles are bucketed by the binary exponent e of their radius
+    (r < 2**e).  Each class has one dict grid whose cell side, about
+    2**(e+1) * (1 + tol), is wider than any of its circles' boxes widened
+    by ``tol``, so a circle sits in at most 2 x 2 cells and a point looks up
+    one cell per class.  Floating-point rounding is monotone, so a point
+    inside a box never lands in a cell outside the box's cells.  Circles
+    that no grid holds (radius outside (2**-1000, 2**1000), center not
+    finite, a box beyond float range) are returned for every point, and a
+    point with a coordinate that is not finite gets every circle.
+    """
+    spill = []
+    classes = {}  # e -> (cell side, {cell: circle ids})
+    for ci, c in enumerate(circles):
+        if not 2.0 ** -1000 < c.r < 2.0 ** 1000:
+            spill.append(ci)
+            continue
+        e = math.frexp(c.r)[1]
+        if e not in classes:
+            side = (1.0 + tol) * (1.0 + 2.0 * _BOX_MARGIN) * math.ldexp(1.0, e + 1)
+            classes[e] = (side, {})
+        side, cells = classes[e]
+        h = c.r * (1.0 + tol) * (1.0 + _BOX_MARGIN)
+        try:
+            i0, i1 = math.floor((c.cx - h) / side), math.floor((c.cx + h) / side)
+            j0, j1 = math.floor((c.cy - h) / side), math.floor((c.cy + h) / side)
+        except (OverflowError, ValueError):  # infinite or NaN
+            spill.append(ci)
+            continue
+        for i in range(i0, i1 + 1):
+            for j in range(j0, j1 + 1):
+                cells.setdefault((i, j), []).append(ci)
+    grids = [classes[e] for e in sorted(classes)]
+    everyone = range(len(circles))
+    floor, isfinite = math.floor, math.isfinite
+
+    def near(x, y):
+        if not (isfinite(x) and isfinite(y)):
+            return everyone
+        found = list(spill)
+        for side, cells in grids:
+            try:
+                ids = cells.get((floor(x / side), floor(y / side)))
+            except OverflowError:  # beyond every cell of this class
+                continue
+            if ids:
+                found += ids
+        return found
+
+    return near
+
+
 @dataclass(frozen=True)
 class Triangulation:
     """Apex-augmented graph in which every face is a triangle."""

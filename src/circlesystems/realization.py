@@ -10,6 +10,7 @@ reads the touching points back off the packing.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -25,7 +26,9 @@ from .errors import (
     TooSmall,
 )
 from .isomorphism import find_isomorphism
-from .packing import Circle, _check_tol, _tangency, _tangency_point, pack
+from .packing import (
+    Circle, _check_tol, _circles_near, _tangency, _tangency_point, pack,
+)
 
 KIND_TOUCH = "TOUCH"
 KIND_CROSS = "CROSS"
@@ -78,6 +81,7 @@ def angle_on(circle: Circle, xy) -> float:
 def point_kind(a: Circle, b: Circle, tol: float = 1e-8) -> str:
     """TOUCH when the circles are externally or internally tangent within
     tolerance, CROSS otherwise."""
+    _check_tol(tol)
     return KIND_CROSS if _tangency(a, b, tol) is None else KIND_TOUCH
 
 
@@ -104,19 +108,46 @@ def _angular_order(circles, points):
     return order
 
 
+def _nearest(pairs, angle):
+    """(gap, index) of the entry of ``pairs``, (angle, point id) sorted,
+    whose angle has the least ``_angle_gap`` to ``angle``, the first of
+    equal gaps; None when no gap is a number.
+
+    A bisection finds the entries on either side of ``angle``.  A computed
+    gap is off the true circular distance by less than (|angle| + 16) *
+    2**-52, so when the next entries out on both sides are farther than
+    that beyond the nearer of the two, no other entry can tie or beat them.
+    Only crowded angles, within rounding of a tie, need the full scan.
+    """
+    k = len(pairs)
+    q = angle % TWO_PI
+    i = bisect_left(pairs, (q,))
+    left, right = (i - 1) % k, i % k
+    gl = _angle_gap(pairs[left][0], angle)
+    gr = _angle_gap(pairs[right][0], angle)
+    w = min(gl, gr) + (abs(angle) + 16.0) * 2.0 ** -50
+    if ((q - pairs[(i - 2) % k][0]) % TWO_PI > w
+            and (pairs[(i + 1) % k][0] - q) % TWO_PI > w):
+        return min((gl, left), (gr, right))
+    gaps = [(gap, j) for j, (a, _) in enumerate(pairs)
+            if (gap := _angle_gap(a, angle)) == gap]
+    return min(gaps) if gaps else None
+
+
 def _arc_ends(order, arc, tol):
     """(from, to) point ids of an arc: at each end, the point of its
     circle's angular order nearest to the end angle, the first winning
-    ties; None when an end is farther than ``tol`` from every point."""
+    ties; None when an end is farther than ``tol`` from every point, or
+    is not a finite angle."""
     pairs = order[arc.circle]
     if not pairs:
         return None
     ends = []
     for angle in (arc.from_angle, arc.to_angle):
-        a, pid = min(pairs, key=lambda e: _angle_gap(e[0], angle))
-        if _angle_gap(a, angle) > tol:
+        found = _nearest(pairs, angle)
+        if found is None or found[0] > tol:
             return None
-        ends.append(pid)
+        ends.append(pairs[found[1]][1])
     return tuple(ends)
 
 
@@ -161,7 +192,9 @@ def _check_circle_ids(r: Realization, slack=None):
 
 
 def _arc_partition_faults(order, arcs, tol):
-    """Why ``arcs`` fail to partition the circles, one detail per fault.
+    """Why ``arcs`` fail to partition the circles, one detail per fault,
+    and the (from, to) point ids of every arc matched within ``tol``
+    (None for the others).
 
     Every circle with points in ``order`` needs as many arcs as points, and
     each arc must start at a point no other arc of its circle starts at and
@@ -169,10 +202,11 @@ def _arc_partition_faults(order, arcs, tol):
     Circles without points and arcs naming no circle are not checked.
     """
     by_circle = [[] for _ in order]
-    for a in arcs:
+    for i, a in enumerate(arcs):
         if 0 <= a.circle < len(order):
-            by_circle[a.circle].append(a)
+            by_circle[a.circle].append(i)
     faults = []
+    ends = [None] * len(arcs)
     for ci, pairs in enumerate(order):
         if not pairs:
             continue
@@ -183,14 +217,16 @@ def _arc_partition_faults(order, arcs, tol):
             )
             continue
         succ = {p: q for (_, p), (_, q) in zip(pairs, pairs[1:] + pairs[:1])}
-        ends = [_arc_ends(order, a, tol) for a in on_circle]
-        starts = Counter(e[0] for e in ends if e is not None)
-        for a, e in zip(on_circle, ends):
+        for i in on_circle:
+            ends[i] = _arc_ends(order, arcs[i], tol)
+        starts = Counter(ends[i][0] for i in on_circle if ends[i] is not None)
+        for i in on_circle:
+            e = ends[i]
             if e is None or starts[e[0]] > 1 or succ[e[0]] != e[1]:
                 faults.append(
-                    f"arc {a} does not join consecutive points of circle {ci}"
+                    f"arc {arcs[i]} does not join consecutive points of circle {ci}"
                 )
-    return faults
+    return faults, ends
 
 
 @dataclass(frozen=True)
@@ -290,10 +326,21 @@ def extract_with_arcs(r: Realization, tol: float = 1e-8) -> ExtractedGraph:
 
     Vertices are the points; edges are the arcs; the rotation at each point
     orders the four arc ends by departure tangent, with curvature breaking
-    the ties that tangencies create.
+    the ties that tangencies create.  A ``tol`` that is not finite or is
+    negative raises DomainError.
     """
+    _check_tol(tol)
     _check_circle_ids(r)
     order = _angular_order(r.circles, r.points)
+    slack = _arc_end_slack(tol)
+    return _extract(r, order, (_arc_ends(order, a, slack) for a in r.arcs), tol)
+
+
+def _extract(r: Realization, order, ends, tol) -> ExtractedGraph:
+    """``extract_with_arcs`` of ``r`` from its angular order and ``ends``,
+    the (from, to) point ids of every arc in arc order (None for an arc
+    that matches no point); ``ends`` is read after the check that no two
+    points of a circle lie within ``tol`` of each other."""
     for ci, pairs in enumerate(order):
         if len(pairs) > 1:
             for (a1, p1), (a2, p2) in zip(pairs, pairs[1:] + pairs[:1]):
@@ -306,13 +353,12 @@ def extract_with_arcs(r: Realization, tol: float = 1e-8) -> ExtractedGraph:
     germs = [[] for _ in r.points]
     dart_arc = []
     arc_darts = []
-    for k, arc in enumerate(r.arcs):
+    for k, (arc, matched) in enumerate(zip(r.arcs, ends)):
         c = r.circles[arc.circle]
-        ends = _arc_ends(order, arc, _arc_end_slack(tol))
-        if ends is None:
+        if matched is None:
             raise DegenerateArc(f"an end of arc {k} on circle {arc.circle} "
                                 "matches no point")
-        p_from, p_to = ends
+        p_from, p_to = matched
         d_ccw, d_cw = 2 * k, 2 * k + 1
         dart_arc.append((k, True))
         dart_arc.append((k, False))
@@ -422,18 +468,26 @@ def verify_realization(r: Realization, g: EmbeddedGraph | None = None,
     pair, arcs partitioning each circle, circle count within bounds, and
     (optionally) the abstract graph matching ``g``.  A ``tol`` that is not
     finite or is negative raises DomainError.
+
+    Each rule takes near-linear time.  A point is tested only against the
+    circles that a radius-class grid (``packing._circles_near``) puts near
+    it, arc ends are matched by bisection on each circle's angular order,
+    and the graph match extracts the graph from the order and the arc ends
+    that the partition rule already matched.
     """
     _check_tol(tol)
     report = VerifyReport(
         circle_count=len(r.circles), point_count=len(r.points)
     )
 
+    circles = r.circles
+    near = _circles_near(circles, tol)
     for pid, p in enumerate(r.points):
-        hits = []
-        for ci, c in enumerate(r.circles):
-            dist = math.hypot(p.x - c.cx, p.y - c.cy)
-            if abs(dist - c.r) <= tol * c.r:
-                hits.append(ci)
+        hits = sorted(
+            ci for ci in near(p.x, p.y)
+            if abs(math.hypot(p.x - circles[ci].cx, p.y - circles[ci].cy)
+                   - circles[ci].r) <= tol * circles[ci].r
+        )
         if len(hits) != 2 or set(hits) != set(p.on) or p.on[0] == p.on[1]:
             report.add(
                 "point-on-two-circles",
@@ -466,7 +520,10 @@ def verify_realization(r: Realization, g: EmbeddedGraph | None = None,
                 f"circles {key} share points {pts}",
             )
 
-    for detail in _arc_partition_faults(order, r.arcs, max(tol, 1e-12)):
+    # the ends are matched within at most the slack extraction allows, and
+    # each is the nearest point whatever the slack, so extraction reuses them
+    faults, ends = _arc_partition_faults(order, r.arcs, max(tol, 1e-12))
+    for detail in faults:
         report.add("arcs-partition-circle", detail)
 
     n = len(r.points)
@@ -482,7 +539,8 @@ def verify_realization(r: Realization, g: EmbeddedGraph | None = None,
         report.add("circle-count-bounds", f"only {n} points; need at least 6")
 
     if g is not None and not report.violations:
-        extracted = extract_abstract_graph(r, tol)
+        _check_circle_ids(r)  # the rules skip arcs that name no circle
+        extracted = _extract(r, order, ends, tol).graph
         if find_isomorphism(
             extracted.n, extracted.edges(), g.n, g.edges()
         ) is None:
@@ -495,7 +553,8 @@ def verify_realization(r: Realization, g: EmbeddedGraph | None = None,
 
 def innermost_face_arc_check(r: Realization, tol: float = 1e-8) -> bool:
     """For an octahedron realization: the interior face disjoint from the
-    outer face has at least one bounding arc of central angle below pi."""
+    outer face has at least one bounding arc of central angle below pi.
+    A ``tol`` that is not finite or is negative raises DomainError."""
     ext = extract_with_arcs(r, tol)
     g = ext.graph
     outer = outer_face_of(r, ext)

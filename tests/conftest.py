@@ -8,7 +8,8 @@ import pytest
 from circlesystems.embedding import build_embedding
 from circlesystems.generators import octahedron
 from circlesystems.packing import triangulate
-from circlesystems.realization import Arc, RealPoint, Realization
+from circlesystems import realization
+from circlesystems.realization import Arc, RealPoint, Realization, _angle_gap
 
 
 def brute_force_connectivity(g, cap=3):
@@ -84,6 +85,49 @@ def gauss_seidel_radii(g, atol=1e-14, max_sweeps=10**5):
         if worst < atol:
             return radii[:tri.base_n]
     raise AssertionError(f"oracle sweep above {atol} after {max_sweeps} sweeps")
+
+
+def scan_hits(circles, x, y, tol):
+    """Ids of the circles that (x, y) lies on within ``tol``, ascending, by
+    testing every circle: the oracle for ``packing._circles_near``."""
+    return [ci for ci, c in enumerate(circles)
+            if abs(math.hypot(x - c.cx, y - c.cy) - c.r) <= tol * c.r]
+
+
+def scan_arc_ends(order, arc, tol):
+    """``realization._arc_ends`` by a linear scan of the arc's circle: at
+    each end the point nearest to the end angle, the first winning ties;
+    None when an end is farther than ``tol`` from every point."""
+    pairs = order[arc.circle]
+    if not pairs:
+        return None
+    ends = []
+    for angle in (arc.from_angle, arc.to_angle):
+        a, pid = min(pairs, key=lambda e: _angle_gap(e[0], angle))
+        if _angle_gap(a, angle) > tol:
+            return None
+        ends.append(pid)
+    return tuple(ends)
+
+
+def scan_verify(monkeypatch, r, g=None, tol=1e-8):
+    """``verify_realization`` with every point tested against every circle
+    and every arc end matched by ``scan_arc_ends``: the report, or the type
+    and text of the error it raised."""
+    with monkeypatch.context() as m:
+        m.setattr(realization, "_circles_near",
+                  lambda circles, tol: lambda x, y: range(len(circles)))
+        m.setattr(realization, "_arc_ends", scan_arc_ends)
+        return verify_outcome(r, g, tol)
+
+
+def verify_outcome(r, g=None, tol=1e-8):
+    """The violations ``verify_realization`` reports, or the type and text
+    of the error it raises."""
+    try:
+        return realization.verify_realization(r, g, tol).violations
+    except Exception as exc:  # noqa: BLE001 - the outcome is compared
+        return type(exc).__name__, str(exc)
 
 
 def _subst(row, old, new):

@@ -1,21 +1,23 @@
 """The isomorphism search against a brute-force permutation oracle, and on
 the oriented duals and augmented octahedra that need its dynamic order."""
 
+import hashlib
 import itertools
 import random
 from collections import Counter, defaultdict
 
 import pytest
 
+from circlesystems.embedding import medial
 from circlesystems.equivalence import equivalent
 from circlesystems.generators import (
-    BIGADGET, GADGET, augment_octahedron, flower, upper_bound_family,
+    BIGADGET, GADGET, augment_octahedron, flower, icosahedron, upper_bound_family,
 )
 from circlesystems.isomorphism import (
     digraph_isomorphism, find_isomorphism, graphs_isomorphic,
 )
 
-from conftest import relabel_realization
+from conftest import relabel_graph, relabel_realization
 
 
 def _image(edges, p, directed):
@@ -166,3 +168,24 @@ def test_relabelled_system_is_equivalent(family, count):
 def test_gadget_and_bigadget_octahedra_differ():
     assert not graphs_isomorphic(augment_octahedron(GADGET),
                                  augment_octahedron(BIGADGET))
+
+
+# digests of the mappings that the search returns when it maps the
+# frontier node with the most mapped neighbours, then the least rank, then
+# the least index: the order pins which of the many mappings comes back
+_MEDIAL_MAPPINGS = {1: "80b7ba69ec9d55a6", 2: "3dca7b1550d82237",
+                    3: "d4cfa08b0e665251", 4: "37984dbc5c343e2d"}
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_relabelled_medials_map_edges_onto_edges(depth):
+    g = icosahedron()
+    for _ in range(depth):
+        g = medial(g)
+    h = relabel_graph(g, random.Random(depth))
+    mapping = find_isomorphism(g.n, g.edges(), h.n, h.edges())
+    assert sorted(mapping) == list(range(h.n))
+    assert _image(g.edges(), mapping, directed=False) == _image(
+        h.edges(), range(h.n), directed=False)
+    digest = hashlib.sha256(repr(mapping).encode()).hexdigest()[:16]
+    assert digest == _MEDIAL_MAPPINGS[depth]

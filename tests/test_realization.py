@@ -26,7 +26,9 @@ from circlesystems.realization import (
     angle_on,
     circle_count_bounds,
     extract_abstract_graph,
+    extract_with_arcs,
     innermost_face_arc_check,
+    point_kind,
     realize,
     verify_realization,
 )
@@ -116,6 +118,19 @@ def test_realize_and_verify_reject_tol_outside_zero_to_infinity(octa, tol):
         verify_realization(r, octa, tol)
     with pytest.raises(DomainError):
         verify_realization(r, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+def test_extraction_and_point_kind_reject_tol_outside_zero_to_infinity(tol):
+    r = canonical_octahedron_realization(RealizationClass.FOUR_TOUCHING_NESTED)
+    with pytest.raises(DomainError):
+        point_kind(r.circles[0], r.circles[1], tol)
+    with pytest.raises(DomainError):
+        extract_with_arcs(r, tol)
+    with pytest.raises(DomainError):
+        extract_abstract_graph(r, tol)
+    with pytest.raises(DomainError):
+        innermost_face_arc_check(r, tol)
 
 
 def test_realize_rejects_not_three_connected():
