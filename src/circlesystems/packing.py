@@ -144,7 +144,7 @@ def _circles_near(circles, tol: float):
         for i in range(i0, i1 + 1):
             for j in range(j0, j1 + 1):
                 cells.setdefault((i, j), []).append(ci)
-    grids = [classes[e] for e in sorted(classes)]
+    grids = list(classes.values())
     everyone = range(len(circles))
     floor, isfinite = math.floor, math.isfinite
 
