@@ -12,7 +12,7 @@ incidences of the embedding (see :func:`connectivity_level`).
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from itertools import combinations
 
 from .errors import Disconnected, MalformedRotation, NonPlanarEmbedding
@@ -205,26 +205,13 @@ class EmbeddedGraph:
         return faces, dart_face
 
     def _check_euler(self):
-        comps = self.connected_components()
-        comp_of = [0] * self.n
-        for cid, members in enumerate(comps):
-            for v in members:
-                comp_of[v] = cid
-        face_comp_counts = Counter()
-        for cycle in self.faces:
-            face_comp_counts[comp_of[self.dart_tail[cycle[0]]]] += 1
-        edge_comp_counts = Counter()
-        for d in range(len(self.dart_tail)):
-            if d < self.dart_rev[d]:
-                edge_comp_counts[comp_of[self.dart_tail[d]]] += 1
-        for cid, members in enumerate(comps):
-            v = len(members)
-            e = edge_comp_counts[cid]
-            f = face_comp_counts[cid]
-            if v - e + f != 2:
-                raise NonPlanarEmbedding(
-                    f"component {cid}: V-E+F = {v}-{e}+{f} != 2"
-                )
+        # V - E + F = 2 - 2 genus <= 2 on every component, so the totals
+        # reach 2 per component only when every component is plane
+        v, e, f = self.n, len(self.dart_tail) // 2, len(self.faces)
+        c = len(self.connected_components())
+        if v - e + f != 2 * c:
+            raise NonPlanarEmbedding(f"V-E+F = {v}-{e}+{f} = {v - e + f}, "
+                                     f"not 2 on each of {c} components")
 
 
 def build_embedding(neighbor_lists, outer_face=None, require_simple=False):

@@ -17,7 +17,8 @@ angle-sum error is within the rounding floor of its sum; the circles are
 then laid out by walking the triangles from a fixed boundary triangle, and
 the packing is certified by its tangency and overlap residuals.  Apex
 circles are discarded at the end; the required tangencies between base
-circles survive.
+circles survive.  The Newton system's pattern is built once per packing,
+its weights numbered in the condensed layout (``_newton_system``).
 
 Normalization: the three boundary-triangle circles get radius 1 and centers
 on an equilateral triangle of side 2, making output coordinates (and hence
@@ -30,7 +31,7 @@ import math
 import sys
 from collections import deque
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import combinations, repeat
 from operator import add, mul, sub, truediv
 
 from .embedding import EmbeddedGraph
@@ -233,32 +234,8 @@ def triangulate(g: EmbeddedGraph) -> Triangulation:
     )
 
 
-def _sparsity(tg: EmbeddedGraph, boundary):
-    """The sparsity pattern of the Newton system, built once per packing.
-
-    Returns the interior vertices, the interior-interior edges (the
-    off-diagonal entries of L), and per face its corners (i, j, k) with
-    the ids of the edges ij, jk and ki; an edge with a boundary end gets
-    the spare id ``len(edges)``.
-    """
-    interior = [v for v in range(tg.n) if v not in boundary]
-    edge_id = {}
-    edges = []
-    for u, v in tg.edges():
-        if u not in boundary and v not in boundary:
-            edge_id[u, v] = edge_id[v, u] = len(edges)
-            edges.append((u, v))
-    spare = len(edges)
-    triangles = []
-    for cycle in tg.faces:
-        i, j, k = (tg.dart_tail[d] for d in cycle)
-        triangles.append((i, j, k, edge_id.get((i, j), spare),
-                          edge_id.get((j, k), spare), edge_id.get((k, i), spare)))
-    return interior, edges, triangles
-
-
-def _condensation(tg: EmbeddedGraph, base_n, interior, edges):
-    """The pattern of the condensed Newton system, built once per packing.
+def _newton_system(tri: Triangulation):
+    """The pattern of the Newton system, built once per packing.
 
     An apex touches base vertices only, so its row of L couples it to its
     face's corners alone and it can be eliminated exactly (a Schur
@@ -268,66 +245,73 @@ def _condensation(tg: EmbeddedGraph, base_n, interior, edges):
     apexes of faces with at most 5 corners are eliminated, and the system
     never grows.
 
-    Returns the kept interior vertices, in the order of the condensed
-    unknowns; the condensed system's edges as pairs of those positions, the
-    kept edges of ``edges`` first and the fill after them; the ids in
-    ``edges`` of the kept edges; and per eliminated apex the tuple (apex,
-    positions of its interior corners, ids in ``edges`` of the edges to
-    them, and (condensed edge, corner s, corner t) per pair of corners).
+    The weights of L are numbered in the condensed layout: the edges
+    between kept vertices in edge order (parallel copies share an id), the
+    fill in the order the eliminated apexes make it, the edges from those
+    apexes to their kept corners, and one spare id for every edge with a
+    boundary end.  No triangle names a fill id, so fill weights stay 0.
+
+    Returns (interior vertices; per face its corners (i, j, k) and the ids
+    of ij, jk and ki; the spare id; the kept interior vertices, in the
+    order of the condensed unknowns; the condensed edges as pairs of their
+    positions, by id; per eliminated apex (apex, positions of its kept
+    corners, ids of the edges to them, (id, corner s, corner t) per pair of
+    corners)).
     """
-    eliminated = [v for v in interior if v >= base_n and tg.degree(v) <= 5]
-    dropped = set(eliminated)
-    kept = [v for v in interior if v not in dropped]
+    tg = tri.graph
+    boundary = set(tri.boundary_vertices)
+    interior = [v for v in range(tg.n) if v not in boundary]
+    eliminated = [v for v in interior if v >= tri.base_n and tg.degree(v) <= 5]
+    kept = [v for v in interior if v < tri.base_n or tg.degree(v) > 5]
     position = {v: i for i, v in enumerate(kept)}
-    pair_id = {}
+    weight_id = {}
     pairs = []
-    sources = []
-    apex_edge = {}
-    # a repeated edge keeps its weight on its last id, as in _sparsity
-    for e, (u, v) in enumerate(edges):
+
+    def couple(j, k):
+        if (j, k) not in weight_id:
+            weight_id[j, k] = weight_id[k, j] = len(pairs)
+            pairs.append((position[j], position[k]))
+        return weight_id[j, k]
+
+    for u, v in tg.edges():
         if u in position and v in position:
-            pair_id[u, v] = pair_id[v, u] = len(pairs)
-            pairs.append((position[u], position[v]))
-            sources.append(e)
-        else:
-            apex_edge[u, v] = apex_edge[v, u] = e
+            couple(u, v)
+    # a corner repeated around the face (a cut vertex) is coupled once
+    corners = [list(dict.fromkeys(v for v in tg.neighbors(a) if v in position))
+               for a in eliminated]
+    couplings = [[(couple(j, k), s, t)
+                  for (s, j), (t, k) in combinations(enumerate(c), 2)]
+                 for c in corners]
+    spare = len(pairs)
     apexes = []
-    for a in eliminated:
-        # a corner repeated around the face (a cut vertex) is coupled once
-        corners = list(dict.fromkeys(
-            v for v in tg.neighbors(a) if v in position
-        ))
-        couplings = []
-        for s, j in enumerate(corners):
-            for t in range(s + 1, len(corners)):
-                k = corners[t]
-                if (j, k) not in pair_id:
-                    pair_id[j, k] = pair_id[k, j] = len(pairs)
-                    pairs.append((position[j], position[k]))
-                couplings.append((pair_id[j, k], s, t))
-        apexes.append((
-            a,
-            [position[j] for j in corners],
-            [apex_edge[a, j] for j in corners],
-            couplings,
-        ))
-    return kept, pairs, sources, apexes
+    for a, c, cp in zip(eliminated, corners, couplings):
+        ids = range(spare, spare + len(c))
+        spare += len(c)
+        for j, e in zip(c, ids):
+            weight_id[a, j] = weight_id[j, a] = e
+        apexes.append((a, [position[j] for j in c], ids, cp))
+    get = weight_id.get
+    triangles = [(i, j, k, get((i, j), spare), get((j, k), spare), get((k, i), spare))
+                 for i, j, k in map(tg.face_tails, range(tg.face_count))]
+    return interior, triangles, spare, kept, pairs, apexes
 
 
-def _linearize(radii, interior, edge_count, triangles):
-    """Angle-sum errors and their Jacobian at ``radii``.
+def _linearize(radii, system):
+    """Angle-sum errors and their Jacobian at ``radii``, on the pattern
+    ``system`` of ``_newton_system``.
 
     The angle at corner i of the triangle of centers (i, j, k) is
     2 atan(h / r_i), where h = sqrt(r_i r_j r_k / (r_i + r_j + r_k)) is the
     triangle's inradius, and its derivative in u_j = log r_j is
     h / (r_i + r_j).  Returns the angle-sum errors theta - 2 pi (0 off the
     interior), their largest magnitude, and the diagonal and the edge
-    weights of the Laplacian L = -d theta / d u.
+    weights of the Laplacian L = -d theta / d u, by weight id.
     """
+    interior, triangles, spare, *_ = system
     n = len(radii)
     theta = [0.0] * n
     diag = [0.0] * n
-    weight = [0.0] * (edge_count + 1)
+    weight = [0.0] * (spare + 1)
     sqrt = math.sqrt
     atan = math.atan
     for i, j, k, eij, ejk, eki in triangles:
@@ -387,7 +371,7 @@ def _conjugate_gradients(rhs, diag, edges, weight, max_iter, rtol):
     return x
 
 
-def _newton_direction(err, diag, weight, condensation, rtol):
+def _newton_direction(err, diag, weight, system, rtol):
     """Solve L delta = err through the condensed system.
 
     Each eliminated apex a, with diagonal d_a, right-hand side b_a and edge
@@ -397,11 +381,10 @@ def _newton_direction(err, diag, weight, condensation, rtol):
     follows by back-substitution: delta_a = (b_a + sum_j w_aj delta_j) / d_a.
     Returns delta over all vertices, 0 on the boundary.
     """
-    kept, pairs, sources, apexes = condensation
+    *_, kept, pairs, apexes = system
     rhs = [err[v] for v in kept]
     cdiag = [diag[v] for v in kept]
-    cweight = [weight[e] for e in sources]
-    cweight += [0.0] * (len(pairs) - len(sources))
+    cweight = weight[:len(pairs)]
     for a, corners, apex_edges, couplings in apexes:
         da, ba = diag[a], err[a]
         w = [weight[e] for e in apex_edges]
@@ -427,9 +410,10 @@ def _newton_radii(tri: Triangulation):
 
     Newton's method on u = log r: each step solves L delta = theta - 2 pi
     and moves u by delta, scaled down so that no log-radius moves by more
-    than ``MAX_LOG_STEP``.  The solve eliminates the apexes of faces with at
-    most 5 corners, runs conjugate gradients on the remaining unknowns and
-    recovers the apexes by back-substitution (``_newton_direction``).
+    than ``MAX_LOG_STEP``.  One pattern (``_newton_system``) serves every
+    step.  The solve eliminates the apexes of faces with at most 5 corners,
+    runs conjugate gradients on the remaining unknowns and recovers the
+    apexes by back-substitution (``_newton_direction``).
 
     - Floor stop: the iteration ends once every interior error
       |theta_v - 2 pi| is at most 2 deg(v) pi eps (eps the float epsilon),
@@ -449,24 +433,23 @@ def _newton_radii(tri: Triangulation):
     Returns (radii, Newton directions solved, largest angle-sum error).
     """
     tg = tri.graph
-    interior, edges, triangles = _sparsity(tg, set(tri.boundary_vertices))
-    condensation = _condensation(tg, tri.base_n, interior, edges)
+    system = _newton_system(tri)
     eps = sys.float_info.epsilon
-    floor = [(v, 2.0 * tg.degree(v) * math.pi * eps) for v in interior]
+    floor = [(v, 2.0 * tg.degree(v) * math.pi * eps) for v in system[0]]
     guard = 0.5 * min(b for _, b in floor)
     radii = [1.0] * tg.n
-    err, worst, diag, weight = _linearize(radii, interior, len(edges), triangles)
+    err, worst, diag, weight = _linearize(radii, system)
     steps = 0
     while steps < MAX_STEPS and any(abs(err[v]) > b for v, b in floor):
         steps += 1
         eta = min(CG_RTOL, max(worst, guard / worst))
-        delta = _newton_direction(err, diag, weight, condensation, eta)
+        delta = _newton_direction(err, diag, weight, system, eta)
         scale = min(1.0, MAX_LOG_STEP / max(abs(x) for x in delta))
         while True:
             trial = [r * math.exp(scale * x) for r, x in zip(radii, delta)]
             if trial == radii:
                 return radii, steps, worst
-            state = _linearize(trial, interior, len(edges), triangles)
+            state = _linearize(trial, system)
             if state[1] < worst:
                 break
             scale *= 0.5

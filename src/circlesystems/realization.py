@@ -199,13 +199,17 @@ def _arc_partition_faults(order, arcs, tol):
     Every circle with points in ``order`` needs as many arcs as points, and
     each arc must start at a point no other arc of its circle starts at and
     end at the next point counterclockwise, both ends within ``tol``.
-    Circles without points and arcs naming no circle are not checked.
+    An arc naming no circle is a fault; circles without points are not
+    checked.
     """
     by_circle = [[] for _ in order]
+    faults = []
     for i, a in enumerate(arcs):
         if 0 <= a.circle < len(order):
             by_circle[a.circle].append(i)
-    faults = []
+        else:
+            faults.append(f"arc {a} names a missing circle; there are "
+                          f"{len(order)} circles")
     ends = [None] * len(arcs)
     for ci, pairs in enumerate(order):
         if not pairs:
@@ -539,7 +543,6 @@ def verify_realization(r: Realization, g: EmbeddedGraph | None = None,
         report.add("circle-count-bounds", f"only {n} points; need at least 6")
 
     if g is not None and not report.violations:
-        _check_circle_ids(r)  # the rules skip arcs that name no circle
         extracted = _extract(r, order, ends, tol).graph
         if find_isomorphism(
             extracted.n, extracted.edges(), g.n, g.edges()

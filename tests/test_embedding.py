@@ -63,6 +63,17 @@ def test_twisted_embedding_rejected():
         build_embedding(lists)
 
 
+def test_euler_check_counts_every_component():
+    lists = octahedron().to_neighbor_lists()
+    # K5 has no plane rotation, so a disjoint K5 makes the whole non-plane
+    k5 = [[6 + w for w in range(5) if w != v] for v in range(5)]
+    with pytest.raises(NonPlanarEmbedding, match="on each of 2 components"):
+        build_embedding(lists + k5)
+    twice = build_embedding(lists + [[6 + w for w in row] for row in lists])
+    assert len(twice.connected_components()) == 2
+    assert twice.face_count == 16
+
+
 def test_face_tracing_covers_each_dart_once():
     g = octahedron()
     covered = sorted(d for cycle in g.faces for d in cycle)

@@ -163,22 +163,23 @@ def test_laplacian_is_minus_the_angle_sum_jacobian():
     tri = triangulate(_gray_face_graph(medial(cube())))
     tg = tri.graph
     boundary = set(tri.boundary_vertices)
-    interior, edges, triangles = packing._sparsity(tg, boundary)
+    system = packing._newton_system(tri)
+    interior = system[0]
     rng = random.Random(5)
     radii = [1.0 if v in boundary else math.exp(rng.uniform(-1.5, 1.5))
              for v in range(tg.n)]
-    _, _, diag, weight = packing._linearize(radii, interior, len(edges), triangles)
+    _, _, diag, weight = packing._linearize(radii, system)
     entry = {}
-    for (a, b), w in zip(edges, weight):
-        entry[a, b] = entry[b, a] = -w
+    for e, (a, b) in _full_edges(system):
+        entry[a, b] = entry[b, a] = -weight[e]
     eps = 1e-6
     for j in interior:
         up = radii[:]
         up[j] *= math.exp(eps)
         down = radii[:]
         down[j] *= math.exp(-eps)
-        e_up = packing._linearize(up, interior, len(edges), triangles)[0]
-        e_down = packing._linearize(down, interior, len(edges), triangles)[0]
+        e_up = packing._linearize(up, system)[0]
+        e_down = packing._linearize(down, system)[0]
         for i in interior:
             d_theta = (e_up[i] - e_down[i]) / (2.0 * eps)
             expected = diag[i] if i == j else entry.get((i, j), 0.0)
@@ -231,7 +232,8 @@ def test_loose_cg_still_realizes_n480(monkeypatch):
 def test_newton_stops_at_the_rounding_floor(monkeypatch, maker):
     tri = triangulate(maker())
     tg = tri.graph
-    interior, edges, triangles = packing._sparsity(tg, set(tri.boundary_vertices))
+    system = packing._newton_system(tri)
+    interior = system[0]
     # summing deg(v) arctangents below pi/2 and doubling the sum rounds by
     # at most this much
     bound = {v: 2 * tg.degree(v) * math.pi * sys.float_info.epsilon
@@ -249,7 +251,7 @@ def test_newton_stops_at_the_rounding_floor(monkeypatch, maker):
     # one linearization at the start and one per step, none of them halved,
     # and only the last one at the floor: no direction is solved there
     assert at_floor == [False] * steps + [True]
-    assert linearize(radii, interior, len(edges), triangles)[1] == worst
+    assert linearize(radii, system)[1] == worst
 
 
 def test_pack_cut_vertex_is_no_convergence():
@@ -259,18 +261,26 @@ def test_pack_cut_vertex_is_no_convergence():
     assert str(info.value).startswith("after ")
 
 
+def _full_edges(system):
+    """The off-diagonal pattern of the full Newton system, read off the
+    triangles: (weight id, (a, b)) per interior-interior edge, by id."""
+    _, triangles, spare, *_ = system
+    edge = {}
+    for i, j, k, eij, ejk, eki in triangles:
+        edge.update({eij: (i, j), ejk: (j, k), eki: (k, i)})
+    edge.pop(spare, None)
+    return sorted(edge.items())
+
+
 def _system_at_random_radii(g, seed):
     tri = triangulate(g)
-    tg = tri.graph
     boundary = set(tri.boundary_vertices)
-    interior, edges, triangles = packing._sparsity(tg, boundary)
-    condensation = packing._condensation(tg, tri.base_n, interior, edges)
+    system = packing._newton_system(tri)
     rng = random.Random(seed)
     radii = [1.0 if v in boundary else math.exp(rng.uniform(-1.5, 1.5))
-             for v in range(tg.n)]
-    err, _, diag, weight = packing._linearize(
-        radii, interior, len(edges), triangles)
-    return tri, interior, edges, condensation, err, diag, weight
+             for v in range(tri.graph.n)]
+    err, _, diag, weight = packing._linearize(radii, system)
+    return tri, system, err, diag, weight
 
 
 @pytest.mark.parametrize("maker, apexes_kept", [
@@ -278,15 +288,15 @@ def _system_at_random_radii(g, seed):
     (lambda: prism(8), 1),
 ], ids=["gray-medial-cube", "prism8"])
 def test_condensed_direction_matches_full_solve(maker, apexes_kept):
-    tri, interior, edges, condensation, err, diag, weight = (
-        _system_at_random_radii(maker(), 11))
-    kept = condensation[0]
+    tri, system, err, diag, weight = _system_at_random_radii(maker(), 11)
+    interior, _, _, kept, _, apexes = system
     # every interior apex is eliminated, except prism(8)'s inner octagon
     assert sum(v >= tri.base_n for v in kept) == apexes_kept
-    assert len(kept) + len(condensation[3]) == len(interior)
+    assert len(kept) + len(apexes) == len(interior)
+    ids, edges = zip(*_full_edges(system))
     full = packing._conjugate_gradients(
-        err, diag, edges, weight, 10 * len(interior), 1e-13)
-    delta = packing._newton_direction(err, diag, weight, condensation, 1e-13)
+        err, diag, edges, [weight[e] for e in ids], 10 * len(interior), 1e-13)
+    delta = packing._newton_direction(err, diag, weight, system, 1e-13)
     scale = max(abs(x) for x in full)
     assert max(abs(x - y) for x, y in zip(delta, full)) <= 1e-9 * scale
 
@@ -298,25 +308,26 @@ def test_condensed_direction_matches_full_solve(maker, apexes_kept):
     lambda: _gray_face_graph(medial(medial(icosahedron()))),
 ], ids=["gray-medial-cube", "prism8", "dodecahedron", "gray-icosahedron-n60"])
 def test_condensation_fill(maker):
-    tri, interior, edges, condensation, *_ = _system_at_random_radii(maker(), 3)
+    tri, system, *_ = _system_at_random_radii(maker(), 3)
     tg = tri.graph
-    kept, pairs, sources, apexes = condensation
+    interior, _, _, kept, pairs, apexes = system
     # exactly the interior apexes of faces with at most 5 corners go
     assert [a for a, *_ in apexes] == [
         v for v in interior if v >= tri.base_n and tg.degree(v) <= 5
     ]
     assert all(tg.degree(v) > 5 for v in kept if v >= tri.base_n)
     position = {v: i for i, v in enumerate(kept)}
-    neighbours = {(position[u], position[v]) for u, v in edges
+    neighbours = {(position[u], position[v]) for u, v in tg.edges()
                   if u in position and v in position}
     neighbours |= {(b, a) for a, b in neighbours}
+    kept_edges = len(neighbours) // 2
     fill = 0
     whole = 0
     for a, corners, _, couplings in apexes:
         # every pair of interior corners is coupled; the pairs that are
         # not neighbours are new entries, made by this apex alone
         assert len(couplings) == len(corners) * (len(corners) - 1) // 2
-        new = [p for p, _, _ in couplings if p >= len(sources)]
+        new = [p for p, _, _ in couplings if p >= kept_edges]
         assert len(new) == sum((corners[s], corners[t]) not in neighbours
                                for _, s, t in couplings)
         d = len(corners)
@@ -324,6 +335,48 @@ def test_condensation_fill(maker):
             assert len(new) == d * (d - 3) // 2
             whole += d > 3
         fill += len(new)
-    assert len(pairs) - len(sources) == fill
+    assert len(pairs) - kept_edges == fill
     assert whole > 0  # some face with fill has no boundary corner
-    assert len(pairs) <= len(edges)
+    assert len(pairs) <= len(_full_edges(system))
+
+
+@pytest.mark.parametrize("maker", [
+    lambda: _gray_face_graph(medial(cube())),
+    lambda: prism(8),
+    lambda: dual(icosahedron()),
+    # an interior 8-corner apex meets the cut vertex twice: a parallel edge
+    lambda: joined_octahedra().with_outer_face(2),
+], ids=["gray-medial-cube", "prism8", "dodecahedron", "joined-octahedra"])
+def test_weight_ids_follow_the_condensed_layout(maker):
+    tri, system, _, _, weight = _system_at_random_radii(maker(), 7)
+    tg = tri.graph
+    interior, triangles, spare, kept, pairs, apexes = system
+    inside = set(interior)
+    # every interior-interior edge has one id, shared by its parallel
+    # copies; every edge with a boundary end has the spare id
+    edge_id = {}
+    for i, j, k, *ids in triangles:
+        for a, b, e in zip((i, j, k), (j, k, i), ids):
+            if a in inside and b in inside:
+                assert edge_id.setdefault(frozenset((a, b)), e) == e != spare
+            else:
+                assert e == spare
+    assert len(set(edge_id.values())) == len(edge_id)
+    # the kept-kept edges come first, in edge order
+    position = {v: i for i, v in enumerate(kept)}
+    first = {}
+    for u, v in tg.edges():
+        if u in position and v in position:
+            first.setdefault(frozenset((u, v)), (u, v))
+    first = list(first.values())
+    assert [edge_id[frozenset(e)] for e in first] == list(range(len(first)))
+    assert pairs[:len(first)] == [(position[u], position[v]) for u, v in first]
+    # the fill follows, named by no triangle, so its weights stay 0
+    assert not set(edge_id.values()) & set(range(len(first), len(pairs)))
+    assert weight[len(first):len(pairs)] == [0.0] * (len(pairs) - len(first))
+    # then the edges from the eliminated apexes to their kept corners
+    apex_ids = [e for _, _, ids, _ in apexes for e in ids]
+    assert apex_ids == list(range(len(pairs), spare))
+    assert apex_ids == [edge_id[frozenset((a, kept[c]))]
+                        for a, corners, _, _ in apexes for c in corners]
+    assert sorted(edge_id.values()) == list(range(len(first))) + apex_ids

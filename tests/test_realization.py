@@ -4,8 +4,13 @@ import pytest
 from hypothesis import given, strategies as st
 
 from circlesystems.embedding import medial
-from circlesystems.equivalence import RealizationClass
-from circlesystems.errors import DomainError, NotThreeConnected, TooSmall
+from circlesystems.equivalence import RealizationClass, equivalent, smooth_degree_two
+from circlesystems.errors import (
+    DomainError,
+    MalformedRealization,
+    NotThreeConnected,
+    TooSmall,
+)
 from circlesystems.generators import (
     canonical_octahedron_realization,
     cube,
@@ -265,3 +270,21 @@ def test_verify_bounds_rule(octa):
     report = verify_realization(r, octa)
     b = circle_count_bounds(len(r.points))
     assert b.contains(report.circle_count)
+
+
+@pytest.mark.parametrize("circle", [99, -1])
+def test_arc_on_a_missing_circle_is_a_partition_fault(octa, circle):
+    r = realize(octa)
+    bad = Realization(list(r.circles), list(r.points),
+                      list(r.arcs) + [Arc(circle, 0.0, 1.0, 0)])
+    for g in (None, octa):
+        report = verify_realization(bad, g)
+        assert not report.passed
+        assert report.violations == [(
+            "arcs-partition-circle",
+            f"arc {bad.arcs[-1]} names a missing circle; there are 4 circles",
+        )]
+    with pytest.raises(MalformedRealization):
+        smooth_degree_two(bad)
+    with pytest.raises(MalformedRealization):
+        equivalent(bad, r)
