@@ -7,18 +7,22 @@ in u is minus a symmetric weighted Laplacian, the Hessian of the convex
 functional of Bobenko and Springborn (Trans. AMS 356, 2004).  An apex
 touches base vertices only, so each Newton step first eliminates the apexes
 of the faces with at most 5 corners exactly (static condensation, a Schur
-complement), runs one Jacobi-preconditioned conjugate-gradient solve on the
-base unknowns and the apexes of larger faces, and recovers the eliminated
-apexes by back-substitution.  The solve is inexact: conjugate gradients stop
-at a forcing term that shrinks with the angle-sum error but never asks for
-more than the rounding floor can show.  A step that does not lower the
-largest angle-sum error is halved until it does.  Iteration stops once every
-angle-sum error is within the rounding floor of its sum; the circles are
-then laid out by walking the triangles from a fixed boundary triangle, and
-the packing is certified by its tangency and overlap residuals.  Apex
-circles are discarded at the end; the required tangencies between base
-circles survive.  The Newton system's pattern is built once per packing,
-its weights numbered in the condensed layout (``_newton_system``).
+complement), runs one conjugate-gradient solve on the base unknowns and the
+apexes of larger faces, and recovers the eliminated apexes by
+back-substitution.  Conjugate gradients are preconditioned by symmetric
+Gauss-Seidel, applied through Eisenstat's trick at the cost of one product
+with the Laplacian per iteration.  The solve is inexact: it stops once the
+residual of the Laplacian system itself, not the preconditioned one, is
+within a forcing term of the right-hand side; the forcing term shrinks with
+the angle-sum error but never asks for more than the rounding floor can
+show.  A step that does not lower the largest angle-sum error is halved
+until it does.  Iteration stops once every angle-sum error is within the
+rounding floor of its sum; the circles are then laid out by walking the
+triangles from a fixed boundary triangle, and the packing is certified by
+its tangency and overlap residuals.  Apex circles are discarded at the end;
+the required tangencies between base circles survive.  The Newton system's
+pattern is built once per packing, its weights numbered in the condensed
+layout (``_newton_system``).
 
 Normalization: the three boundary-triangle circles get radius 1 and centers
 on an equilateral triangle of side 2, making output coordinates (and hence
@@ -31,8 +35,8 @@ import math
 import sys
 from collections import deque
 from dataclasses import dataclass
-from itertools import combinations, repeat
-from operator import add, mul, sub, truediv
+from itertools import combinations
+from operator import add, itemgetter, mul, sub
 
 from .embedding import EmbeddedGraph
 from .errors import Disconnected, DomainError, NoConvergence, TooSmall
@@ -340,35 +344,64 @@ def _linearize(radii, system):
     return err, worst, diag, weight
 
 
+def _sweep(edges, v):
+    """One half-sweep: y = v, then y[b] += w y[a] for every (a, b, w) in
+    ``edges``, in order.  Solves (I - E) y = v for E strictly triangular
+    when every edge into a comes before every edge out of a."""
+    y = v[:]
+    for a, b, w in edges:
+        y[b] += w * y[a]
+    return y
+
+
 def _conjugate_gradients(rhs, diag, edges, weight, max_iter, rtol):
-    """Solve L x = rhs by Jacobi-preconditioned conjugate gradients.
+    """Solve L x = rhs by symmetric Gauss-Seidel preconditioned conjugate
+    gradients, through Eisenstat's trick (SIAM J. Sci. Stat. Comput. 2,
+    1981).
 
     L has diagonal ``diag`` and entry -w at (a, b) and (b, a) for every
-    edge (a, b) with weight w; entries where ``rhs`` is 0 and no edge
-    reaches stay 0.  Stops once the residual has shrunk by ``rtol``.
+    edge (a, b) with weight w, in any orientation and order; entries where
+    ``rhs`` is 0 and no edge reaches stay 0.  Scaled by D^-1/2, D the
+    diagonal, L becomes I + Lo + Up with Lo strictly lower triangular and
+    Up its transpose, and CG runs on (I + Lo)^-1 (I + Lo + Up) (I + Up)^-1,
+    whose product with p is t + (I + Lo)^-1 (p - t), t = (I + Up)^-1 p:
+    two half-sweeps (``_sweep``), the work of one product with L.  The
+    edges are sorted once per call: by lower end for the sweeps with
+    I + Lo, by higher end, descending, for those with I + Up.
+
+    Stops once the residual of L x = rhs itself, D^1/2 (I + Lo) r for the
+    preconditioned residual r, is at most ``rtol`` |rhs|; it is tested
+    from the iteration at which |r| has shrunk by ``rtol`` on.
     """
-    x = [0.0] * len(rhs)
-    res = rhs[:]
-    z = list(map(truediv, res, diag))
-    p = z[:]
-    rz = sum(map(mul, res, z))
-    stop = rtol * rtol * sum(map(mul, res, res))
+    scale = [1.0 / math.sqrt(d) for d in diag]
+    first = itemgetter(0)
+    lower = sorted([(a, b, w * scale[a] * scale[b]) if a < b
+                    else (b, a, w * scale[a] * scale[b])
+                    for (a, b), w in zip(edges, weight)], key=first)
+    upper = sorted([(b, a, w) for a, b, w in lower], key=first, reverse=True)
+    x = [0.0] * len(rhs)  # D^1/2 x, updated by the t of each step
+    res = _sweep(lower, list(map(mul, rhs, scale)))
+    p = res[:]
+    rr = sum(map(mul, res, res))
+    shrunk = rtol * rtol * rr
+    stop = rtol * rtol * sum(map(mul, rhs, rhs))
     for _ in range(max_iter):
-        if sum(map(mul, res, res)) <= stop:
-            break
-        q = list(map(mul, diag, p))
-        for (a, b), w in zip(edges, weight):
-            q[a] -= w * p[b]
-            q[b] -= w * p[a]
-        alpha = rz / sum(map(mul, p, q))
-        x = list(map(add, x, map(mul, repeat(alpha), p)))
-        res = list(map(sub, res, map(mul, repeat(alpha), q)))
-        z = list(map(truediv, res, diag))
-        rz_next = sum(map(mul, res, z))
-        beta = rz_next / rz
-        rz = rz_next
-        p = list(map(add, z, map(mul, repeat(beta), p)))
-    return x
+        if rr <= shrunk:
+            actual = res[:]
+            for a, b, w in lower:
+                actual[b] -= w * res[a]
+            if sum(map(mul, diag, map(mul, actual, actual))) <= stop:
+                break
+        t = _sweep(upper, p)
+        q = list(map(add, t, _sweep(lower, list(map(sub, p, t)))))
+        alpha = rr / sum(map(mul, p, q))
+        x = [xi + alpha * ti for xi, ti in zip(x, t)]
+        res = [ri - alpha * qi for ri, qi in zip(res, q)]
+        rr_next = sum(map(mul, res, res))
+        beta = rr_next / rr
+        rr = rr_next
+        p = [ri + beta * pi for ri, pi in zip(res, p)]
+    return list(map(mul, x, scale))
 
 
 def _newton_direction(err, diag, weight, system, rtol):

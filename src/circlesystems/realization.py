@@ -18,6 +18,7 @@ from .coloring import build_il, il_simplicity, two_color_faces
 from .embedding import EmbeddedGraph, connectivity_level
 from .errors import (
     DegenerateArc,
+    DomainError,
     ILNotSimple,
     MalformedRealization,
     NoInnermostFace,
@@ -247,13 +248,22 @@ class BoundsResult:
 
 
 def circle_count_bounds(n: int) -> BoundsResult:
+    """Bounds on the circle count of an n-vertex 4-regular plane graph.
+
+    ``n`` must be an int (not a bool) of at least 6 whose bounds are finite
+    floats; anything else raises DomainError, or TooSmall below 6."""
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise DomainError(f"n must be an integer, got {n!r}")
     if n < 6:
         raise TooSmall("no simple 4-regular planar graph has fewer than 6 vertices")
-    return BoundsResult(
-        n=n,
-        lower=(1.0 + math.sqrt(1.0 + 4.0 * n)) / 2.0,
-        upper=2.0 * n / 3.0,
-    )
+    try:
+        lower = (1.0 + math.sqrt(1.0 + 4.0 * n)) / 2.0
+        upper = 2.0 * n / 3.0
+    except OverflowError:  # n beyond the float range
+        lower = upper = math.inf
+    if not (math.isfinite(lower) and math.isfinite(upper)):
+        raise DomainError("n is too large for finite circle-count bounds")
+    return BoundsResult(n=n, lower=lower, upper=upper)
 
 
 # -- pipeline ------------------------------------------------------------------

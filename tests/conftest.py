@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from operator import add, mul, sub, truediv
 
 import pytest
 
@@ -85,6 +86,47 @@ def gauss_seidel_radii(g, atol=1e-14, max_sweeps=10**5):
         if worst < atol:
             return radii[:tri.base_n]
     raise AssertionError(f"oracle sweep above {atol} after {max_sweeps} sweeps")
+
+
+def jacobi_conjugate_gradients(rhs, diag, edges, weight, max_iter, rtol):
+    """Solve L x = rhs by Jacobi-preconditioned conjugate gradients: the
+    oracle for ``packing._conjugate_gradients``, with the same arguments.
+
+    L has diagonal ``diag`` and entry -w at (a, b) and (b, a) for every
+    edge (a, b) with weight w.  Stops once the residual has shrunk by
+    ``rtol``.
+    """
+    x = [0.0] * len(rhs)
+    res = rhs[:]
+    z = list(map(truediv, res, diag))
+    p = z[:]
+    rz = sum(map(mul, res, z))
+    stop = rtol * rtol * sum(map(mul, res, res))
+    for _ in range(max_iter):
+        if sum(map(mul, res, res)) <= stop:
+            break
+        q = list(map(mul, diag, p))
+        for (a, b), w in zip(edges, weight):
+            q[a] -= w * p[b]
+            q[b] -= w * p[a]
+        alpha = rz / sum(map(mul, p, q))
+        x = list(map(add, x, map(mul, itertools.repeat(alpha), p)))
+        res = list(map(sub, res, map(mul, itertools.repeat(alpha), q)))
+        z = list(map(truediv, res, diag))
+        rz_next = sum(map(mul, res, z))
+        beta = rz_next / rz
+        rz = rz_next
+        p = list(map(add, z, map(mul, itertools.repeat(beta), p)))
+    return x
+
+
+def laplacian_product(diag, edges, weight, x):
+    """L x for the L of ``jacobi_conjugate_gradients``."""
+    y = list(map(mul, diag, x))
+    for (a, b), w in zip(edges, weight):
+        y[a] -= w * x[b]
+        y[b] -= w * x[a]
+    return y
 
 
 def scan_hits(circles, x, y, tol):

@@ -54,6 +54,15 @@ def test_bounds_n12():
     assert json.loads(out) == {"lower": 4.0, "upper": 8.0}
 
 
+@pytest.mark.parametrize("n", [str(10**400), "5", "7.5", "nan"])
+def test_bounds_outside_the_domain_exits_2(n):
+    # 10**400 overflows a float; 5 is too small; the others are no int
+    code, out, err = run(["bounds", "--n", n])
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+
+
 def test_verify_failure_exit_code(tmp_path):
     r = realize(octahedron())
     obj = jsonio.realization_to_obj(r)

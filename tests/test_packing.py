@@ -1,6 +1,7 @@
 import math
 import random
 import sys
+from operator import sub
 
 import pytest
 
@@ -13,7 +14,12 @@ from circlesystems.packing import Circle, Packing, pack, packing_residual, trian
 from circlesystems.generators import cube, icosahedron, octahedron, prism, tetrahedron
 from circlesystems.realization import realize, verify_realization
 
-from conftest import gauss_seidel_radii, joined_octahedra
+from conftest import (
+    gauss_seidel_radii,
+    jacobi_conjugate_gradients,
+    joined_octahedra,
+    laplacian_product,
+)
 
 
 def _gray_face_graph(g):
@@ -272,12 +278,12 @@ def _full_edges(system):
     return sorted(edge.items())
 
 
-def _system_at_random_radii(g, seed):
+def _system_at_random_radii(g, seed, spread=1.5):
     tri = triangulate(g)
     boundary = set(tri.boundary_vertices)
     system = packing._newton_system(tri)
     rng = random.Random(seed)
-    radii = [1.0 if v in boundary else math.exp(rng.uniform(-1.5, 1.5))
+    radii = [1.0 if v in boundary else math.exp(rng.uniform(-spread, spread))
              for v in range(tri.graph.n)]
     err, _, diag, weight = packing._linearize(radii, system)
     return tri, system, err, diag, weight
@@ -299,6 +305,83 @@ def test_condensed_direction_matches_full_solve(maker, apexes_kept):
     delta = packing._newton_direction(err, diag, weight, system, 1e-13)
     scale = max(abs(x) for x in full)
     assert max(abs(x - y) for x, y in zip(delta, full)) <= 1e-9 * scale
+
+
+_CG_INPUTS = pytest.mark.parametrize("maker", [
+    lambda: _gray_face_graph(medial(cube())),
+    lambda: prism(8),
+    lambda: _gray_face_graph(_icosahedron_medial(4)),
+], ids=["gray-medial-cube", "prism8", "gray-icosahedron-n240"])
+
+
+def _cg_systems(g, seed, spread=1.5):
+    """The full Newton system of ``g`` and the condensed one that
+    ``_newton_direction`` hands to conjugate gradients, at seeded random
+    log-radii within ``spread`` of 0: (rhs, diag, edges, weight) each."""
+    tri, system, err, diag, weight = _system_at_random_radii(g, seed, spread)
+    ids, edges = zip(*_full_edges(system))
+    full = (err, diag, list(edges), [weight[e] for e in ids])
+    seen = []
+
+    def record(rhs, cdiag, cedges, cweight, max_iter, rtol):
+        seen.append((rhs, cdiag, cedges, cweight))
+        return [0.0] * len(rhs)
+
+    solve = packing._conjugate_gradients
+    packing._conjugate_gradients = record
+    try:
+        packing._newton_direction(err, diag, weight, system, 1e-3)
+    finally:
+        packing._conjugate_gradients = solve
+    return {"full": full, "condensed": seen[0]}
+
+
+@_CG_INPUTS
+@pytest.mark.parametrize("which", ["full", "condensed"])
+def test_conjugate_gradients_match_the_jacobi_oracle(maker, which):
+    rhs, diag, edges, weight = _cg_systems(maker(), 17)[which]
+    cap = 10 * len(rhs)
+    x = packing._conjugate_gradients(rhs, diag, edges, weight, cap, 1e-13)
+    oracle = jacobi_conjugate_gradients(rhs, diag, edges, weight, cap, 1e-13)
+    scale = max(map(abs, oracle))
+    assert max(abs(a - b) for a, b in zip(x, oracle)) <= 1e-9 * scale
+
+
+@_CG_INPUTS
+@pytest.mark.parametrize("which", ["full", "condensed"])
+@pytest.mark.parametrize("rtol", [1e-3, 1e-8])
+def test_conjugate_gradients_stop_on_the_residual_of_l(maker, which, rtol):
+    # the residual of L x = rhs itself, not the preconditioned one: with
+    # radii from e**-3 to e**3, stopping once the preconditioned residual
+    # has shrunk by rtol leaves up to 2 rtol on some of these seeds
+    g = maker()
+    for seed in range(10):
+        rhs, diag, edges, weight = _cg_systems(g, seed, 3.0)[which]
+        x = packing._conjugate_gradients(rhs, diag, edges, weight, len(rhs), rtol)
+        lx = laplacian_product(diag, edges, weight, x)
+        assert math.hypot(*map(sub, rhs, lx)) <= rtol * math.hypot(*rhs)
+
+
+@_CG_INPUTS
+def test_conjugate_gradients_ignore_edge_orientation_and_order(maker):
+    rhs, diag, edges, weight = _cg_systems(maker(), 23)["condensed"]
+    order = list(range(len(edges)))
+    random.Random(29).shuffle(order)
+    flipped = [edges[i][::-1] for i in order]
+    moved = [weight[i] for i in order]
+    for rtol in (1e-3, 1e-8):
+        x = packing._conjugate_gradients(rhs, diag, edges, weight, len(rhs), rtol)
+        y = packing._conjugate_gradients(rhs, diag, flipped, moved, len(rhs), rtol)
+        scale = max(map(abs, x))
+        assert max(abs(a - b) for a, b in zip(x, y)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("rtol", [0.0, 1e-3])
+def test_conjugate_gradients_zero_rhs_is_zero(rtol):
+    _, diag, edges, weight = _cg_systems(prism(8), 31)["condensed"]
+    zero = [0.0] * len(diag)
+    x = packing._conjugate_gradients(zero, diag, edges, weight, len(diag), rtol)
+    assert x == zero
 
 
 @pytest.mark.parametrize("maker", [

@@ -225,6 +225,24 @@ def test_bounds_too_small():
         circle_count_bounds(5)
 
 
+@pytest.mark.parametrize("n", [7.5, math.nan, math.inf, True, False, "7", None])
+def test_bounds_refuse_an_n_that_is_not_an_int(n):
+    with pytest.raises(DomainError):
+        circle_count_bounds(n)
+
+
+@pytest.mark.parametrize("n", [10**400, 2**1024, 10**308])
+def test_bounds_refuse_an_n_without_finite_bounds(n):
+    # 2n/3 or sqrt(4n) is beyond the float range, or n is
+    with pytest.raises(DomainError):
+        circle_count_bounds(n)
+
+
+def test_bounds_near_the_float_range_are_finite():
+    b = circle_count_bounds(10**307)
+    assert math.isfinite(b.lower) and math.isfinite(b.upper)
+
+
 @given(st.integers(min_value=6, max_value=100000))
 def test_bounds_ordering_and_exactness(n):
     b = circle_count_bounds(n)
