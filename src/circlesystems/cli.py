@@ -287,8 +287,15 @@ def _cmd_geom(args):
         if not args.circles:
             raise ValueError("descartes needs --circles")
         raw = _json.loads(args.circles)
-        if len(raw) != 4:
-            raise ValueError("descartes needs exactly four circles")
+        if not (isinstance(raw, list) and len(raw) == 4
+                and all(isinstance(e, list) and len(e) == 3
+                        and all(isinstance(z, (int, float))
+                                and not isinstance(z, bool) for z in e)
+                        for e in raw)):
+            raise ValueError(
+                "descartes needs --circles as a list of four [cx, cy, r] "
+                "triples of numbers"
+            )
         circles = [Circle(*entry) for entry in raw]
         value = geometry.descartes_check(*circles)
         _emit(jsonio.dumps({"residual": value}), args.out)

@@ -23,6 +23,7 @@ from .realization import (
     _arc_partition_faults,
     _check_circle_ids,
     _consecutive_arcs,
+    _extract,
     extract_with_arcs,
     outer_face_of,
 )
@@ -61,17 +62,9 @@ class OrientedDual:
         return counts
 
 
-def smooth_degree_two(r: Realization) -> Realization:
-    """Remove points with exactly two arc ends, merging their arcs.
-
-    Such points sit in the interior of a single circle's boundary; circles
-    are unchanged and surviving points keep their coordinates.  Merged arcs
-    get fresh edge ids.  Raises MalformedRealization when a point or an arc
-    names a missing circle or a point is off a circle it names, and
-    DegenerateArc when the arcs do not partition the circles: an arc
-    dropped, repeated, or not joining consecutive points within
-    extraction's tolerance.
-    """
+def _smooth(r: Realization):
+    """``smooth_degree_two(r)``, its angular order and the (from, to) point
+    ids of its arcs, as smoothing builds them."""
     # the points must lie on their circles and the arcs partition the
     # circles as extraction reads them, since the smoothed arcs are rebuilt
     # from the points alone
@@ -86,26 +79,43 @@ def smooth_degree_two(r: Realization) -> Realization:
         raise DegenerateArc(faults[0])
 
     # so a point has two arc ends exactly when it names one circle twice
-    smoothed = [p.on[0] == p.on[1] for p in r.points]
+    renumber = [None] * len(r.points)
+    points = []
+    for pid, p in enumerate(r.points):
+        if p.on[0] != p.on[1]:
+            renumber[pid] = len(points)
+            points.append(p)
+    # renumbering keeps the point order, so this is the smoothed system's
+    # own angular order
     kept_order = []
     for ci, pairs in enumerate(order):
-        kept_here = [(a, pid) for (a, pid) in pairs if not smoothed[pid]]
+        kept_here = [(a, renumber[pid]) for (a, pid) in pairs
+                     if renumber[pid] is not None]
         if not kept_here:
             raise ValueError(f"circle {ci} would lose all its points")
         kept_order.append(kept_here)
-    points = [p for p, gone in zip(r.points, smoothed) if not gone]
-    return Realization(list(r.circles), points, _consecutive_arcs(kept_order))
+    arcs, ends = _consecutive_arcs(kept_order)
+    return Realization(list(r.circles), points, arcs), kept_order, ends
 
 
-def oriented_dual(r: Realization) -> OrientedDual:
-    """Faces of the arrangement with one directed edge per arc.
+def smooth_degree_two(r: Realization) -> Realization:
+    """Remove points with exactly two arc ends, merging their arcs.
 
-    A counterclockwise traversal of an arc keeps its circle's interior on
-    the left, so the face on that dart's side is the exterior side: the
-    edge runs from the face of the clockwise dart to the face of the
-    counterclockwise dart.
+    Such points sit in the interior of a single circle's boundary; circles
+    are unchanged and surviving points keep their coordinates.  Merged arcs
+    get fresh edge ids.  Raises MalformedRealization when a point or an arc
+    names a missing circle or a point is off a circle it names, and
+    DegenerateArc when the arcs do not partition the circles: an arc
+    dropped, repeated, or not joining consecutive points within
+    extraction's tolerance.  ``equivalent`` and ``classify_octahedron``
+    smooth through the same code but keep the arc ends it builds for the
+    dual (``_smoothed_dual``).
     """
-    ext = extract_with_arcs(r)
+    return _smooth(r)[0]
+
+
+def _dual(r: Realization, ext) -> OrientedDual:
+    """The oriented dual of ``r``, given its extracted graph ``ext``."""
     g = ext.graph
     outer = outer_face_of(r, ext)
     edges = []
@@ -115,6 +125,26 @@ def oriented_dual(r: Realization) -> OrientedDual:
         edges.append((tail, head, arc_idx))
     nodes = tuple(f for f in range(g.face_count) if f != outer)
     return OrientedDual(nodes=nodes, edges=tuple(edges), outer=outer)
+
+
+def oriented_dual(r: Realization) -> OrientedDual:
+    """Faces of the arrangement with one directed edge per arc.
+
+    A counterclockwise traversal of an arc keeps its circle's interior on
+    the left, so the face on that dart's side is the exterior side: the
+    edge runs from the face of the clockwise dart to the face of the
+    counterclockwise dart.  ``oriented_dual(smooth_degree_two(r))`` is
+    the dual ``equivalent`` compares, built there without matching the
+    smoothed arcs' ends again.
+    """
+    return _dual(r, extract_with_arcs(r))
+
+
+def _smoothed_dual(r: Realization) -> OrientedDual:
+    """``oriented_dual(smooth_degree_two(r))``, extracted from the order
+    and the arc ends that smoothing builds instead of matching them anew."""
+    s, order, ends = _smooth(r)
+    return _dual(s, _extract(s, order, ends, 1e-8))
 
 
 def digraph_isomorphic(d1: OrientedDual, d2: OrientedDual) -> bool:
@@ -130,8 +160,8 @@ def digraph_isomorphic(d1: OrientedDual, d2: OrientedDual) -> bool:
 
 def equivalent(r1: Realization, r2: Realization) -> bool:
     """Smooth both realizations, build oriented duals, test isomorphism."""
-    d1 = oriented_dual(smooth_degree_two(r1))
-    d2 = oriented_dual(smooth_degree_two(r2))
+    d1 = _smoothed_dual(r1)
+    d2 = _smoothed_dual(r2)
     return digraph_isomorphic(d1, d2)
 
 
@@ -139,7 +169,7 @@ def classify_octahedron(r: Realization) -> RealizationClass:
     """Match an octahedron realization against the three known classes."""
     from . import generators
 
-    d = oriented_dual(smooth_degree_two(r))
+    d = _smoothed_dual(r)
     for kind in RealizationClass:
         canon = generators.canonical_octahedron_realization(kind)
         if digraph_isomorphic(d, oriented_dual(canon)):

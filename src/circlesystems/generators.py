@@ -91,11 +91,21 @@ def _assemble_by_angles(circles, point_data):
     """Build a realization whose arcs join angularly consecutive points.
 
     ``point_data`` holds (x, y, (ca, cb), kind) tuples; every arc gets a
-    fresh edge id.
+    fresh edge id.  Returns the realization, its angular order and the
+    (from, to) point ids of its arcs.
     """
     points = [rz.RealPoint(x, y, pair, kind) for (x, y, pair, kind) in point_data]
-    arcs = rz._consecutive_arcs(rz._angular_order(circles, points))
-    return rz.Realization(list(circles), points, arcs)
+    order = rz._angular_order(circles, points)
+    arcs, ends = rz._consecutive_arcs(order)
+    return rz.Realization(list(circles), points, arcs), order, ends
+
+
+def _assembled_graph(circles, point_data):
+    """(graph, realization) of ``_assemble_by_angles``; the graph is
+    ``extract_abstract_graph`` of the realization, read off the arc ends
+    the assembly built instead of matching them anew."""
+    real, order, ends = _assemble_by_angles(circles, point_data)
+    return rz._extract(real, order, ends, 1e-8).graph, real
 
 
 def _crossing_data(circles):
@@ -117,7 +127,7 @@ def canonical_octahedron_realization(kind: RealizationClass) -> rz.Realization:
             Circle(1.0, 0.0, 1.0),
             Circle(0.5, s3 / 2.0, 1.0),
         ]
-        return _assemble_by_angles(circles, _crossing_data(circles))
+        return _assemble_by_angles(circles, _crossing_data(circles))[0]
 
     units = [Circle(0.0, 0.0, 1.0), Circle(2.0, 0.0, 1.0), Circle(1.0, s3, 1.0)]
     center = (1.0, s3 / 3.0)
@@ -136,7 +146,7 @@ def canonical_octahedron_realization(kind: RealizationClass) -> rz.Realization:
     for i in range(3):
         x, y = _tangency_point(circles[i], fourth)
         data.append((x, y, (i, 3), rz.KIND_TOUCH))
-    return _assemble_by_angles(circles, data)
+    return _assemble_by_angles(circles, data)[0]
 
 
 # -- extremal families ---------------------------------------------------------
@@ -161,9 +171,7 @@ def flower(c: int, radius: float = 1.3):
         if _has_near_coincidence(data):
             r += 1e-3
             continue
-        real = _assemble_by_angles(circles, data)
-        graph = rz.extract_abstract_graph(real)
-        return graph, real
+        return _assembled_graph(circles, data)
     raise DegenerateRadius("could not avoid triple concurrences")
 
 
@@ -204,9 +212,7 @@ def upper_bound_family(c: int):
     for u, v in base.edges():
         x, y = _tangency_point(circles[u], circles[v])
         data.append((x, y, (u, v), rz.KIND_TOUCH))
-    real = _assemble_by_angles(circles, data)
-    graph = rz.extract_abstract_graph(real)
-    return graph, real
+    return _assembled_graph(circles, data)
 
 
 # -- gadget fragments ----------------------------------------------------------

@@ -309,10 +309,15 @@ def descartes_check(c1: Circle, c2: Circle, c3: Circle, c4: Circle,
     """Relative residual of the four-tangent-circles curvature identity.
 
     A circle that encloses the others through internal tangencies gets a
-    negative curvature.  Raises NotTangent when some pair is neither
-    externally nor internally tangent within ``tol``.
+    negative curvature.  Raises DomainError when a radius is not a positive
+    finite number, and NotTangent when some pair is neither externally nor
+    internally tangent within ``tol``.
     """
     circles = (c1, c2, c3, c4)
+    for i, c in enumerate(circles):
+        if not (isinstance(c.r, (int, float)) and 0.0 < c.r < math.inf):
+            raise DomainError(f"circle {i} has radius {c.r!r}; need a "
+                              "positive finite number")
     enclosing = set()
     for i in range(4):
         for j in range(i + 1, 4):

@@ -41,12 +41,17 @@ from operator import add, itemgetter, mul, sub
 from .embedding import EmbeddedGraph
 from .errors import Disconnected, DomainError, NoConvergence, TooSmall
 
-# Newton directions (the corpus needs 7 to 10 to reach the rounding floor)
-# and the largest change of one log-radius in one step; together they keep
-# every radius within e**200 of 1, far from overflow and underflow
-MAX_STEPS = 100
-MAX_LOG_STEP = 2.0
-CG_RTOL = 1e-3  # cap of the forcing term: the loosest relative CG residual
+# Newton directions (the corpus needs 6 to 8 to reach the rounding floor)
+# and the largest change of one log-radius in one step; their product, 200,
+# keeps every radius within e**200 of 1 and a product of three radii finite.
+# The cap is loose enough that the line search, not the cap, sizes the
+# early steps.
+MAX_STEPS = 40
+MAX_LOG_STEP = 5.0
+# eta_max of the forcing term (Dembo, Eisenstat and Steihaug, SIAM J. Numer.
+# Anal. 19, 1982): the loosest relative CG residual, asked of the early
+# directions, where solving further buys no better step
+CG_RTOL = 0.1
 
 
 @dataclass(frozen=True)

@@ -154,13 +154,17 @@ def _arc_ends(order, arc, tol):
 
 def _consecutive_arcs(order):
     """Arcs joining angularly consecutive points of every circle, with
-    fresh edge ids in circle order."""
+    fresh edge ids in circle order, and the (from, to) point ids of each,
+    known by construction."""
     arcs = []
+    ends = []
     for ci, pairs in enumerate(order):
         k = len(pairs)
         for j in range(k):
-            arcs.append(Arc(ci, pairs[j][0], pairs[(j + 1) % k][0], len(arcs)))
-    return arcs
+            (a, p), (b, q) = pairs[j], pairs[(j + 1) % k]
+            arcs.append(Arc(ci, a, b, len(arcs)))
+            ends.append((p, q))
+    return arcs, ends
 
 
 def _arc_end_slack(tol):
@@ -350,11 +354,9 @@ def extract_with_arcs(r: Realization, tol: float = 1e-8) -> ExtractedGraph:
     return _extract(r, order, (_arc_ends(order, a, slack) for a in r.arcs), tol)
 
 
-def _extract(r: Realization, order, ends, tol) -> ExtractedGraph:
-    """``extract_with_arcs`` of ``r`` from its angular order and ``ends``,
-    the (from, to) point ids of every arc in arc order (None for an arc
-    that matches no point); ``ends`` is read after the check that no two
-    points of a circle lie within ``tol`` of each other."""
+def _check_apart(order, tol):
+    """Raise DegenerateArc when two points of a circle lie within ``tol``
+    of each other in angle."""
     for ci, pairs in enumerate(order):
         if len(pairs) > 1:
             for (a1, p1), (a2, p2) in zip(pairs, pairs[1:] + pairs[:1]):
@@ -362,6 +364,14 @@ def _extract(r: Realization, order, ends, tol) -> ExtractedGraph:
                     raise DegenerateArc(
                         f"points {p1} and {p2} nearly coincide on circle {ci}"
                     )
+
+
+def _extract(r: Realization, order, ends, tol) -> ExtractedGraph:
+    """``extract_with_arcs`` of ``r`` from its angular order and ``ends``,
+    the (from, to) point ids of every arc in arc order (None for an arc
+    that matches no point); ``ends`` is read after the check that no two
+    points of a circle lie within ``tol`` of each other."""
+    _check_apart(order, tol)
 
     # one dart per arc end; 2k and 2k+1 are the ccw and cw traversals
     germs = [[] for _ in r.points]
@@ -485,9 +495,12 @@ def verify_realization(r: Realization, g: EmbeddedGraph | None = None,
 
     Each rule takes near-linear time.  A point is tested only against the
     circles that a radius-class grid (``packing._circles_near``) puts near
-    it, arc ends are matched by bisection on each circle's angular order,
-    and the graph match extracts the graph from the order and the arc ends
-    that the partition rule already matched.
+    it, and arc ends are matched by bisection on each circle's angular
+    order.  The graph match reads the abstract graph straight off the arc
+    ends that the partition rule already matched: arc k joins its (from,
+    to) points, which is edge k of ``extract_abstract_graph(r)``, so no
+    embedding is built.  Like extraction, the match raises DegenerateArc
+    when two points of a circle lie within ``tol`` of each other.
     """
     _check_tol(tol)
     report = VerifyReport(
@@ -553,10 +566,8 @@ def verify_realization(r: Realization, g: EmbeddedGraph | None = None,
         report.add("circle-count-bounds", f"only {n} points; need at least 6")
 
     if g is not None and not report.violations:
-        extracted = _extract(r, order, ends, tol).graph
-        if find_isomorphism(
-            extracted.n, extracted.edges(), g.n, g.edges()
-        ) is None:
+        _check_apart(order, tol)
+        if find_isomorphism(len(r.points), ends, g.n, g.edges()) is None:
             report.add("graph-match", "abstract graph differs from the input graph")
     return report
 

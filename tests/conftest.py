@@ -6,11 +6,20 @@ from operator import add, mul, sub, truediv
 
 import pytest
 
-from circlesystems.embedding import build_embedding
-from circlesystems.generators import octahedron
+from circlesystems.embedding import build_embedding, medial
+from circlesystems.equivalence import RealizationClass
+from circlesystems.generators import (
+    canonical_octahedron_realization,
+    flower,
+    icosahedron,
+    octahedron,
+    upper_bound_family,
+)
 from circlesystems.packing import triangulate
 from circlesystems import realization
-from circlesystems.realization import Arc, RealPoint, Realization, _angle_gap
+from circlesystems.realization import (
+    Arc, RealPoint, Realization, _angle_gap, extract_abstract_graph, realize,
+)
 
 
 def brute_force_connectivity(g, cap=3):
@@ -251,3 +260,27 @@ def relabel_realization(r, rng):
 @pytest.fixture
 def octa():
     return octahedron()
+
+
+def _realized_icosahedron_medial(depth):
+    g = icosahedron()
+    for _ in range(depth):
+        g = medial(g)
+    return g, realize(g)
+
+
+def _canonical_octahedron(kind):
+    r = canonical_octahedron_realization(kind)
+    return extract_abstract_graph(r), r
+
+
+# (name, maker of (graph, realization)): the systems on which the verdicts
+# read graphs and duals off arc ends known by construction or matched once
+VERDICT_SYSTEMS = (
+    [(f"realize-icosahedron-medial-n{30 * 2 ** (d - 1)}",
+      lambda d=d: _realized_icosahedron_medial(d)) for d in range(1, 5)]
+    + [(f"flower{c}", lambda c=c: flower(c)) for c in range(3, 9)]
+    + [(f"upper-bound-family{c}", lambda c=c: upper_bound_family(c))
+       for c in (4, 8, 16, 32, 80)]
+    + [(k.value, lambda k=k: _canonical_octahedron(k)) for k in RealizationClass]
+)

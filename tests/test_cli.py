@@ -151,6 +151,35 @@ def test_geom_oracles():
     assert json.loads(out) == {"samples": 50, "holds": 50}
 
 
+@pytest.mark.parametrize("circles", [
+    "[[0,0,1],[1,0],[2,0,1],[3,0,1]]",
+    "5",
+    "[1,2,3,4]",
+    "[[0,0,1],[2,0,1],[1,1.7]]",
+    '[[0,0,1],[2,0,1],[1,1.7,1],[1,0.6,"0.15"]]',
+    "[[0,0,1],[2,0,1],[1,1.7,1],[1,0.6,true]]",
+    "[[0,0,0],[2,0,0],[1,1,0],[1,0.5,0]]",
+    "[[0,0,1],[2,0,1],[1,1.7320508075688772,1],[1,0.5773502691896258,-1]]",
+    "[[0,0,1],[2,0,1],[1,1.7320508075688772,1],[1,0.5773502691896258,NaN]]",
+    "{",
+])
+def test_malformed_descartes_circles_exit_2(circles):
+    code, out, err = run(["geom", "descartes", "--circles", circles])
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ")
+
+
+def test_descartes_cli_accepts_four_triples_of_numbers():
+    s3 = 3.0 ** 0.5
+    circles = json.dumps([[0, 0, 1], [2, 0, 1], [1, s3, 1],
+                          [1, s3 / 3, (2 * s3 - 3) / 3]])
+    code, out, _ = run(["geom", "descartes", "--circles", circles])
+    assert code == 0
+    assert json.loads(out)["residual"] <= 1e-12
+
+
 def test_cli_determinism():
     for argv in (
         ["generate", "octahedron"],

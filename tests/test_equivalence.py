@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from circlesystems import equivalence
 from circlesystems.equivalence import (
     OrientedDual,
     RealizationClass,
@@ -26,6 +27,8 @@ from circlesystems.realization import (
     extract_with_arcs,
     realize,
 )
+
+from conftest import VERDICT_SYSTEMS
 
 EXPECTED_OUT3 = {
     RealizationClass.THREE_CROSSING: 1,
@@ -290,3 +293,15 @@ def test_missing_circle_is_a_package_error(name, make):
                             list(r.arcs))
     with pytest.raises(MalformedRealization):
         equivalent(arcs_only, r)
+
+
+@pytest.mark.parametrize("name, make", VERDICT_SYSTEMS,
+                         ids=[name for name, _ in VERDICT_SYSTEMS])
+def test_smoothed_dual_is_the_dual_of_the_smoothing(name, make):
+    # equivalent and classify_octahedron extract the smoothed system from
+    # the order and the arc ends smoothing builds; the public pair matches
+    # every end again and must give the same dual
+    _, r = make()
+    for system in (r, _with_split_arc(r)):
+        assert (equivalence._smoothed_dual(system)
+                == oriented_dual(smooth_degree_two(system)))

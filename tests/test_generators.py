@@ -19,10 +19,12 @@ from circlesystems.generators import (
     upper_bound_family,
 )
 from circlesystems.isomorphism import graphs_isomorphic
+from circlesystems.jsonio import serialize_graph
 from circlesystems.realization import (
     KIND_CROSS,
     KIND_TOUCH,
     circle_count_bounds,
+    extract_abstract_graph,
     verify_realization,
 )
 
@@ -260,3 +262,15 @@ def test_augmented_il_simplicity_consistent(kind):
     assert il.graph.edge_count == g.n
     if not il_simplicity(il).simple:
         assert connectivity_level(g) <= 2
+
+
+@pytest.mark.parametrize("make", [lambda c=c: flower(c) for c in range(3, 9)]
+                         + [lambda c=c: upper_bound_family(c)
+                            for c in (4, 6, 8, 16, 32, 64, 80)])
+def test_generator_graph_is_the_extracted_graph(make):
+    # the generators read their graph off the arc ends the assembly builds;
+    # matching every end again must give the same embedding, dart for dart
+    g, r = make()
+    e = extract_abstract_graph(r)
+    assert (g.rotation, g.dart_tail, g.dart_rev) == (e.rotation, e.dart_tail, e.dart_rev)
+    assert serialize_graph(g) == serialize_graph(e)

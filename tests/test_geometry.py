@@ -236,6 +236,16 @@ def test_descartes_detects_perturbation():
                         Circle(inner.cx, inner.cy, inner.r * 1.01))
 
 
+@pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
+def test_descartes_refuses_a_radius_that_is_not_positive_and_finite(r):
+    s3 = math.sqrt(3.0)
+    units = [Circle(0, 0, 1.0), Circle(2, 0, 1.0), Circle(1, s3, 1.0)]
+    with pytest.raises(DomainError):
+        descartes_check(*units, Circle(1.0, s3 / 3.0, r))
+    with pytest.raises(DomainError):
+        descartes_check(Circle(0, 0, r), *units[1:], units[0])
+
+
 def test_descartes_tolerates_small_error():
     s3 = math.sqrt(3.0)
     units = [Circle(0, 0, 1.0), Circle(2, 0, 1.0), Circle(1, s3, 1.0)]

@@ -463,3 +463,23 @@ def test_weight_ids_follow_the_condensed_layout(maker):
     assert apex_ids == [edge_id[frozenset((a, kept[c]))]
                         for a, corners, _, _ in apexes for c in corners]
     assert sorted(edge_id.values()) == list(range(len(first))) + apex_ids
+
+
+def test_newton_caps_keep_products_of_three_radii_finite():
+    # no log-radius leaves [-MAX_STEPS * MAX_LOG_STEP, MAX_STEPS * MAX_LOG_STEP]
+    assert packing.MAX_STEPS * packing.MAX_LOG_STEP <= 200
+    assert math.isfinite(math.exp(3 * 200)) and math.exp(-3 * 200) > 0.0
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_newton_directions_on_the_medial_ladder(depth):
+    # 6 or 7 here; the early directions are sized by the line search and
+    # solved loosely, and 8 or more means one of the two has regressed
+    g = _gray_face_graph(_icosahedron_medial(depth))
+    assert pack(g, 1e-9).iterations <= 7
+
+
+def test_newton_directions_on_prisms():
+    # 6 to 8 for prism(3) to prism(40)
+    for k in range(3, 41):
+        assert pack(prism(k), 1e-9).iterations <= 8, k

@@ -3,9 +3,11 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from circlesystems import realization
 from circlesystems.embedding import medial
 from circlesystems.equivalence import RealizationClass, equivalent, smooth_degree_two
 from circlesystems.errors import (
+    DegenerateArc,
     DomainError,
     MalformedRealization,
     NotThreeConnected,
@@ -38,7 +40,7 @@ from circlesystems.realization import (
     verify_realization,
 )
 
-from conftest import joined_octahedra
+from conftest import VERDICT_SYSTEMS, joined_octahedra
 
 CORPUS = [
     ("octahedron", octahedron),
@@ -259,7 +261,6 @@ def test_innermost_face_arc(kind):
 
 
 def test_extract_rejects_coincident_points(octa):
-    from circlesystems.errors import DegenerateArc
     from circlesystems.realization import RealPoint
 
     r = realize(octa)
@@ -306,3 +307,54 @@ def test_arc_on_a_missing_circle_is_a_partition_fault(octa, circle):
         smooth_degree_two(bad)
     with pytest.raises(MalformedRealization):
         equivalent(bad, r)
+
+
+@pytest.mark.parametrize("name, make", VERDICT_SYSTEMS,
+                         ids=[name for name, _ in VERDICT_SYSTEMS])
+def test_verify_matches_the_extracted_edge_list(monkeypatch, name, make):
+    # verify hands the isomorphism search the arc ends its partition rule
+    # matched; arc k is darts 2k and 2k + 1 of the extracted graph, so the
+    # edge lists agree arc for arc and so do the search and its mapping
+    g, r = make()
+    seen = []
+    search = realization.find_isomorphism
+
+    def recording(n1, edges1, n2, edges2):
+        seen.append((n1, list(edges1)))
+        return search(n1, edges1, n2, edges2)
+
+    monkeypatch.setattr(realization, "find_isomorphism", recording)
+    assert verify_realization(r, g).passed
+    extracted = extract_abstract_graph(r)
+    assert seen == [(extracted.n, extracted.edges())]
+
+
+def _soddy_overlapped_by(eps):
+    """The touching-disjoint octahedron system with the inner circle grown
+    by ``eps`` relative: it crosses each unit circle at two points a few
+    1e-7 rad apart, all declared touching."""
+    from circlesystems.generators import _SODDY_INNER, _assemble_by_angles
+    from circlesystems.packing import _circle_intersections, _tangency_point
+
+    s3 = math.sqrt(3.0)
+    units = [Circle(0.0, 0.0, 1.0), Circle(2.0, 0.0, 1.0), Circle(1.0, s3, 1.0)]
+    inner = Circle(1.0, s3 / 3.0, _SODDY_INNER * (1.0 + eps))
+    data = [(*_tangency_point(units[i], units[j]), (i, j), KIND_TOUCH)
+            for i, j in ((0, 1), (0, 2), (1, 2))]
+    data += [(x, y, (i, 3), KIND_TOUCH) for i in range(3)
+             for x, y in _circle_intersections(units[i], inner)]
+    return _assemble_by_angles(units + [inner], data)[0]
+
+
+def test_verify_graph_match_refuses_nearly_coincident_points(octa):
+    # at tol 1e-6 the two crossings of a pair of circles are one touching
+    # point twice over: every rule passes, but reading a graph off the arcs
+    # raises, as extraction does
+    r = _soddy_overlapped_by(1e-13)
+    assert verify_realization(r, None, 1e-6).passed
+    with pytest.raises(DegenerateArc, match="nearly coincide"):
+        verify_realization(r, octa, 1e-6)
+    with pytest.raises(DegenerateArc, match="nearly coincide"):
+        extract_abstract_graph(r, 1e-6)
+    assert verify_realization(r, octa, 1e-8).violations == [
+        ("graph-match", "abstract graph differs from the input graph")]
