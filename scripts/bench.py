@@ -6,11 +6,14 @@ Usage: python scripts/bench.py --label NAME [--max-n 3840] [--repeats 3]
 
 The ladder is the iterated medials of the icosahedron, n=60 up to
 ``--max-n`` (at most 3840), each realized by `realize`; the prisms with 40,
-70 and 80 sides, packed by `pack`; and `flower(3..8)` and
-`upper_bound_family(4..80)`, generated with their realizations.  Per input
-it records the median seconds over ``--repeats`` runs of `realize` (or of
-`pack`, or of the generator), of `verify_realization(r, g)` and of
-`equivalent(r, r)`, the Newton directions `pack` solved, and the status:
+70 and 80 sides, packed by `pack`; `flower(3..8)` and
+`upper_bound_family(4..80)`, generated with their realizations; and the
+geometry oracles: `gadget_arc_infeasibility(phi, 100)` for phi 0.5, 1.5
+and 2.5, and 2000 seeded `sample_arc_pair_config` + `nested_arc_inequality`
+draws per side.  Per input it records the median seconds over
+``--repeats`` runs of `realize` (or of `pack`, the generator or the
+oracle), of `verify_realization(r, g)` and of `equivalent(r, r)`, the
+Newton directions `pack` solved, and the status:
 "ok", "verify failed", "not equivalent to itself", or the class of the
 exception that stopped the input.  A column that does not apply to an
 input, or that an exception left unmeasured, is null.
@@ -25,6 +28,7 @@ import argparse
 import json
 import pathlib
 import platform
+import random
 import re
 import statistics
 import sys
@@ -43,6 +47,13 @@ from circlesystems.generators import (
     prism,
     tetrahedron,
     upper_bound_family,
+)
+from circlesystems.geometry import (
+    EXTERIOR,
+    INTERIOR,
+    gadget_arc_infeasibility,
+    nested_arc_inequality,
+    sample_arc_pair_config,
 )
 from circlesystems.packing import pack
 from circlesystems.realization import realize, verify_realization
@@ -96,6 +107,14 @@ def _row(make, packed, repeats, verdicts=True):
     return row
 
 
+def _arc_draws(side, count=2000):
+    """``count`` seeded arc-pair samples on ``side``, each passed to
+    `nested_arc_inequality`."""
+    rng = random.Random(2024)
+    for _ in range(count):
+        nested_arc_inequality(sample_arc_pair_config(rng, side))
+
+
 def _ladder(max_n):
     """(name, graph) of the icosahedron medials n=60..min(max_n, 3840)."""
     g = medial(icosahedron())
@@ -122,6 +141,16 @@ def collect(max_n, repeats):
         base = tetrahedron() if c == 4 else prism(c // 2)
         name = f"upper-bound-family{c}"
         rows[name] = _row(lambda c=c: upper_bound_family(c), base, repeats)
+        print(name, rows[name], flush=True)
+    for phi in (0.5, 1.5, 2.5):
+        name = f"gadget-phi{phi}"
+        rows[name] = _row(lambda phi=phi: gadget_arc_infeasibility(phi, 100),
+                          None, repeats, verdicts=False)
+        print(name, rows[name], flush=True)
+    for side in (INTERIOR, EXTERIOR):
+        name = f"arc-samples-{side.lower()}"
+        rows[name] = _row(lambda side=side: _arc_draws(side), None, repeats,
+                          verdicts=False)
         print(name, rows[name], flush=True)
     return rows
 

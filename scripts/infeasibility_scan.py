@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
-"""Scan the gadget attachment search over a range of arc angles.
+"""Scan the gadget attachment report over a range of arc angles.
 
-Every row should report feasible=False: no placement of the eight
-attachment points satisfies the arc inequalities the nested tangent pairs
-impose, at any arc angle below pi.
+Every row reports feasible=False: no placement of the eight attachment
+points satisfies the arc inequalities the nested tangent pairs impose, at
+any arc angle below pi, because two of them and the point order contradict
+each other.  ``tested`` is the number of partial placements the
+branch-and-bound enumerates; it depends on the grid alone, not on the
+angle, and follows from a closed-form cut.
 
 Usage: python scripts/infeasibility_scan.py [--grid 60] [--steps 12]
 """

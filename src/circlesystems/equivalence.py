@@ -12,6 +12,7 @@ isomorphism maps outer to outer.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 from .errors import DegenerateArc, NoClassMatch
@@ -165,13 +166,21 @@ def equivalent(r1: Realization, r2: Realization) -> bool:
     return digraph_isomorphic(d1, d2)
 
 
-def classify_octahedron(r: Realization) -> RealizationClass:
-    """Match an octahedron realization against the three known classes."""
+@functools.cache
+def _canonical_duals() -> tuple:
+    """(kind, oriented dual) of each canonical octahedron class, built once."""
     from . import generators
 
+    return tuple(
+        (kind, oriented_dual(generators.canonical_octahedron_realization(kind)))
+        for kind in RealizationClass
+    )
+
+
+def classify_octahedron(r: Realization) -> RealizationClass:
+    """Match an octahedron realization against the three known classes."""
     d = _smoothed_dual(r)
-    for kind in RealizationClass:
-        canon = generators.canonical_octahedron_realization(kind)
-        if digraph_isomorphic(d, oriented_dual(canon)):
+    for kind, canon in _canonical_duals():
+        if digraph_isomorphic(d, canon):
             return kind
     raise NoClassMatch("realization matches none of the octahedron classes")

@@ -4,8 +4,9 @@ Covers the mate-radius formulas for a circle tangent to a base circle and
 to a second circle already tangent to the base (interior and exterior
 variants), the exterior angle bound where the mate degenerates to a line,
 the strict arc inequality for nested non-crossing tangent pairs, the
-grid-search infeasibility report for the gadget attachment pattern, and a
-Descartes-identity residual used as an independent packing check.
+infeasibility report for the gadget attachment pattern (its search count
+follows from a closed-form cut), and a Descartes-identity residual used as
+an independent packing check.
 """
 
 from __future__ import annotations
@@ -159,9 +160,18 @@ def nested_arc_inequality(cfg: ArcPairConfig) -> bool:
     return inner < cfg.alpha_p - cfg.alpha and inner < cfg.beta - cfg.beta_p
 
 
+def _check_side(side: str) -> None:
+    if side not in (INTERIOR, EXTERIOR):
+        raise DomainError(f"side must be {INTERIOR} or {EXTERIOR}, got {side!r}")
+
+
 def symmetric_pair_radius(span: float, side: str) -> float:
     """Radius of the equal-size tangent pair touching the base circle at two
-    points ``span`` apart (the smallest the larger pair member can be)."""
+    points ``span`` apart (the smallest the larger pair member can be);
+    ``span`` must lie in (0, pi)."""
+    if not (0.0 < span < math.pi):
+        raise DomainError(f"span must lie strictly between 0 and pi, got {span!r}")
+    _check_side(side)
     if side == EXTERIOR:
         c = math.cos(span)
         return ((1.0 - c) + math.sqrt(2.0 * (1.0 - c))) / (1.0 + c)
@@ -182,8 +192,10 @@ def sample_arc_pair_config(rng: random.Random, side: str,
     The inner pair's touch points must sit strictly between the outer
     pair's, so the inner span is drawn below the flanking gaps; both pair
     radii start from the symmetric-pair size with a log-uniform jitter, and
-    crossing candidates are rejected.
+    crossing candidates are rejected.  An unknown ``side`` raises
+    DomainError.
     """
+    _check_side(side)
     mate = inner_mate_radius if side == INTERIOR else outer_mate_radius
     for _ in range(max_tries):
         span = rng.uniform(0.5, math.pi - 0.05)
@@ -240,62 +252,40 @@ class InfeasibilityReport:
 
 
 def gadget_arc_infeasibility(phi: float, grid: int) -> InfeasibilityReport:
-    """Exhaustive search for an eight-point attachment placement on an arc.
+    """Show that no eight-point attachment placement fits on an arc.
 
-    Places ordered grid angles z1 < ... < z8 within an arc of angle ``phi``
-    and applies the strict arc inequalities the nested tangent pairs force
-    on the pairing (z1,z6), (z2,z5), (z3,z8), (z4,z7).  The search is a
-    complete branch-and-bound: subtrees are cut only when an interval bound
-    proves no completion can satisfy the constraints.  ``tested`` counts the
-    partial placements enumerated.
+    Grid angles z1 < ... < z8 within an arc of angle ``phi`` would have to
+    meet the strict arc inequalities the nested tangent pairs force on the
+    pairing (z1,z6), (z2,z5), (z3,z8), (z4,z7).  By (b) z6-z5 > z5-z2,
+    (c) z7-z4 < z4-z3 and z6 < z7, with z2 < z3 < z4 < z5:
+    z6 < z7 < 2*z4 - z3 <= 2*z5 - z2 - 3 < z6, so none exists.  ``tested``
+    counts the partial placements that the branch-and-bound enumerates.
+    ``grid`` must be an int (not a bool) of at least 8.
     """
     if not (0.0 < phi < math.pi):
         raise DomainError("phi must lie strictly between 0 and pi")
+    if not isinstance(grid, int) or isinstance(grid, bool):
+        raise DomainError(f"grid must be an integer, got {grid!r}")
     if grid < 8:
         raise DomainError("grid must allow at least 8 distinct angles")
 
     G = grid
     tested = 0
-    witness = None
     # all constraints scale with phi/grid, so pure index arithmetic is exact:
     #   (a) z5-z2 < z2-z1   (b) z6-z5 > z5-z2
     #   (c) z7-z4 < z4-z3   (d) z8-z7 > z7-z4
     for z1 in range(0, G - 6):
         for z2 in range(z1 + 1, G - 5):
-            d1 = z2 - z1
-            z5_hi = min(z2 + d1 - 1, G - 3)
+            z5_hi = min(2 * z2 - z1 - 1, G - 3)  # most z5 that (a) allows
             for z5 in range(z2 + 3, z5_hi + 1):
                 tested += 1
-                d2 = z5 - z2
-                z6_lo = z5 + d2 + 1
+                z6_lo = 2 * z5 - z2 + 1  # least z6 that (b) allows
                 if z6_lo > G - 2:
                     continue
-                # the largest reachable 2*z4 - z3 given z2 < z3 < z4 < z5
-                z7_cap = 2 * (z5 - 1) - (z2 + 1)
-                for z6 in range(z6_lo, G - 1):
-                    tested += 1
-                    if z6 + 1 >= z7_cap:
-                        continue  # no z7 can satisfy (c) for any z3, z4
-                    for z3 in range(z2 + 1, z5 - 1):
-                        for z4 in range(z3 + 1, z5):
-                            tested += 1
-                            cap = 2 * z4 - z3
-                            for z7 in range(z6 + 1, min(cap, G)):
-                                tested += 1
-                                z8_lo = 2 * z7 - z4 + 1
-                                for z8 in range(max(z8_lo, z7 + 1), G + 1):
-                                    tested += 1
-                                    witness = (z1, z2, z3, z4, z5, z6, z7, z8)
-                                    scale = phi / G
-                                    return InfeasibilityReport(
-                                        feasible_found=True,
-                                        tested=tested,
-                                        phi=phi,
-                                        grid=grid,
-                                        witness=tuple(
-                                            z * scale for z in witness
-                                        ),
-                                    )
+                # each z6 in [z6_lo, G - 2] is enumerated and cut at once:
+                # (c) and z2 < z3 < z4 < z5 give z7 < 2*z4 - z3
+                # <= 2*(z5 - 1) - (z2 + 1) = z6_lo - 4, yet z7 > z6 >= z6_lo
+                tested += G - 1 - z6_lo
     return InfeasibilityReport(
         feasible_found=False, tested=tested, phi=phi, grid=grid, witness=None
     )

@@ -138,6 +138,45 @@ def laplacian_product(diag, edges, weight, x):
     return y
 
 
+def gadget_search(phi, grid):
+    """(feasible_found, tested, witness) of the branch-and-bound over
+    z1 < ... < z8 that ``geometry.gadget_arc_infeasibility`` counts in
+    closed form: the oracle for that function, with the full loop nest
+    under z6 that its cut ``z6 + 1 >= z7_cap`` never enters."""
+    G = grid
+    tested = 0
+    for z1 in range(0, G - 6):
+        for z2 in range(z1 + 1, G - 5):
+            d1 = z2 - z1
+            z5_hi = min(z2 + d1 - 1, G - 3)
+            for z5 in range(z2 + 3, z5_hi + 1):
+                tested += 1
+                d2 = z5 - z2
+                z6_lo = z5 + d2 + 1
+                if z6_lo > G - 2:
+                    continue
+                # the largest reachable 2*z4 - z3 given z2 < z3 < z4 < z5
+                z7_cap = 2 * (z5 - 1) - (z2 + 1)
+                for z6 in range(z6_lo, G - 1):
+                    tested += 1
+                    if z6 + 1 >= z7_cap:
+                        continue  # no z7 can satisfy (c) for any z3, z4
+                    for z3 in range(z2 + 1, z5 - 1):
+                        for z4 in range(z3 + 1, z5):
+                            tested += 1
+                            cap = 2 * z4 - z3
+                            for z7 in range(z6 + 1, min(cap, G)):
+                                tested += 1
+                                z8_lo = 2 * z7 - z4 + 1
+                                for z8 in range(max(z8_lo, z7 + 1), G + 1):
+                                    tested += 1
+                                    witness = (z1, z2, z3, z4, z5, z6, z7, z8)
+                                    scale = phi / G
+                                    return True, tested, tuple(
+                                        z * scale for z in witness)
+    return False, tested, None
+
+
 def scan_hits(circles, x, y, tol):
     """Ids of the circles that (x, y) lies on within ``tol``, ascending, by
     testing every circle: the oracle for ``packing._circles_near``."""

@@ -28,7 +28,7 @@ from circlesystems.realization import (
     realize,
 )
 
-from conftest import VERDICT_SYSTEMS
+from conftest import VERDICT_SYSTEMS, relabel_realization
 
 EXPECTED_OUT3 = {
     RealizationClass.THREE_CROSSING: 1,
@@ -175,6 +175,26 @@ def test_smoothed_split_still_equivalent():
 @pytest.mark.parametrize("kind", list(RealizationClass))
 def test_classify_canonicals(kind):
     assert classify_octahedron(canonical_octahedron_realization(kind)) == kind
+
+
+@pytest.mark.parametrize("kind", list(RealizationClass))
+@pytest.mark.parametrize("seed", range(3))
+def test_classify_relabelled_canonicals(kind, seed):
+    import random
+
+    r = relabel_realization(canonical_octahedron_realization(kind),
+                            random.Random(seed))
+    assert classify_octahedron(r) == kind
+
+
+def test_classify_reads_duals_equal_to_fresh_ones():
+    # the canonical duals are built once; they must be what oriented_dual
+    # builds now, and every call must get the same objects
+    cached = equivalence._canonical_duals()
+    assert [kind for kind, _ in cached] == list(RealizationClass)
+    for kind, dual in cached:
+        assert dual == oriented_dual(canonical_octahedron_realization(kind))
+    assert equivalence._canonical_duals() is cached
 
 
 def test_classify_pipeline_output(octa):

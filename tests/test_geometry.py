@@ -18,9 +18,12 @@ from circlesystems.geometry import (
     outer_mate_radius,
     outer_phi_max,
     sample_arc_pair_config,
+    symmetric_pair_radius,
     tangency_residual,
 )
 from circlesystems.packing import Circle
+
+from conftest import gadget_search
 
 
 def test_inner_mate_values():
@@ -137,6 +140,35 @@ def test_arc_inequality_symmetric_config():
     assert inner < cfg.beta - cfg.beta_p
 
 
+def test_symmetric_interior_radius_matches_closed_form():
+    # the equal pair inside the unit circle touching it span apart has
+    # radius h/(1+h), h = sin(span/2); the bisection must agree
+    for k in range(1, 400):
+        span = k * math.pi / 400
+        h = math.sin(span / 2.0)
+        assert symmetric_pair_radius(span, INTERIOR) == pytest.approx(
+            h / (1.0 + h), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("side", [INTERIOR, EXTERIOR])
+@pytest.mark.parametrize("span", [0.0, -0.5, math.pi, 4.0, math.nan, math.inf])
+def test_symmetric_pair_radius_refuses_span_outside_zero_pi(side, span):
+    with pytest.raises(DomainError):
+        symmetric_pair_radius(span, side)
+
+
+@pytest.mark.parametrize("side", ["BOGUS", "interior", None])
+def test_unknown_side_is_a_domain_error(side):
+    with pytest.raises(DomainError):
+        symmetric_pair_radius(1.0, side)
+    # refused before the first draw, not after max_tries rejections
+    rng = random.Random(7)
+    state = rng.getstate()
+    with pytest.raises(DomainError):
+        sample_arc_pair_config(rng, side)
+    assert rng.getstate() == state
+
+
 def test_invalid_order_rejected():
     cfg = ArcPairConfig(
         base_radius=1.0,
@@ -183,6 +215,39 @@ def test_gadget_infeasibility_domain():
         gadget_arc_infeasibility(3.5, 60)
     with pytest.raises(DomainError):
         gadget_arc_infeasibility(1.0, 4)
+
+
+@pytest.mark.parametrize("grid", [60.0, True, "60", None, 8.5])
+def test_gadget_infeasibility_refuses_a_grid_that_is_not_an_int(grid):
+    with pytest.raises(DomainError):
+        gadget_arc_infeasibility(1.0, grid)
+
+
+@pytest.mark.parametrize("phi", [0.3, 1.0, 2.5, 3.1])
+def test_gadget_count_matches_the_loop_nest(phi):
+    for grid in range(8, 41):
+        report = gadget_arc_infeasibility(phi, grid)
+        assert (report.feasible_found, report.tested, report.witness) == \
+            gadget_search(phi, grid)
+        assert (report.phi, report.grid) == (phi, grid)
+
+
+@pytest.mark.parametrize("grid, tested", [
+    (8, 0), (12, 7), (24, 967), (40, 14791), (60, 102151), (100, 996871),
+])
+def test_gadget_count_pinned(grid, tested):
+    assert gadget_arc_infeasibility(1.0, grid).tested == tested
+
+
+def test_gadget_cut_fires_on_every_z6():
+    # the loop nest's cut z6 + 1 >= z7_cap holds at its least z6, so for
+    # every z6: z6_lo + 1 - z7_cap is 5 whatever z2 < z5 < G
+    for G in range(8, 61):
+        for z5 in range(G):
+            for z2 in range(z5):
+                z6_lo = z5 + (z5 - z2) + 1
+                z7_cap = 2 * (z5 - 1) - (z2 + 1)
+                assert z6_lo + 1 - z7_cap == 5
 
 
 def _brute_force_placements(grid, drop=None):
