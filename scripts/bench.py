@@ -19,8 +19,8 @@ exception that stopped the input.  A column that does not apply to an
 input, or that an exception left unmeasured, is null.
 
 The record goes to ``BENCH_<label>.json`` in ``--outdir`` (the root of this
-checkout by default), after the diff against the newest other
-``BENCH_*.json`` there is printed.  The package is imported from ``src/``
+checkout by default, created if missing), after the diff against the newest
+other ``BENCH_*.json`` there is printed.  The package is imported from ``src/``
 of this checkout.
 """
 
@@ -193,6 +193,7 @@ def main():
         "repeats": args.repeats,
         "inputs": collect(args.max_n, args.repeats),
     }
+    args.outdir.mkdir(parents=True, exist_ok=True)
     out = args.outdir / f"BENCH_{args.label}.json"
     others = [p for p in args.outdir.glob("BENCH_*.json") if p != out]
     if others:

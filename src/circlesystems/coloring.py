@@ -9,8 +9,8 @@ around each gray face the incident edges follow the face's boundary order.
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+from collections import Counter, deque
+from dataclasses import dataclass
 
 from .embedding import EmbeddedGraph
 from .errors import NotBipartiteDual, VertexNotOnTwoGrayFaces
@@ -72,7 +72,6 @@ class ILGraph:
     gray_faces: list
     edge_vertex: list
     vertex_gray_pair: list
-    multiplicity: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -121,25 +120,18 @@ def build_il(g: EmbeddedGraph, coloring: TwoColoring) -> ILGraph:
         (dart_tail[2 * v], dart_tail[2 * v + 1]) for v in range(g.n)
     ]
 
-    multiplicity = {}
-    for a, b in vertex_gray_pair:
-        if a != b:
-            key = (a, b) if a < b else (b, a)
-            multiplicity[key] = multiplicity.get(key, 0) + 1
-
     return ILGraph(
         graph=il_graph,
         gray_faces=gray,
         edge_vertex=edge_vertex,
         vertex_gray_pair=vertex_gray_pair,
-        multiplicity=multiplicity,
     )
 
 
 def il_simplicity(il: ILGraph) -> SimplicityReport:
-    multi = tuple(
-        (a, b, c) for (a, b), c in sorted(il.multiplicity.items()) if c > 1
-    )
+    pairs = Counter((a, b) if a < b else (b, a)
+                    for a, b in il.vertex_gray_pair if a != b)
+    multi = tuple((a, b, c) for (a, b), c in sorted(pairs.items()) if c > 1)
     loops = tuple(
         sorted(a for (a, b) in il.vertex_gray_pair if a == b)
     )

@@ -198,7 +198,7 @@ class EmbeddedGraph:
             while dart_face[d] == -1:
                 dart_face[d] = fid
                 cycle.append(d)
-                d = self.sigma_next(self.dart_rev[d])
+                d = self.next_in_face(d)
             if d != d0:
                 raise MalformedRotation("face tracing did not close")
             faces.append(tuple(cycle))
@@ -214,25 +214,19 @@ class EmbeddedGraph:
                                      f"not 2 on each of {c} components")
 
 
-def build_embedding(neighbor_lists, outer_face=None, require_simple=False):
+def build_embedding(neighbor_lists, outer_face=None):
     """Build an embedding from per-vertex counterclockwise neighbor lists.
 
     Each undirected edge must appear in both endpoints' lists.  Parallel
     edges are paired occurrence-by-occurrence (i-th of v in u's list with
-    i-th of u in v's list); loop occurrences pair up consecutively.
+    i-th of u in v's list); loop occurrences pair up consecutively.  Loops
+    and parallel edges are kept; ``EmbeddedGraph.is_simple`` reports them.
     """
     n = len(neighbor_lists)
     for u, nbrs in enumerate(neighbor_lists):
         for v in nbrs:
             if not 0 <= v < n:
                 raise MalformedRotation(f"vertex {u} lists unknown neighbor {v}")
-
-    if require_simple:
-        for u, nbrs in enumerate(neighbor_lists):
-            if u in nbrs:
-                raise MalformedRotation(f"self-loop at vertex {u}")
-            if len(set(nbrs)) != len(nbrs):
-                raise MalformedRotation(f"parallel edges at vertex {u}")
 
     dart_tail = []
     rotation = []

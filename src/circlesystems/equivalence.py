@@ -22,8 +22,8 @@ from .realization import (
     _angular_order,
     _arc_end_slack,
     _arc_partition_faults,
+    _assemble,
     _check_circle_ids,
-    _consecutive_arcs,
     _extract,
     extract_with_arcs,
     outer_face_of,
@@ -80,23 +80,12 @@ def _smooth(r: Realization):
         raise DegenerateArc(faults[0])
 
     # so a point has two arc ends exactly when it names one circle twice
-    renumber = [None] * len(r.points)
-    points = []
-    for pid, p in enumerate(r.points):
-        if p.on[0] != p.on[1]:
-            renumber[pid] = len(points)
-            points.append(p)
-    # renumbering keeps the point order, so this is the smoothed system's
-    # own angular order
-    kept_order = []
+    kept = [p for p in r.points if p.on[0] != p.on[1]]
+    s, order, ends = _assemble(r.circles, kept)
     for ci, pairs in enumerate(order):
-        kept_here = [(a, renumber[pid]) for (a, pid) in pairs
-                     if renumber[pid] is not None]
-        if not kept_here:
+        if not pairs:
             raise ValueError(f"circle {ci} would lose all its points")
-        kept_order.append(kept_here)
-    arcs, ends = _consecutive_arcs(kept_order)
-    return Realization(list(r.circles), points, arcs), kept_order, ends
+    return s, order, ends
 
 
 def smooth_degree_two(r: Realization) -> Realization:

@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import realization as rz
-from .embedding import EmbeddedGraph, build_embedding, dual
+from .embedding import EmbeddedGraph, build_embedding, dual, subdivide_edges
 from .equivalence import RealizationClass
 from .errors import DegenerateRadius
 from .packing import Circle, _circle_intersections, _tangency_point, pack
@@ -87,35 +88,25 @@ _SODDY_INNER = (2.0 * math.sqrt(3.0) - 3.0) / 3.0
 _SODDY_OUTER = (2.0 * math.sqrt(3.0) + 3.0) / 3.0
 
 
-def _assemble_by_angles(circles, point_data):
-    """Build a realization whose arcs join angularly consecutive points.
-
-    ``point_data`` holds (x, y, (ca, cb), kind) tuples; every arc gets a
-    fresh edge id.  Returns the realization, its angular order and the
-    (from, to) point ids of its arcs.
-    """
-    points = [rz.RealPoint(x, y, pair, kind) for (x, y, pair, kind) in point_data]
-    order = rz._angular_order(circles, points)
-    arcs, ends = rz._consecutive_arcs(order)
-    return rz.Realization(list(circles), points, arcs), order, ends
-
-
-def _assembled_graph(circles, point_data):
-    """(graph, realization) of ``_assemble_by_angles``; the graph is
+def _assembled_graph(circles, points):
+    """(graph, realization) of ``realization._assemble``; the graph is
     ``extract_abstract_graph`` of the realization, read off the arc ends
     the assembly built instead of matching them anew."""
-    real, order, ends = _assemble_by_angles(circles, point_data)
+    real, order, ends = rz._assemble(circles, points)
     return rz._extract(real, order, ends, 1e-8).graph, real
 
 
-def _crossing_data(circles):
-    """Point data for both crossing points of every pair of circles."""
-    data = []
-    for i in range(len(circles)):
-        for j in range(i + 1, len(circles)):
-            for x, y in _circle_intersections(circles[i], circles[j]):
-                data.append((x, y, (i, j), rz.KIND_CROSS))
-    return data
+def _crossings(circles):
+    """Both crossing points of every pair of circles."""
+    return [rz.RealPoint(x, y, (i, j), rz.KIND_CROSS)
+            for i, j in combinations(range(len(circles)), 2)
+            for x, y in _circle_intersections(circles[i], circles[j])]
+
+
+def _touchings(circles, pairs):
+    """The tangency point of each (i, j) pair of tangent circles."""
+    return [rz.RealPoint(*_tangency_point(circles[i], circles[j]), (i, j),
+                         rz.KIND_TOUCH) for i, j in pairs]
 
 
 def canonical_octahedron_realization(kind: RealizationClass) -> rz.Realization:
@@ -127,7 +118,7 @@ def canonical_octahedron_realization(kind: RealizationClass) -> rz.Realization:
             Circle(1.0, 0.0, 1.0),
             Circle(0.5, s3 / 2.0, 1.0),
         ]
-        return _assemble_by_angles(circles, _crossing_data(circles))[0]
+        return rz._assemble(circles, _crossings(circles))[0]
 
     units = [Circle(0.0, 0.0, 1.0), Circle(2.0, 0.0, 1.0), Circle(1.0, s3, 1.0)]
     center = (1.0, s3 / 3.0)
@@ -138,15 +129,8 @@ def canonical_octahedron_realization(kind: RealizationClass) -> rz.Realization:
     else:
         raise ValueError(f"unknown kind {kind!r}")
     circles = units + [fourth]
-    data = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            x, y = _tangency_point(circles[i], circles[j])
-            data.append((x, y, (i, j), rz.KIND_TOUCH))
-    for i in range(3):
-        x, y = _tangency_point(circles[i], fourth)
-        data.append((x, y, (i, 3), rz.KIND_TOUCH))
-    return _assemble_by_angles(circles, data)[0]
+    pairs = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
+    return rz._assemble(circles, _touchings(circles, pairs))[0]
 
 
 # -- extremal families ---------------------------------------------------------
@@ -167,21 +151,17 @@ def flower(c: int, radius: float = 1.3):
             Circle(math.cos(2.0 * math.pi * k / c), math.sin(2.0 * math.pi * k / c), r)
             for k in range(c)
         ]
-        data = _crossing_data(circles)
-        if _has_near_coincidence(data):
+        points = _crossings(circles)
+        if _has_near_coincidence(points):
             r += 1e-3
             continue
-        return _assembled_graph(circles, data)
+        return _assembled_graph(circles, points)
     raise DegenerateRadius("could not avoid triple concurrences")
 
 
-def _has_near_coincidence(data, tol=1e-9):
-    pts = [(x, y) for (x, y, _, _) in data]
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if math.hypot(pts[i][0] - pts[j][0], pts[i][1] - pts[j][1]) < tol:
-                return True
-    return False
+def _has_near_coincidence(points):
+    return any(math.hypot(p.x - q.x, p.y - q.y) < 1e-9
+               for p, q in combinations(points, 2))
 
 
 def prism(k: int) -> EmbeddedGraph:
@@ -208,11 +188,7 @@ def upper_bound_family(c: int):
     base = tetrahedron() if c == 4 else prism(c // 2)
     p = pack(base, 1e-9)
     circles = list(p.circles)
-    data = []
-    for u, v in base.edges():
-        x, y = _tangency_point(circles[u], circles[v])
-        data.append((x, y, (u, v), rz.KIND_TOUCH))
-    return _assembled_graph(circles, data)
+    return _assembled_graph(circles, _touchings(circles, base.edges()))
 
 
 # -- gadget fragments ----------------------------------------------------------
@@ -404,51 +380,32 @@ def augment_octahedron(kind: str, pairs_per_edge: int = 2) -> EmbeddedGraph:
     v1, v2 = fragment.endpoints
     interior = [v for v in range(fragment.graph.n) if v not in (v1, v2)]
 
-    lists = []
-    for u in range(base.n):
-        row = []
-        for d in base.rotation[u]:
-            eid = base.edge_of_dart[d]
-            rep, _ = base.edge_darts[eid]
-            first = base.n + eid * slots
-            row.append(first if d == rep else first + slots - 1)
-        lists.append(row)
-    for _ in range(12 * slots):
-        lists.append(None)
-
-    next_id = base.n + 12 * slots
+    # edge eid becomes the path base.n + eid * slots onward; every path
+    # vertex row is [previous, next] until its fragments are spliced in
+    lists = subdivide_edges(base, slots).to_neighbor_lists()
 
     def add_fragment(za, zb, side):
         """Splice one fragment between path vertices za < zb."""
-        nonlocal next_id
         table = {v1: za, v2: zb}
+        table.update((v, len(lists) + i) for i, v in enumerate(interior))
         for v in interior:
-            table[v] = next_id
-            next_id += 1
-            lists.append(None)
-        for v in interior:
-            lists[table[v]] = [table[w] for w in frag_rot[v]]
-            if side == "R":
-                lists[table[v]].reverse()
+            row = [table[w] for w in frag_rot[v]]
+            lists.append(row if side == "L" else row[::-1])
         ends = {}
         for z, endpoint in ((za, v1), (zb, v2)):
             a, b = (table[w] for w in frag_rot[endpoint])
             ends[z] = (a, b) if side == "L" else (b, a)
         return ends
 
-    for eid in range(12):
-        rep, _ = base.edge_darts[eid]
-        u, v = base.dart_tail[rep], base.dart_head[rep]
+    for eid in range(len(base.edge_darts)):
         first = base.n + eid * slots
-        path = [u] + [first + j for j in range(slots)] + [v]
         gadget_ends = {}
         for (sa, sb), side in blocks:
             za, zb = first + sa - 1, first + sb - 1
             ends = add_fragment(za, zb, side)
             gadget_ends.update({z: (side, darts) for z, darts in ends.items()})
-        for j in range(slots):
-            z = first + j
-            prev_v, next_v = path[j], path[j + 2]
+        for z in range(first, first + slots):
+            prev_v, next_v = lists[z]
             side, (g1, g2) = gadget_ends[z]
             if side == "L":
                 lists[z] = [next_v, g1, g2, prev_v]

@@ -21,6 +21,8 @@ from .packing import Circle, _tangency, _tangency_gap
 INTERIOR = "INTERIOR"
 EXTERIOR = "EXTERIOR"
 
+SAMPLE_TRIES = 500  # candidates sample_arc_pair_config draws at most
+
 
 def inner_mate_radius(r1: float, r2: float, phi: float) -> float:
     """Radius of the circle inside C1 tangent to it at angle ``phi`` from
@@ -185,19 +187,18 @@ def symmetric_pair_radius(span: float, side: str) -> float:
     return 0.5 * (lo + hi)
 
 
-def sample_arc_pair_config(rng: random.Random, side: str,
-                           max_tries: int = 500) -> ArcPairConfig:
+def sample_arc_pair_config(rng: random.Random, side: str) -> ArcPairConfig:
     """Rejection-sample a valid configuration with unit base circle.
 
     The inner pair's touch points must sit strictly between the outer
     pair's, so the inner span is drawn below the flanking gaps; both pair
     radii start from the symmetric-pair size with a log-uniform jitter, and
     crossing candidates are rejected.  An unknown ``side`` raises
-    DomainError.
+    DomainError, and InvalidConfig follows ``SAMPLE_TRIES`` rejections.
     """
     _check_side(side)
     mate = inner_mate_radius if side == INTERIOR else outer_mate_radius
-    for _ in range(max_tries):
+    for _ in range(SAMPLE_TRIES):
         span = rng.uniform(0.5, math.pi - 0.05)
         g1 = rng.uniform(0.2, 0.4) * span
         gap_cap = min(g1, rng.uniform(0.2, 0.4) * span)
@@ -236,7 +237,7 @@ def sample_arc_pair_config(rng: random.Random, side: str,
         except InvalidConfig:
             continue
         return cfg
-    raise InvalidConfig(f"no valid configuration after {max_tries} tries")
+    raise InvalidConfig(f"no valid configuration after {SAMPLE_TRIES} tries")
 
 
 # -- gadget attachment infeasibility ---------------------------------------------
@@ -276,16 +277,20 @@ def gadget_arc_infeasibility(phi: float, grid: int) -> InfeasibilityReport:
     #   (c) z7-z4 < z4-z3   (d) z8-z7 > z7-z4
     for z1 in range(0, G - 6):
         for z2 in range(z1 + 1, G - 5):
-            z5_hi = min(2 * z2 - z1 - 1, G - 3)  # most z5 that (a) allows
-            for z5 in range(z2 + 3, z5_hi + 1):
-                tested += 1
-                z6_lo = 2 * z5 - z2 + 1  # least z6 that (b) allows
-                if z6_lo > G - 2:
-                    continue
-                # each z6 in [z6_lo, G - 2] is enumerated and cut at once:
-                # (c) and z2 < z3 < z4 < z5 give z7 < 2*z4 - z3
-                # <= 2*(z5 - 1) - (z2 + 1) = z6_lo - 4, yet z7 > z6 >= z6_lo
-                tested += G - 1 - z6_lo
+            # every z5 in [lo, hi] is enumerated, hi the most (a) allows
+            lo, hi = z2 + 3, min(2 * z2 - z1 - 1, G - 3)
+            if hi < lo:
+                continue
+            tested += hi - lo + 1
+            # each z6 in [z6_lo, G - 2] is enumerated and cut at once, with
+            # z6_lo = 2*z5 - z2 + 1 the least z6 that (b) allows: (c) and
+            # z2 < z3 < z4 < z5 give z7 < 2*z4 - z3 <= 2*(z5 - 1) - (z2 + 1)
+            # = z6_lo - 4, yet z7 > z6 >= z6_lo.  That is G - 1 - z6_lo
+            # branches for each z5 up to top, where z6_lo <= G - 2, an
+            # arithmetic series in z5
+            top = min(hi, (G - 3 + z2) // 2)
+            if top >= lo:
+                tested += (top - lo + 1) * (G - 2 + z2 - lo - top)
     return InfeasibilityReport(
         feasible_found=False, tested=tested, phi=phi, grid=grid, witness=None
     )

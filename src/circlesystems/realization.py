@@ -152,10 +152,12 @@ def _arc_ends(order, arc, tol):
     return tuple(ends)
 
 
-def _consecutive_arcs(order):
-    """Arcs joining angularly consecutive points of every circle, with
-    fresh edge ids in circle order, and the (from, to) point ids of each,
-    known by construction."""
+def _assemble(circles, points):
+    """The realization of ``points`` on ``circles`` whose arcs join
+    angularly consecutive points of every circle, with fresh edge ids in
+    circle order; also its angular order and the (from, to) point ids of
+    every arc, known by construction."""
+    order = _angular_order(circles, points)
     arcs = []
     ends = []
     for ci, pairs in enumerate(order):
@@ -164,7 +166,7 @@ def _consecutive_arcs(order):
             (a, p), (b, q) = pairs[j], pairs[(j + 1) % k]
             arcs.append(Arc(ci, a, b, len(arcs)))
             ends.append((p, q))
-    return arcs, ends
+    return Realization(list(circles), list(points), arcs), order, ends
 
 
 def _arc_end_slack(tol):

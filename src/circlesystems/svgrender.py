@@ -8,6 +8,7 @@ formatted with a fixed precision and elements are emitted in a fixed order
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import EmptyInput, NotRenderable
@@ -15,13 +16,18 @@ from .packing import Packing
 from .realization import Realization
 
 
+CIRCLE_STROKE = 1.5
+ARC_STROKE = 2.5
+POINT_RADIUS = 4.0
+
+
 @dataclass(frozen=True)
 class RenderOptions:
+    """Viewport size in pixels and the layers to draw; stroke widths and
+    the point radius are the module constants above, in pixels."""
+
     width: int = 800
     height: int = 800
-    circle_stroke: float = 1.5
-    arc_stroke: float = 2.5
-    point_radius: float = 4.0
     show_circles: bool = True
     show_points: bool = True
     show_arcs: bool = True
@@ -60,8 +66,10 @@ class _Transform:
 
 def render_svg(obj, opts: RenderOptions = RenderOptions()) -> str:
     """Render a Realization or Packing to an SVG document string."""
-    if opts.width <= 0 or opts.height <= 0:
-        raise ValueError("render dimensions must be positive")
+    if not all(0 < side <= sys.float_info.max
+               for side in (opts.width, opts.height)):
+        raise ValueError("render dimensions must be positive and within "
+                         "the float range")
     if not (opts.show_circles or opts.show_points or opts.show_arcs
             or opts.show_labels or opts.shade_gray):
         raise ValueError("at least one layer must be enabled")
@@ -104,7 +112,7 @@ def render_svg(obj, opts: RenderOptions = RenderOptions()) -> str:
             parts.append(
                 f'<circle class="circle" cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
                 f'r="{_fmt(tr.length(c.r))}" fill="none" stroke="#333333" '
-                f'stroke-width="{_fmt(opts.circle_stroke)}"/>'
+                f'stroke-width="{_fmt(CIRCLE_STROKE)}"/>'
             )
         parts.append("</g>")
 
@@ -127,7 +135,7 @@ def render_svg(obj, opts: RenderOptions = RenderOptions()) -> str:
                 f'A {_fmt(tr.length(c.r))} {_fmt(tr.length(c.r))} 0 '
                 f'{large} 0 {_fmt(p1[0])} {_fmt(p1[1])}" fill="none" '
                 f'stroke="{palette[i % len(palette)]}" '
-                f'stroke-width="{_fmt(opts.arc_stroke)}"/>'
+                f'stroke-width="{_fmt(ARC_STROKE)}"/>'
             )
         parts.append("</g>")
 
@@ -137,7 +145,7 @@ def render_svg(obj, opts: RenderOptions = RenderOptions()) -> str:
             px, py = tr.point(p.x, p.y)
             parts.append(
                 f'<circle class="point" cx="{_fmt(px)}" cy="{_fmt(py)}" '
-                f'r="{_fmt(opts.point_radius)}" fill="#000000"/>'
+                f'r="{_fmt(POINT_RADIUS)}" fill="#000000"/>'
             )
         parts.append("</g>")
 

@@ -336,9 +336,10 @@ def test_non_finite_result_is_usage_error():
 
 
 _CIRCLE = {"id": 0, "cx": 0.0, "cy": 0.0, "r": 1.0}
-# a canonical octahedron whose first point names circle 0 twice
-_REPEATED_CIRCLE = jsonio.realization_to_obj(
+_THREE_CROSSING = jsonio.realization_to_obj(
     canonical_octahedron_realization(RealizationClass.THREE_CROSSING))
+# a canonical octahedron whose first point names circle 0 twice
+_REPEATED_CIRCLE = copy.deepcopy(_THREE_CROSSING)
 _REPEATED_CIRCLE["points"][0]["on"] = [0, 0]
 _EMPTY_GRAPH = {"type": "graph", "version": 1, "n": 0, "rotation": []}
 
@@ -371,6 +372,9 @@ _EMPTY_GRAPH = {"type": "graph", "version": 1, "n": 0, "rotation": []}
     (["render"], jsonio.graph_to_obj(octahedron())),
     (["classify"], _REPEATED_CIRCLE),
     (["realize"], _EMPTY_GRAPH),
+    # viewport sides beyond the float range
+    (["render", "--width", str(10**400)], _THREE_CROSSING),
+    (["render", "--height", str(10**400)], _THREE_CROSSING),
 ])
 def test_malformed_document_exits_2(argv, doc):
     code, out, err = run(argv, json.dumps(doc))

@@ -42,12 +42,11 @@ def test_octahedron_counts(octa):
     assert all(len(cycle) == 3 for cycle in octa.faces)
 
 
-def test_doubled_square_accepted_only_without_simple_flag():
+def test_doubled_square_accepted_as_not_simple():
     doubled = [[1, 3, 3, 1], [2, 0, 0, 2], [3, 1, 1, 3], [0, 2, 2, 0]]
     g = build_embedding(doubled)
     assert g.n == 4 and g.edge_count == 8 and g.face_count == 6
-    with pytest.raises(MalformedRotation):
-        build_embedding(doubled, require_simple=True)
+    assert not g.is_simple()
 
 
 def test_asymmetric_adjacency_rejected():

@@ -1,10 +1,15 @@
+import hashlib
 import math
 from collections import Counter
 
 import pytest
 
 from circlesystems.embedding import build_embedding, connectivity_level
-from circlesystems.equivalence import RealizationClass
+from circlesystems.equivalence import (
+    RealizationClass,
+    oriented_dual,
+    smooth_degree_two,
+)
 from circlesystems.generators import (
     BIGADGET,
     GADGET,
@@ -19,7 +24,11 @@ from circlesystems.generators import (
     upper_bound_family,
 )
 from circlesystems.isomorphism import graphs_isomorphic
-from circlesystems.jsonio import serialize_graph
+from circlesystems.jsonio import (
+    serialize_dual,
+    serialize_graph,
+    serialize_realization,
+)
 from circlesystems.realization import (
     KIND_CROSS,
     KIND_TOUCH,
@@ -274,3 +283,21 @@ def test_generator_graph_is_the_extracted_graph(make):
     e = extract_abstract_graph(r)
     assert (g.rotation, g.dart_tail, g.dart_rev) == (e.rotation, e.dart_tail, e.dart_rev)
     assert serialize_graph(g) == serialize_graph(e)
+
+
+def test_assembled_outputs_pinned():
+    # the bytes that arc assembly builds: generator graphs and realizations,
+    # the gadget-augmented octahedra, and a smoothed system with its dual;
+    # none of them calls the packing solver, so solver changes leave it
+    docs = []
+    for c in range(3, 9):
+        g, r = flower(c)
+        docs += [serialize_graph(g), serialize_realization(r)]
+    docs += [serialize_realization(canonical_octahedron_realization(kind))
+             for kind in RealizationClass]
+    docs += [serialize_graph(augment_octahedron(kind, pairs))
+             for kind in (GADGET, BIGADGET) for pairs in (2, 3)]
+    s = smooth_degree_two(flower(5)[1])
+    docs += [serialize_realization(s), serialize_dual(oriented_dual(s))]
+    assert hashlib.sha256("".join(docs).encode()).hexdigest() == (
+        "20ec3160e7964df184a7c48626bea124b9f64e86d1c682459530369f99bf33dc")

@@ -333,17 +333,17 @@ def _soddy_overlapped_by(eps):
     """The touching-disjoint octahedron system with the inner circle grown
     by ``eps`` relative: it crosses each unit circle at two points a few
     1e-7 rad apart, all declared touching."""
-    from circlesystems.generators import _SODDY_INNER, _assemble_by_angles
+    from circlesystems.generators import _SODDY_INNER
     from circlesystems.packing import _circle_intersections, _tangency_point
 
     s3 = math.sqrt(3.0)
     units = [Circle(0.0, 0.0, 1.0), Circle(2.0, 0.0, 1.0), Circle(1.0, s3, 1.0)]
     inner = Circle(1.0, s3 / 3.0, _SODDY_INNER * (1.0 + eps))
-    data = [(*_tangency_point(units[i], units[j]), (i, j), KIND_TOUCH)
-            for i, j in ((0, 1), (0, 2), (1, 2))]
-    data += [(x, y, (i, 3), KIND_TOUCH) for i in range(3)
-             for x, y in _circle_intersections(units[i], inner)]
-    return _assemble_by_angles(units + [inner], data)[0]
+    points = [RealPoint(*_tangency_point(units[i], units[j]), (i, j),
+                        KIND_TOUCH) for i, j in ((0, 1), (0, 2), (1, 2))]
+    points += [RealPoint(x, y, (i, 3), KIND_TOUCH) for i in range(3)
+               for x, y in _circle_intersections(units[i], inner)]
+    return realization._assemble(units + [inner], points)[0]
 
 
 def test_verify_graph_match_refuses_nearly_coincident_points(octa):
