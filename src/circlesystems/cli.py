@@ -146,18 +146,12 @@ def _cmd_generate(args):
             raise ValueError("medial needs --base")
         _emit(jsonio.serialize_graph(medial(_PLATONICS[args.base]())), args.out)
         return 0
-    if fam == "flower":
+    if fam in ("flower", "upper-bound"):
         if args.count is None:
-            raise ValueError("flower needs --count")
-        graph, real = generators.flower(args.count)
-        doc = (jsonio.serialize_realization(real) if args.realization
-               else jsonio.serialize_graph(graph))
-        _emit(doc, args.out)
-        return 0
-    if fam == "upper-bound":
-        if args.count is None:
-            raise ValueError("upper-bound needs --count")
-        graph, real = generators.upper_bound_family(args.count)
+            raise ValueError(f"{fam} needs --count")
+        make = (generators.flower if fam == "flower"
+                else generators.upper_bound_family)
+        graph, real = make(args.count)
         doc = (jsonio.serialize_realization(real) if args.realization
                else jsonio.serialize_graph(graph))
         _emit(doc, args.out)
@@ -258,6 +252,8 @@ def _cmd_geom(args):
         value = geometry.outer_phi_max(args.r1, args.r2)
         _emit(jsonio.dumps({"phi_max": value}), args.out)
     elif oracle == "arc-inequality":
+        if args.samples < 0:
+            raise ValueError(f"--samples must not be negative, got {args.samples}")
         rng = random.Random(args.seed)
         side = (geometry.INTERIOR if args.side == "interior"
                 else geometry.EXTERIOR)

@@ -21,10 +21,9 @@ WHITE = "WHITE"
 
 @dataclass(frozen=True)
 class TwoColoring:
-    """Face id -> GRAY/WHITE with the outer face white."""
+    """``colors`` maps face id -> GRAY/WHITE, the outer face white."""
 
     colors: tuple
-    outer_face: int
 
     def gray_faces(self):
         return [f for f, c in enumerate(self.colors) if c == GRAY]
@@ -57,20 +56,19 @@ def two_color_faces(g: EmbeddedGraph) -> TwoColoring:
                 )
     if any(c is None for c in colors):
         raise NotBipartiteDual("face adjacency graph is disconnected")
-    return TwoColoring(tuple(colors), g.outer_face)
+    return TwoColoring(tuple(colors))
 
 
 @dataclass
 class ILGraph:
     """Intersection graph of gray faces with its inherited embedding.
 
-    ``graph`` vertex i corresponds to gray face ``gray_faces[i]``; edge j
-    corresponds to graph vertex ``edge_vertex[j]`` of the source graph.
+    ``graph`` vertex i corresponds to gray face ``gray_faces[i]``; edge v
+    is source graph vertex v, joining gray faces ``vertex_gray_pair[v]``.
     """
 
     graph: EmbeddedGraph
     gray_faces: list
-    edge_vertex: list
     vertex_gray_pair: list
 
 
@@ -115,7 +113,6 @@ def build_il(g: EmbeddedGraph, coloring: TwoColoring) -> ILGraph:
     dart_rev = [d ^ 1 for d in range(2 * g.n)]
     il_graph = EmbeddedGraph(rotation, dart_tail, dart_rev)
 
-    edge_vertex = [d // 2 for d, _ in il_graph.edge_darts]
     vertex_gray_pair = [
         (dart_tail[2 * v], dart_tail[2 * v + 1]) for v in range(g.n)
     ]
@@ -123,7 +120,6 @@ def build_il(g: EmbeddedGraph, coloring: TwoColoring) -> ILGraph:
     return ILGraph(
         graph=il_graph,
         gray_faces=gray,
-        edge_vertex=edge_vertex,
         vertex_gray_pair=vertex_gray_pair,
     )
 

@@ -15,8 +15,8 @@ from itertools import combinations
 from . import realization as rz
 from .embedding import EmbeddedGraph, build_embedding, dual, subdivide_edges
 from .equivalence import RealizationClass
-from .errors import DegenerateRadius
-from .packing import Circle, _circle_intersections, _tangency_point, pack
+from .errors import DegenerateArc, DegenerateRadius
+from .packing import Circle, _circle_intersections, pack
 
 # -- platonic solids (hand-checked rotation systems) --------------------------
 
@@ -87,6 +87,8 @@ def dodecahedron() -> EmbeddedGraph:
 _SODDY_INNER = (2.0 * math.sqrt(3.0) - 3.0) / 3.0
 _SODDY_OUTER = (2.0 * math.sqrt(3.0) + 3.0) / 3.0
 
+FLOWER_RADIUS = 1.3  # radius of the flower circles before any nudge
+
 
 def _assembled_graph(circles, points):
     """(graph, realization) of ``realization._assemble``; the graph is
@@ -101,12 +103,6 @@ def _crossings(circles):
     return [rz.RealPoint(x, y, (i, j), rz.KIND_CROSS)
             for i, j in combinations(range(len(circles)), 2)
             for x, y in _circle_intersections(circles[i], circles[j])]
-
-
-def _touchings(circles, pairs):
-    """The tangency point of each (i, j) pair of tangent circles."""
-    return [rz.RealPoint(*_tangency_point(circles[i], circles[j]), (i, j),
-                         rz.KIND_TOUCH) for i, j in pairs]
 
 
 def canonical_octahedron_realization(kind: RealizationClass) -> rz.Realization:
@@ -130,38 +126,33 @@ def canonical_octahedron_realization(kind: RealizationClass) -> rz.Realization:
         raise ValueError(f"unknown kind {kind!r}")
     circles = units + [fourth]
     pairs = [(0, 1), (0, 2), (1, 2), (0, 3), (1, 3), (2, 3)]
-    return rz._assemble(circles, _touchings(circles, pairs))[0]
+    return rz._assemble(circles, rz._touchings(circles, pairs))[0]
 
 
 # -- extremal families ---------------------------------------------------------
 
 
-def flower(c: int, radius: float = 1.3):
-    """c equal circles on a regular c-gon, every pair crossing twice.
+def flower(c: int):
+    """c equal circles of radius ``FLOWER_RADIUS`` on a regular c-gon,
+    every pair crossing twice.
 
     The induced graph has c*(c-1) vertices, so the circle count meets the
-    lower bound exactly.  The radius is nudged upward if three circles ever
-    pass through a common point.
+    lower bound exactly.  The radius is nudged upward while two points of
+    a circle nearly coincide, as when three circles share a point.
     """
     if c < 3:
         raise ValueError("flower needs at least 3 circles")
-    r = radius
+    r = FLOWER_RADIUS
     for _ in range(40):
         circles = [
             Circle(math.cos(2.0 * math.pi * k / c), math.sin(2.0 * math.pi * k / c), r)
             for k in range(c)
         ]
-        points = _crossings(circles)
-        if _has_near_coincidence(points):
+        try:
+            return _assembled_graph(circles, _crossings(circles))
+        except DegenerateArc:
             r += 1e-3
-            continue
-        return _assembled_graph(circles, points)
     raise DegenerateRadius("could not avoid triple concurrences")
-
-
-def _has_near_coincidence(points):
-    return any(math.hypot(p.x - q.x, p.y - q.y) < 1e-9
-               for p, q in combinations(points, 2))
 
 
 def prism(k: int) -> EmbeddedGraph:
@@ -188,7 +179,7 @@ def upper_bound_family(c: int):
     base = tetrahedron() if c == 4 else prism(c // 2)
     p = pack(base, 1e-9)
     circles = list(p.circles)
-    return _assembled_graph(circles, _touchings(circles, base.edges()))
+    return _assembled_graph(circles, rz._touchings(circles, base.edges()))
 
 
 # -- gadget fragments ----------------------------------------------------------
@@ -196,16 +187,12 @@ def upper_bound_family(c: int):
 
 @dataclass(frozen=True)
 class GadgetFragment:
-    """Attachable piece with exactly two degree-2 endpoint vertices.
-
-    ``skeleton`` maps role names to vertex ids; ``loop_vertex_sets`` holds
-    the vertex sets of the hanging subgraphs (endpoints excluded).
-    """
+    """Attachable piece with exactly two degree-2 vertices, its
+    ``endpoints``; ``skeleton`` maps role names to vertex ids."""
 
     graph: EmbeddedGraph
     endpoints: tuple
     skeleton: dict
-    loop_vertex_sets: tuple
 
 
 def _loop_subgraph_rotation():
@@ -262,7 +249,6 @@ def gadget() -> GadgetFragment:
         graph=graph,
         endpoints=(0, 1),
         skeleton={"v1": 0, "v2": 1, "w": 2, "w1": 3, "w2": 4},
-        loop_vertex_sets=(frozenset(range(5, 11)), frozenset(range(11, 17))),
     )
 
 
@@ -329,7 +315,6 @@ def bigadget() -> GadgetFragment:
             "w2": 10,
             "w2p": 11,
         },
-        loop_vertex_sets=(frozenset(range(3, 10)), frozenset(range(10, 17))),
     )
 
 

@@ -22,6 +22,8 @@ INTERIOR = "INTERIOR"
 EXTERIOR = "EXTERIOR"
 
 SAMPLE_TRIES = 500  # candidates sample_arc_pair_config draws at most
+CONFIG_TOL = 1e-9  # relative tolerance of the arc-pair configuration checks
+DESCARTES_TOL = 1e-6  # tangency tolerance of descartes_check
 
 
 def inner_mate_radius(r1: float, r2: float, phi: float) -> float:
@@ -30,8 +32,9 @@ def inner_mate_radius(r1: float, r2: float, phi: float) -> float:
 
     Strictly increasing in phi on (0, pi].
     """
-    if not (0.0 < r2 < r1):
-        raise DomainError("need 0 < r2 < r1")
+    # the literal is the largest finite float: it refuses an infinite r1
+    if not (0.0 < r2 < r1 <= 1.7976931348623157e308):
+        raise DomainError("need 0 < r2 < r1, both finite")
     if not (0.0 < phi <= math.pi):
         raise DomainError("need phi in (0, pi]")
     return r1 - 2.0 * r1 * r2 / (r1 + r2 - (r1 - r2) * math.cos(phi))
@@ -45,10 +48,11 @@ def outer_mate_radius(r1: float, r2: float, phi: float) -> float:
     ``outer_phi_max(r1, r2)``, where the circle flattens into the common
     tangent line.
     """
-    if r1 <= 0.0 or r2 <= 0.0:
-        raise DomainError("radii must be positive")
-    if phi <= 0.0:
-        raise DomainError("need phi > 0")
+    if not (0.0 < r1 <= 1.7976931348623157e308
+            and 0.0 < r2 <= 1.7976931348623157e308):
+        raise DomainError("radii must be positive and finite")
+    if not phi > 0.0:
+        raise DomainError(f"need phi > 0, got {phi!r}")
     denom = r2 - r1 + (r2 + r1) * math.cos(phi)
     if denom <= 0.0 or phi >= outer_phi_max(r1, r2):
         raise DomainError(
@@ -60,8 +64,9 @@ def outer_mate_radius(r1: float, r2: float, phi: float) -> float:
 
 def outer_phi_max(r1: float, r2: float) -> float:
     """Supremum tangency angle for the exterior mate circle."""
-    if r1 <= 0.0 or r2 <= 0.0:
-        raise DomainError("radii must be positive")
+    if not (0.0 < r1 <= 1.7976931348623157e308
+            and 0.0 < r2 <= 1.7976931348623157e308):
+        raise DomainError("radii must be positive and finite")
     return math.acos((r1 - r2) / (r1 + r2))
 
 
@@ -130,7 +135,7 @@ class ArcPairConfig:
         )
 
 
-def _validate_config(cfg: ArcPairConfig, tol=1e-9):
+def _validate_config(cfg: ArcPairConfig):
     if cfg.side not in (INTERIOR, EXTERIOR):
         raise InvalidConfig(f"unknown side {cfg.side!r}")
     if not (cfg.alpha < cfg.alpha_p < cfg.beta_p < cfg.beta):
@@ -143,14 +148,14 @@ def _validate_config(cfg: ArcPairConfig, tol=1e-9):
         (cfg.rho1_p, cfg.rho2_p, cfg.beta_p - cfg.alpha_p),
     ):
         expect = mate(cfg.base_radius, rho_a, span)
-        if abs(expect - rho_b) > tol * max(1.0, abs(rho_b)):
+        if abs(expect - rho_b) > CONFIG_TOL * max(1.0, abs(rho_b)):
             raise InvalidConfig(
                 f"pair radii {rho_a}, {rho_b} are not mutually tangent"
             )
     c1, c2, c1p, c2p = cfg.circles()
     for a, b in ((c1, c1p), (c1, c2p), (c2, c1p), (c2, c2p)):
         d = math.hypot(a.cx - b.cx, a.cy - b.cy)
-        if d <= (a.r + b.r) * (1.0 + tol):
+        if d <= (a.r + b.r) * (1.0 + CONFIG_TOL):
             raise InvalidConfig("the two pairs cross or touch")
 
 
@@ -245,11 +250,13 @@ def sample_arc_pair_config(rng: random.Random, side: str) -> ArcPairConfig:
 
 @dataclass(frozen=True)
 class InfeasibilityReport:
+    """``gadget_arc_infeasibility``'s count: ``tested`` partial
+    placements, of which none is feasible, so ``feasible_found`` is False."""
+
     feasible_found: bool
     tested: int
     phi: float
     grid: int
-    witness: tuple | None = None
 
 
 def gadget_arc_infeasibility(phi: float, grid: int) -> InfeasibilityReport:
@@ -292,21 +299,20 @@ def gadget_arc_infeasibility(phi: float, grid: int) -> InfeasibilityReport:
             if top >= lo:
                 tested += (top - lo + 1) * (G - 2 + z2 - lo - top)
     return InfeasibilityReport(
-        feasible_found=False, tested=tested, phi=phi, grid=grid, witness=None
+        feasible_found=False, tested=tested, phi=phi, grid=grid
     )
 
 
 # -- Descartes identity -----------------------------------------------------------
 
 
-def descartes_check(c1: Circle, c2: Circle, c3: Circle, c4: Circle,
-                    tol: float = 1e-6) -> float:
+def descartes_check(c1: Circle, c2: Circle, c3: Circle, c4: Circle) -> float:
     """Relative residual of the four-tangent-circles curvature identity.
 
     A circle that encloses the others through internal tangencies gets a
     negative curvature.  Raises DomainError when a radius is not a positive
     finite number, and NotTangent when some pair is neither externally nor
-    internally tangent within ``tol``.
+    internally tangent within ``DESCARTES_TOL``.
     """
     circles = (c1, c2, c3, c4)
     for i, c in enumerate(circles):
@@ -317,7 +323,7 @@ def descartes_check(c1: Circle, c2: Circle, c3: Circle, c4: Circle,
     for i in range(4):
         for j in range(i + 1, 4):
             a, b = circles[i], circles[j]
-            kind = _tangency(a, b, tol)
+            kind = _tangency(a, b, DESCARTES_TOL)
             if kind is None:
                 d = math.hypot(a.cx - b.cx, a.cy - b.cy)
                 raise NotTangent(

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 
-from .coloring import ILGraph
 from .embedding import EmbeddedGraph, build_embedding
 from .equivalence import OrientedDual
 from .packing import Circle, Packing
@@ -86,9 +85,9 @@ def _circles(data, doc):
 # -- graphs ----------------------------------------------------------------------
 
 
-def graph_to_obj(g: EmbeddedGraph, type_name="graph"):
+def graph_to_obj(g: EmbeddedGraph):
     return {
-        "type": type_name,
+        "type": "graph",
         "version": VERSION,
         "n": g.n,
         "rotation": g.to_neighbor_lists(),
@@ -101,18 +100,12 @@ def serialize_graph(g: EmbeddedGraph) -> str:
 
 
 def parse_graph(data) -> EmbeddedGraph:
-    data = _document(data, ("graph", "il_graph"), "graph")
+    data = _document(data, ("graph",), "graph")
     rotation = [_ints(row, "graph", "rotation")
                 for row in _field(data, "rotation", "graph", list)]
     if data.get("outer_face") is None:
         return build_embedding(rotation)
     return build_embedding(rotation, _field(data, "outer_face", "graph", int))
-
-
-def serialize_il(il: ILGraph) -> str:
-    obj = graph_to_obj(il.graph, type_name="il_graph")
-    obj["edge_labels"] = list(il.edge_vertex)
-    return dumps(obj)
 
 
 # -- packings --------------------------------------------------------------------
@@ -220,7 +213,7 @@ def parse_dual(data) -> OrientedDual:
 def parse_any(text: str):
     data = json.loads(text)
     kind = data.get("type") if isinstance(data, dict) else None
-    if kind in ("graph", "il_graph"):
+    if kind == "graph":
         return parse_graph(data)
     if kind == "packing":
         return parse_packing(data)

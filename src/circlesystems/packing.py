@@ -176,11 +176,11 @@ def _circles_near(circles, tol: float):
 
 @dataclass(frozen=True)
 class Triangulation:
-    """Apex-augmented graph in which every face is a triangle."""
+    """Apex-augmented graph in which every face is a triangle; the apex
+    of face f of the base graph is vertex ``base_n + f``."""
 
     graph: EmbeddedGraph
     base_n: int
-    apex_of_face: tuple
     boundary_face: int
 
     @property
@@ -238,7 +238,6 @@ def triangulate(g: EmbeddedGraph) -> Triangulation:
     return Triangulation(
         graph=tg,
         base_n=n,
-        apex_of_face=tuple(n + f for f in range(g.face_count)),
         boundary_face=boundary_face,
     )
 

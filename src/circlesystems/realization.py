@@ -169,6 +169,12 @@ def _assemble(circles, points):
     return Realization(list(circles), list(points), arcs), order, ends
 
 
+def _touchings(circles, pairs):
+    """The tangency point of each (i, j) pair of tangent circles."""
+    return [RealPoint(*_tangency_point(circles[i], circles[j]), (i, j),
+                      KIND_TOUCH) for i, j in pairs]
+
+
 def _arc_end_slack(tol):
     """Angle by which an arc end may miss its point when a realization is
     read as a graph at tolerance ``tol``."""
@@ -301,13 +307,10 @@ def realize(g: EmbeddedGraph, tol: float = 1e-9) -> Realization:
 
     packing = pack(il.graph, tol)
     circles = list(packing.circles)
+    points = _touchings(circles, il.vertex_gray_pair)
 
-    points = []
-    for v in range(g.n):
-        a, b = il.vertex_gray_pair[v]
-        x, y = _tangency_point(circles[a], circles[b])
-        points.append(RealPoint(x, y, (a, b), KIND_TOUCH))
-
+    # the layout places the neighbours of every circle counterclockwise in
+    # rotation order, so the points of a gray face wind once around it
     arcs = []
     for i, f in enumerate(il.gray_faces):
         cycle = g.faces[f]
@@ -315,17 +318,12 @@ def realize(g: EmbeddedGraph, tol: float = 1e-9) -> Realization:
         angles = [angle_on(circles[i], (points[v].x, points[v].y)) for v in tails]
         k = len(cycle)
         winding = sum((angles[(j + 1) % k] - angles[j]) % TWO_PI for j in range(k))
-        turns = round(winding / TWO_PI)
-        if turns == 1:
-            for j, d in enumerate(cycle):
-                arcs.append(Arc(i, angles[j], angles[(j + 1) % k], g.edge_of_dart[d]))
-        elif turns == k - 1:
-            for j, d in enumerate(cycle):
-                arcs.append(Arc(i, angles[(j + 1) % k], angles[j], g.edge_of_dart[d]))
-        else:
+        if round(winding / TWO_PI) != 1:
             raise NonPlanarEmbedding(
-                f"points of circle {i} are not in face-boundary order"
+                f"points of circle {i} are not in counterclockwise face order"
             )
+        for j, d in enumerate(cycle):
+            arcs.append(Arc(i, angles[j], angles[(j + 1) % k], g.edge_of_dart[d]))
     return Realization(circles, points, arcs)
 
 

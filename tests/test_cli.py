@@ -151,6 +151,17 @@ def test_geom_oracles():
     assert json.loads(out) == {"samples": 50, "holds": 50}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["geom", "arc-inequality", "--samples", "-5"],
+     "error: --samples must not be negative, got -5\n"),
+    (["geom", "outer-mate", "--r1", "1", "--r2", "1", "--phi", "nan"],
+     "error: need phi > 0, got nan\n"),
+])
+def test_geom_argument_outside_the_domain_exits_2(argv, message):
+    code, out, err = run(argv)
+    assert (code, out, err) == (2, "", message)
+
+
 @pytest.mark.parametrize("circles", [
     "[[0,0,1],[1,0],[2,0,1],[3,0,1]]",
     "5",
@@ -281,17 +292,6 @@ def test_graph_roundtrip():
     assert jsonio.serialize_graph(jsonio.parse_graph(text)) == text
 
 
-def test_il_graph_serialization():
-    from circlesystems.coloring import build_il, two_color_faces
-
-    g = octahedron()
-    il = build_il(g, two_color_faces(g))
-    doc = json.loads(jsonio.serialize_il(il))
-    assert doc["type"] == "il_graph"
-    assert doc["edge_labels"] == list(range(g.n))  # one edge per graph vertex
-    assert jsonio.parse_graph(doc).n == il.graph.n
-
-
 def test_realization_roundtrip():
     r = realize(octahedron())
     text = jsonio.serialize_realization(r)
@@ -388,6 +388,13 @@ def test_empty_graph_document_names_the_fault():
     code, out, err = run(["realize"], json.dumps(_EMPTY_GRAPH))
     assert code == 2
     assert err == "error: graph has no vertices\n"
+
+
+def test_il_graph_document_is_not_a_graph():
+    doc = dict(jsonio.graph_to_obj(octahedron()), type="il_graph")
+    code, out, err = run(["realize"], json.dumps(doc))
+    assert code == 2 and out == ""
+    assert err.startswith("error: expected a graph document")
 
 
 @pytest.mark.parametrize("argv", [

@@ -1,9 +1,11 @@
 import hashlib
 import math
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
+from circlesystems import generators
 from circlesystems.embedding import build_embedding, connectivity_level
 from circlesystems.equivalence import (
     RealizationClass,
@@ -92,12 +94,25 @@ def test_flower_hits_lower_bound(c):
     assert verify_realization(real, tol=1e-8).passed
 
 
-def test_flower_perturbs_away_from_concurrence(octa):
+def test_flower_perturbs_away_from_concurrence(octa, monkeypatch):
     # radius 1.0 makes every circle pass through the center; the retry
     # nudges the radius until no three circles share a point
-    graph, real = flower(5, radius=1.0)
+    monkeypatch.setattr(generators, "FLOWER_RADIUS", 1.0)
+    graph, real = flower(5)
     assert graph.n == 20
     assert verify_realization(real, tol=1e-8).passed
+
+
+@pytest.mark.parametrize("radius", [generators.FLOWER_RADIUS, 1.0])
+def test_flower_points_stay_apart(monkeypatch, radius):
+    # the assembly refuses two points of a circle that nearly coincide, and
+    # flower nudges the radius until it accepts: no two points of the
+    # system coincide, even where all circles would meet at the center
+    monkeypatch.setattr(generators, "FLOWER_RADIUS", radius)
+    for c in range(3, 13):
+        _, real = flower(c)
+        assert all(math.hypot(p.x - q.x, p.y - q.y) >= 1e-9
+                   for p, q in combinations(real.points, 2))
 
 
 def test_flower3_is_octahedron(octa):

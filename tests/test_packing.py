@@ -90,8 +90,8 @@ def test_triangulate_square():
 
 def test_apex_degree_equals_face_length(octa):
     tri = triangulate(octa)
-    for f, apex in enumerate(tri.apex_of_face):
-        assert tri.graph.degree(apex) == len(octa.faces[f])
+    for f, cycle in enumerate(octa.faces):
+        assert tri.graph.degree(tri.base_n + f) == len(cycle)
 
 
 @pytest.mark.parametrize("maker", [
@@ -109,11 +109,11 @@ def test_triangulate_apex_darts_follow_corners(maker):
         assert row[0::2] == rot
         for d, up in zip(rot, row[1::2]):
             # the corner (d, sigma(d)) lies in the face of sigma(d)
-            assert tg.dart_head[up] == tri.apex_of_face[g.dart_face[g.sigma_next(d)]]
+            assert tg.dart_head[up] == tri.base_n + g.dart_face[g.sigma_next(d)]
     for f, cycle in enumerate(g.faces):
         # the up dart of cycle dart d's corner sits just before d
         downs = [tg.dart_rev[tg.sigma_prev(d)] for d in reversed(cycle)]
-        assert tg.rotation[tri.apex_of_face[f]] == downs
+        assert tg.rotation[tri.base_n + f] == downs
 
 
 def test_residual_of_exact_triangle_packing():

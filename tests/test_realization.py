@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from circlesystems import realization
-from circlesystems.embedding import medial
+from circlesystems.embedding import build_embedding, medial
 from circlesystems.equivalence import RealizationClass, equivalent, smooth_degree_two
 from circlesystems.errors import (
     DegenerateArc,
@@ -159,28 +159,28 @@ def test_circle_count_equals_gray_faces(octa):
     assert len(r.circles) == len(two_color_faces(octa).gray_faces())
 
 
-def test_circle_angular_order_matches_face_order(octa):
-    # points around each circle follow the gray face boundary, possibly
-    # reversed as a whole
+def test_circle_angular_order_matches_face_order():
+    # points around each circle follow the gray face boundary
+    # counterclockwise, whichever face is outer; realize relies on it
     from circlesystems.coloring import build_il, two_color_faces
     from circlesystems.realization import point_angle
 
-    coloring = two_color_faces(octa)
-    il = build_il(octa, coloring)
-    r = realize(octa)
-    for ci, face in enumerate(il.gray_faces):
-        boundary = octa.face_tails(face)
-        by_angle = sorted(
-            boundary, key=lambda v: point_angle(r, v, ci)
-        )
-        k = len(boundary)
-        rotations = [boundary[i:] + boundary[:i] for i in range(k)]
-        reversed_rotations = [
-            list(reversed(rot)) for rot in rotations
-        ]
-        assert by_angle in rotations + reversed_rotations
-        total = sum(a.extent for a in r.arcs_on(ci))
-        assert abs(total - 2 * math.pi) < 1e-9
+    for solid in (tetrahedron, cube, octahedron, dodecahedron, icosahedron):
+        m = medial(solid())
+        for outer in range(m.face_count):
+            g = build_embedding(m.to_neighbor_lists(), outer)
+            il = build_il(g, two_color_faces(g))
+            r = realize(g)
+            for ci, face in enumerate(il.gray_faces):
+                boundary = g.face_tails(face)
+                by_angle = sorted(
+                    boundary, key=lambda v: point_angle(r, v, ci)
+                )
+                k = len(boundary)
+                rotations = [boundary[i:] + boundary[:i] for i in range(k)]
+                assert by_angle in rotations
+                total = sum(a.extent for a in r.arcs_on(ci))
+                assert abs(total - 2 * math.pi) < 1e-9
 
 
 def test_verify_detects_radius_perturbation(octa):
