@@ -34,7 +34,7 @@ from circlesystems.generators import (
 from circlesystems.isomorphism import graphs_isomorphic
 from circlesystems.realization import (
     circle_count_bounds,
-    extract_abstract_graph,
+    extract_with_arcs,
     realize,
     verify_realization,
 )
@@ -73,7 +73,7 @@ def _check(name, g, r, elapsed, outdir):
     True when it verifies and its extracted graph matches ``g``."""
     b = circle_count_bounds(g.n)
     verified = verify_realization(r, g).passed
-    iso = graphs_isomorphic(extract_abstract_graph(r), g)
+    iso = graphs_isomorphic(extract_with_arcs(r), g)
     print(
         f"{name:<26}{g.n:>4}{len(r.circles):>9}"
         f"{'[%.2f, %.2f]' % (b.lower, b.upper):>18}"

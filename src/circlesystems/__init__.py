@@ -51,7 +51,7 @@ from .realization import (
     RealPoint,
     Realization,
     circle_count_bounds,
-    extract_abstract_graph,
+    extract_with_arcs,
     innermost_face_arc_check,
     realize,
     verify_realization,

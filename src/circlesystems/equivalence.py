@@ -15,16 +15,13 @@ import enum
 import functools
 from dataclasses import dataclass
 
-from .errors import DegenerateArc, NoClassMatch
+from .errors import NoClassMatch
 from .isomorphism import digraph_isomorphism
 from .realization import (
     Realization,
-    _angular_order,
-    _arc_end_slack,
-    _arc_partition_faults,
     _assemble,
-    _check_circle_ids,
     _extract,
+    _read,
     extract_with_arcs,
     outer_face_of,
 )
@@ -69,15 +66,7 @@ def _smooth(r: Realization):
     # the points must lie on their circles and the arcs partition the
     # circles as extraction reads them, since the smoothed arcs are rebuilt
     # from the points alone
-    slack = _arc_end_slack(1e-8)
-    _check_circle_ids(r, slack)
-    order = _angular_order(r.circles, r.points)
-    for arc in r.arcs:
-        if not order[arc.circle]:
-            raise DegenerateArc(f"circle {arc.circle} carries an arc but no points")
-    faults, _ = _arc_partition_faults(order, r.arcs, slack)
-    if faults:
-        raise DegenerateArc(faults[0])
+    _read(r, 1e-8)
 
     # so a point has two arc ends exactly when it names one circle twice
     kept = [p for p in r.points if p.on[0] != p.on[1]]
@@ -104,15 +93,12 @@ def smooth_degree_two(r: Realization) -> Realization:
     return _smooth(r)[0]
 
 
-def _dual(r: Realization, ext) -> OrientedDual:
-    """The oriented dual of ``r``, given its extracted graph ``ext``."""
-    g = ext.graph
-    outer = outer_face_of(r, ext)
-    edges = []
-    for arc_idx, (d_ccw, d_cw) in enumerate(ext.arc_darts):
-        head = g.dart_face[d_ccw]
-        tail = g.dart_face[d_cw]
-        edges.append((tail, head, arc_idx))
+def _dual(r: Realization, g) -> OrientedDual:
+    """The oriented dual of ``r``, given its extracted graph ``g``, where
+    arc k is darts 2k (counterclockwise) and 2k + 1 (clockwise)."""
+    outer = outer_face_of(r, g)
+    edges = [(g.dart_face[2 * k + 1], g.dart_face[2 * k], k)
+             for k in range(len(r.arcs))]
     nodes = tuple(f for f in range(g.face_count) if f != outer)
     return OrientedDual(nodes=nodes, edges=tuple(edges), outer=outer)
 

@@ -92,10 +92,10 @@ FLOWER_RADIUS = 1.3  # radius of the flower circles before any nudge
 
 def _assembled_graph(circles, points):
     """(graph, realization) of ``realization._assemble``; the graph is
-    ``extract_abstract_graph`` of the realization, read off the arc ends
-    the assembly built instead of matching them anew."""
+    ``extract_with_arcs`` of the realization, read off the arc ends the
+    assembly built instead of matching them anew."""
     real, order, ends = rz._assemble(circles, points)
-    return rz._extract(real, order, ends, 1e-8).graph, real
+    return rz._extract(real, order, ends, 1e-8), real
 
 
 def _crossings(circles):

@@ -334,8 +334,10 @@ def descartes_check(c1: Circle, c2: Circle, c3: Circle, c4: Circle) -> float:
                 enclosing.add(i if a.r > b.r else j)
     if len(enclosing) > 1:
         raise NotTangent("more than one enclosing circle")
+    # in units of the least radius, curvature squares never under/overflow
+    r_min = min(c.r for c in circles)
     curvatures = [
-        (-1.0 if i in enclosing else 1.0) / circles[i].r for i in range(4)
+        (-r_min if i in enclosing else r_min) / circles[i].r for i in range(4)
     ]
     s = sum(curvatures)
     q = sum(k * k for k in curvatures)

@@ -175,24 +175,16 @@ def _touchings(circles, pairs):
                       KIND_TOUCH) for i, j in pairs]
 
 
-def _arc_end_slack(tol):
-    """Angle by which an arc end may miss its point when a realization is
-    read as a graph at tolerance ``tol``."""
-    return max(tol * 10.0, 1e-9)
-
-
-def _check_circle_ids(r: Realization, slack=None):
+def _check_circle_ids(r: Realization, slack):
     """Raise MalformedRealization when a point or an arc names a circle
-    that ``r`` does not have, or, given ``slack``, when a point lies farther
-    than ``slack`` times the radius off a circle it names."""
+    that ``r`` does not have, or when a point lies farther than ``slack``
+    times the radius off a circle it names."""
     k = len(r.circles)
     for pid, p in enumerate(r.points):
         if not all(0 <= ci < k for ci in p.on):
             raise MalformedRealization(
                 f"point {pid} names circles {p.on}; there are {k} circles"
             )
-        if slack is None:
-            continue
         for ci in p.on:
             c = r.circles[ci]
             if abs(math.hypot(p.x - c.cx, p.y - c.cy) - c.r) > slack * c.r:
@@ -244,6 +236,26 @@ def _arc_partition_faults(order, arcs, tol):
                     f"arc {arcs[i]} does not join consecutive points of circle {ci}"
                 )
     return faults, ends
+
+
+def _read(r: Realization, tol):
+    """The angular order of ``r`` and the (from, to) point ids of its arcs:
+    the one validated read of a system of circles as a graph.  Points may
+    miss their circles, and arc ends their points, by max(10 * tol, 1e-9)
+    radii.  Raises DomainError on a bad ``tol``, MalformedRealization on a
+    missing circle or a point off its circles, and DegenerateArc when the
+    arcs do not partition the circles."""
+    _check_tol(tol)
+    slack = max(tol * 10.0, 1e-9)
+    _check_circle_ids(r, slack)
+    order = _angular_order(r.circles, r.points)
+    for arc in r.arcs:
+        if not order[arc.circle]:
+            raise DegenerateArc(f"circle {arc.circle} carries an arc but no points")
+    faults, ends = _arc_partition_faults(order, r.arcs, slack)
+    if faults:
+        raise DegenerateArc(faults[0])
+    return order, ends
 
 
 @dataclass(frozen=True)
@@ -330,28 +342,18 @@ def realize(g: EmbeddedGraph, tol: float = 1e-9) -> Realization:
 # -- graph extraction ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExtractedGraph:
-    """Abstract graph of a realization plus the dart <-> arc correspondence."""
-
-    graph: EmbeddedGraph
-    dart_arc: tuple  # dart id -> (arc index, traverses_ccw)
-    arc_darts: tuple  # arc index -> (ccw dart, cw dart)
-
-
-def extract_with_arcs(r: Realization, tol: float = 1e-8) -> ExtractedGraph:
+def extract_with_arcs(r: Realization, tol: float = 1e-8) -> EmbeddedGraph:
     """Embedded abstract graph of a realization.
 
-    Vertices are the points; edges are the arcs; the rotation at each point
-    orders the four arc ends by departure tangent, with curvature breaking
-    the ties that tangencies create.  A ``tol`` that is not finite or is
-    negative raises DomainError.
+    Vertices are the points; arc k is darts 2k (counterclockwise) and
+    2k + 1 (clockwise); the rotation at each point orders the four arc ends
+    by departure tangent, with curvature breaking the ties that tangencies
+    create.  Raises DomainError on a bad ``tol``, MalformedRealization on
+    a missing circle or a point off its circles, and DegenerateArc when the
+    arcs do not partition the circles or two points of a circle lie within
+    ``tol``; ``oriented_dual`` and ``smooth_degree_two`` read alike.
     """
-    _check_tol(tol)
-    _check_circle_ids(r)
-    order = _angular_order(r.circles, r.points)
-    slack = _arc_end_slack(tol)
-    return _extract(r, order, (_arc_ends(order, a, slack) for a in r.arcs), tol)
+    return _extract(r, *_read(r, tol), tol)
 
 
 def _check_apart(order, tol):
@@ -366,37 +368,25 @@ def _check_apart(order, tol):
                     )
 
 
-def _extract(r: Realization, order, ends, tol) -> ExtractedGraph:
+def _extract(r: Realization, order, ends, tol) -> EmbeddedGraph:
     """``extract_with_arcs`` of ``r`` from its angular order and ``ends``,
-    the (from, to) point ids of every arc in arc order (None for an arc
-    that matches no point); ``ends`` is read after the check that no two
-    points of a circle lie within ``tol`` of each other."""
+    the (from, to) point ids of every arc in arc order, which partition
+    the circles; raises DegenerateArc when two points of a circle lie
+    within ``tol`` of each other."""
     _check_apart(order, tol)
 
     # one dart per arc end; 2k and 2k+1 are the ccw and cw traversals
     germs = [[] for _ in r.points]
-    dart_arc = []
-    arc_darts = []
-    for k, (arc, matched) in enumerate(zip(r.arcs, ends)):
+    for k, (arc, (p_from, p_to)) in enumerate(zip(r.arcs, ends)):
         c = r.circles[arc.circle]
-        if matched is None:
-            raise DegenerateArc(f"an end of arc {k} on circle {arc.circle} "
-                                "matches no point")
-        p_from, p_to = matched
-        d_ccw, d_cw = 2 * k, 2 * k + 1
-        dart_arc.append((k, True))
-        dart_arc.append((k, False))
-        arc_darts.append((d_ccw, d_cw))
         # departing ccw from the from-end: tangent angle + pi/2, curving left
-        germs[p_from].append((arc.from_angle + math.pi / 2.0, 1.0 / c.r, d_ccw))
+        germs[p_from].append((arc.from_angle + math.pi / 2.0, 1.0 / c.r, 2 * k))
         # departing cw from the to-end: tangent angle - pi/2, curving right
-        germs[p_to].append((arc.to_angle - math.pi / 2.0, -1.0 / c.r, d_cw))
+        germs[p_to].append((arc.to_angle - math.pi / 2.0, -1.0 / c.r, 2 * k + 1))
 
     dart_tail = [0] * (2 * len(r.arcs))
     rotation = []
     for pid, lst in enumerate(germs):
-        if not lst:
-            raise DegenerateArc(f"point {pid} has no incident arcs")
         keyed = sorted(
             ((tau % TWO_PI, kappa, d) for (tau, kappa, d) in lst),
         )
@@ -418,39 +408,24 @@ def _extract(r: Realization, order, ends, tol) -> ExtractedGraph:
         for d in row:
             dart_tail[d] = pid
 
-    dart_rev = [0] * (2 * len(r.arcs))
-    for d_ccw, d_cw in arc_darts:
-        dart_rev[d_ccw] = d_cw
-        dart_rev[d_cw] = d_ccw
-
-    graph = EmbeddedGraph(rotation, dart_tail, dart_rev)
-    return ExtractedGraph(graph, tuple(dart_arc), tuple(arc_darts))
+    dart_rev = [d ^ 1 for d in range(2 * len(r.arcs))]
+    return EmbeddedGraph(rotation, dart_tail, dart_rev)
 
 
-def extract_abstract_graph(r: Realization, tol: float = 1e-8) -> EmbeddedGraph:
-    return extract_with_arcs(r, tol).graph
-
-
-def face_signed_areas(r: Realization, ext: ExtractedGraph):
-    """Signed area of every face of the extracted embedding.
-
+def outer_face_of(r: Realization, g: EmbeddedGraph) -> int:
+    """The face of ``g = extract_with_arcs(r)`` of greatest signed area.
     With the face-on-the-right convention, bounded faces come out negative
-    and the outer face positive.
-    """
-    g = ext.graph
+    and the outer face positive."""
     areas = []
     for cycle in g.faces:
         total = 0.0
         for d in cycle:
-            arc_idx, forward = ext.dart_arc[d]
-            arc = r.arcs[arc_idx]
+            arc = r.arcs[d >> 1]
             c = r.circles[arc.circle]
-            a0, a1 = arc.from_angle, arc.to_angle
-            sweep = arc.extent if forward else -arc.extent
-            if forward:
-                start, end = a0, a1
+            if d & 1:  # clockwise
+                start, end, sweep = arc.to_angle, arc.from_angle, -arc.extent
             else:
-                start, end = a1, a0
+                start, end, sweep = arc.from_angle, arc.to_angle, arc.extent
             sx = c.cx + c.r * math.cos(start)
             sy = c.cy + c.r * math.sin(start)
             ex = c.cx + c.r * math.cos(end)
@@ -458,11 +433,6 @@ def face_signed_areas(r: Realization, ext: ExtractedGraph):
             total += 0.5 * (c.cx * (ey - sy) - c.cy * (ex - sx))
             total += 0.5 * c.r * c.r * sweep
         areas.append(total)
-    return areas
-
-
-def outer_face_of(r: Realization, ext: ExtractedGraph) -> int:
-    areas = face_signed_areas(r, ext)
     return max(range(len(areas)), key=lambda f: areas[f])
 
 
@@ -498,7 +468,7 @@ def verify_realization(r: Realization, g: EmbeddedGraph | None = None,
     it, and arc ends are matched by bisection on each circle's angular
     order.  The graph match reads the abstract graph straight off the arc
     ends that the partition rule already matched: arc k joins its (from,
-    to) points, which is edge k of ``extract_abstract_graph(r)``, so no
+    to) points, which is edge k of ``extract_with_arcs(r)``, so no
     embedding is built.  Like extraction, the match raises DegenerateArc
     when two points of a circle lie within ``tol`` of each other.
     """
@@ -579,9 +549,8 @@ def innermost_face_arc_check(r: Realization, tol: float = 1e-8) -> bool:
     """For an octahedron realization: the interior face disjoint from the
     outer face has at least one bounding arc of central angle below pi.
     A ``tol`` that is not finite or is negative raises DomainError."""
-    ext = extract_with_arcs(r, tol)
-    g = ext.graph
-    outer = outer_face_of(r, ext)
+    g = extract_with_arcs(r, tol)
+    outer = outer_face_of(r, g)
     outer_vertices = set(g.face_tails(outer))
     candidates = []
     for f in range(g.face_count):
@@ -595,7 +564,6 @@ def innermost_face_arc_check(r: Realization, tol: float = 1e-8) -> bool:
         )
     face = candidates[0]
     for d in g.faces[face]:
-        arc_idx, _ = ext.dart_arc[d]
-        if r.arcs[arc_idx].extent < math.pi:
+        if r.arcs[d >> 1].extent < math.pi:
             return True
     return False

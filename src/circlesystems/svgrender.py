@@ -36,6 +36,8 @@ class RenderOptions:
 
 
 def _fmt(x):
+    if not math.isfinite(x):  # the drawing overflows the float range
+        raise ValueError(f"cannot draw: a coordinate comes out as {x}")
     return f"{x:.4f}"
 
 

@@ -18,7 +18,7 @@ from circlesystems.generators import (
 from circlesystems.packing import triangulate
 from circlesystems import realization
 from circlesystems.realization import (
-    Arc, RealPoint, Realization, _angle_gap, extract_abstract_graph, realize,
+    Arc, RealPoint, Realization, _angle_gap, extract_with_arcs, realize,
 )
 
 
@@ -310,7 +310,7 @@ def _realized_icosahedron_medial(depth):
 
 def _canonical_octahedron(kind):
     r = canonical_octahedron_realization(kind)
-    return extract_abstract_graph(r), r
+    return extract_with_arcs(r), r
 
 
 # (name, maker of (graph, realization)): the systems on which the verdicts

@@ -56,7 +56,7 @@ from circlesystems.packing import pack
 from circlesystems.realization import (
     KIND_TOUCH,
     circle_count_bounds,
-    extract_abstract_graph,
+    extract_with_arcs,
     innermost_face_arc_check,
     realize,
     verify_realization,
@@ -86,7 +86,7 @@ def test_criterion_1_pipeline():
         r = realize(g, 1e-9)
         assert all(p.kind == KIND_TOUCH for p in r.points), name
         assert verify_realization(r, g, 1e-8).passed, name
-        assert graphs_isomorphic(extract_abstract_graph(r), g), name
+        assert graphs_isomorphic(extract_with_arcs(r), g), name
     elapsed = time.monotonic() - start
     _report(
         "criterion 1: realization pipeline on 6-graph corpus",

@@ -17,6 +17,7 @@ from circlesystems.generators import (
 )
 from circlesystems.packing import pack
 from circlesystems.realization import realize
+from circlesystems.svgrender import render_svg
 
 
 def run(argv, stdin_text=""):
@@ -191,6 +192,16 @@ def test_descartes_cli_accepts_four_triples_of_numbers():
     assert json.loads(out)["residual"] <= 1e-12
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_descartes_cli_at_extreme_scales(scale):
+    s3 = 3.0 ** 0.5
+    circles = json.dumps([[x * scale for x in c] for c in (
+        [0, 0, 1], [2, 0, 1], [1, s3, 1], [1, s3 / 3, (2 * s3 - 3) / 3])])
+    code, out, err = run(["geom", "descartes", "--circles", circles])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["residual"] <= 1e-12
+
+
 def test_cli_determinism():
     for argv in (
         ["generate", "octahedron"],
@@ -239,6 +250,13 @@ def test_render_rejects_all_layers_off():
         ["render", "--no-circles", "--no-points", "--no-arcs"], real_json
     )
     assert code == 2
+
+
+def test_render_refuses_coordinates_beyond_the_float_range():
+    _, r = flower(4)
+    r.circles[0] = packing.Circle(-1e308, r.circles[0].cy, 1e308)
+    with pytest.raises(ValueError, match="cannot draw"):
+        render_svg(r)
 
 
 def test_render_determinism():
@@ -375,6 +393,10 @@ _EMPTY_GRAPH = {"type": "graph", "version": 1, "n": 0, "rotation": []}
     # viewport sides beyond the float range
     (["render", "--width", str(10**400)], _THREE_CROSSING),
     (["render", "--height", str(10**400)], _THREE_CROSSING),
+    # a bounding box beyond the float range: no nan in the drawing
+    (["render"], {"type": "packing", "version": 1,
+                  "circles": [{"id": 0, "cx": -1e308, "cy": 0, "r": 1e308}],
+                  "residual": 0}),
 ])
 def test_malformed_document_exits_2(argv, doc):
     code, out, err = run(argv, json.dumps(doc))

@@ -72,11 +72,9 @@ def test_out_degree_three_counts(kind):
 def test_dual_degree_matches_face_length(kind):
     r = canonical_octahedron_realization(kind)
     d = oriented_dual(r)
-    from circlesystems.realization import extract_with_arcs
-
-    ext = extract_with_arcs(r)
+    g = extract_with_arcs(r)
     for node in d.nodes:
-        assert d.in_degree(node) + d.out_degree(node) == len(ext.graph.faces[node])
+        assert d.in_degree(node) + d.out_degree(node) == len(g.faces[node])
 
 
 def test_dual_node_count_omits_outer():
@@ -89,13 +87,13 @@ def test_dual_node_count_omits_outer():
 def test_outer_face_detection_nested():
     # the unbounded face of the nested drawing borders only the enclosing
     # circle, and every arc there points outward (toward the outer face)
-    from circlesystems.realization import extract_with_arcs, outer_face_of
+    from circlesystems.realization import outer_face_of
 
     r = canonical_octahedron_realization(RealizationClass.FOUR_TOUCHING_NESTED)
-    ext = extract_with_arcs(r)
-    outer = outer_face_of(r, ext)
+    g = extract_with_arcs(r)
+    outer = outer_face_of(r, g)
     enclosing = max(range(4), key=lambda ci: r.circles[ci].r)
-    boundary_arcs = {ext.dart_arc[d][0] for d in ext.graph.faces[outer]}
+    boundary_arcs = {d >> 1 for d in g.faces[outer]}
     assert all(r.arcs[a].circle == enclosing for a in boundary_arcs)
     d = oriented_dual(r)
     assert d.in_degree(d.outer) == 3
@@ -280,6 +278,15 @@ def _circle_dropped(r):
     return Realization(r.circles[:-1], list(r.points), list(r.arcs))
 
 
+def _point_moved(r):
+    """Point 0 pushed radially off its first circle by 1% of its radius."""
+    p = r.points[0]
+    c = r.circles[p.on[0]]
+    moved = RealPoint(c.cx + 1.01 * (p.x - c.cx), c.cy + 1.01 * (p.y - c.cy),
+                      p.on, p.kind)
+    return Realization(list(r.circles), [moved] + r.points[1:], list(r.arcs))
+
+
 _SYSTEMS = [
     ("flower5", lambda: flower(5)[1]),
     ("touching-disjoint", lambda: canonical_octahedron_realization(
@@ -313,6 +320,22 @@ def test_missing_circle_is_a_package_error(name, make):
                             list(r.arcs))
     with pytest.raises(MalformedRealization):
         equivalent(arcs_only, r)
+
+
+@pytest.mark.parametrize("name, make", _SYSTEMS)
+@pytest.mark.parametrize("mutate, error", [
+    (_arc_dropped, DegenerateArc),
+    (_arc_repeated, DegenerateArc),
+    (_arc_end_rotated, DegenerateArc),
+    (_point_moved, MalformedRealization),
+])
+def test_readers_refuse_alike(name, make, mutate, error):
+    # extraction, the oriented dual and smoothing share one validated read,
+    # so they accept and refuse the same realizations
+    bad = mutate(make())
+    for reader in (extract_with_arcs, oriented_dual, smooth_degree_two):
+        with pytest.raises(error):
+            reader(bad)
 
 
 @pytest.mark.parametrize("name, make", VERDICT_SYSTEMS,

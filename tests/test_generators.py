@@ -35,7 +35,7 @@ from circlesystems.realization import (
     KIND_CROSS,
     KIND_TOUCH,
     circle_count_bounds,
-    extract_abstract_graph,
+    extract_with_arcs,
     verify_realization,
 )
 
@@ -295,7 +295,7 @@ def test_generator_graph_is_the_extracted_graph(make):
     # the generators read their graph off the arc ends the assembly builds;
     # matching every end again must give the same embedding, dart for dart
     g, r = make()
-    e = extract_abstract_graph(r)
+    e = extract_with_arcs(r)
     assert (g.rotation, g.dart_tail, g.dart_rev) == (e.rotation, e.dart_tail, e.dart_rev)
     assert serialize_graph(g) == serialize_graph(e)
 

@@ -296,12 +296,19 @@ def test_brute_force_enumeration_not_vacuous():
     assert _brute_force_placements(20, drop="c") > 0
 
 
-def test_descartes_closed_form():
+@pytest.mark.parametrize("scale", [1e-200, 1e-100, 1.0, 1e100, 1e200])
+def test_descartes_closed_form(scale):
+    # the squared curvatures of circles this small or large under- or
+    # overflow; the identity is scale-free, and so must the residual be
     s3 = math.sqrt(3.0)
-    units = [Circle(0, 0, 1.0), Circle(2, 0, 1.0), Circle(1, s3, 1.0)]
-    inner = Circle(1.0, s3 / 3.0, (2 * s3 - 3) / 3.0)
+
+    def circle(x, y, r):
+        return Circle(x * scale, y * scale, r * scale)
+
+    units = [circle(0, 0, 1.0), circle(2, 0, 1.0), circle(1, s3, 1.0)]
+    inner = circle(1.0, s3 / 3.0, (2 * s3 - 3) / 3.0)
     assert descartes_check(*units, inner) <= 1e-12
-    enclosing = Circle(1.0, s3 / 3.0, (2 * s3 + 3) / 3.0)
+    enclosing = circle(1.0, s3 / 3.0, (2 * s3 + 3) / 3.0)
     assert descartes_check(*units, enclosing) <= 1e-12
 
 

@@ -32,7 +32,6 @@ from circlesystems.realization import (
     Realization,
     angle_on,
     circle_count_bounds,
-    extract_abstract_graph,
     extract_with_arcs,
     innermost_face_arc_check,
     point_kind,
@@ -66,7 +65,7 @@ def test_pipeline_closure(name, maker):
     g = maker()
     r = realize(g, 1e-9)
     assert verify_realization(r, g, 1e-8).passed
-    assert graphs_isomorphic(extract_abstract_graph(r), g)
+    assert graphs_isomorphic(extract_with_arcs(r), g)
 
 
 def test_pipeline_closure_iterated_medial():
@@ -74,7 +73,7 @@ def test_pipeline_closure_iterated_medial():
     assert g.n == 24
     r = realize(g, 1e-9)
     assert verify_realization(r, g, 1e-8).passed
-    assert graphs_isomorphic(extract_abstract_graph(r), g)
+    assert graphs_isomorphic(extract_with_arcs(r), g)
 
 
 def test_realize_icosahedron_medial_n480():
@@ -112,7 +111,7 @@ def test_extraction_groups_tangents_across_angle_zero(octa, pid):
         arcs.append(Arc(arc.circle, start % (2 * math.pi), end % (2 * math.pi),
                         arc.edge))
     turned = Realization(circles, points, arcs)
-    assert graphs_isomorphic(extract_abstract_graph(turned), octa)
+    assert graphs_isomorphic(extract_with_arcs(turned), octa)
     assert verify_realization(turned, octa).passed
 
 
@@ -134,8 +133,6 @@ def test_extraction_and_point_kind_reject_tol_outside_zero_to_infinity(tol):
         point_kind(r.circles[0], r.circles[1], tol)
     with pytest.raises(DomainError):
         extract_with_arcs(r, tol)
-    with pytest.raises(DomainError):
-        extract_abstract_graph(r, tol)
     with pytest.raises(DomainError):
         innermost_face_arc_check(r, tol)
 
@@ -202,14 +199,14 @@ def test_verify_canonical_three_crossing(octa):
 
 def test_extract_three_crossing_is_octahedron(octa):
     r = canonical_octahedron_realization(RealizationClass.THREE_CROSSING)
-    assert graphs_isomorphic(extract_abstract_graph(r), octa)
+    assert graphs_isomorphic(extract_with_arcs(r), octa)
 
 
 def test_extract_flower4():
     graph, real = flower(4)
     assert graph.n == 12
     assert graph.is_regular(4)
-    assert graphs_isomorphic(extract_abstract_graph(real), graph)
+    assert graphs_isomorphic(extract_with_arcs(real), graph)
 
 
 def test_bounds_values():
@@ -271,8 +268,8 @@ def test_extract_rejects_coincident_points(octa):
         list(r.arcs),
     )
     with pytest.raises(DegenerateArc):
-        extract_abstract_graph(squeezed)
-    # an arc end 0.1 rad away from every point matches none of them
+        extract_with_arcs(squeezed)
+    # an arc end 0.1 rad away from every point joins no consecutive points
     arc = r.arcs[0]
     rotated = Realization(
         list(r.circles),
@@ -280,8 +277,8 @@ def test_extract_rejects_coincident_points(octa):
         [Arc(arc.circle, arc.from_angle + 0.1, arc.to_angle, arc.edge)]
         + list(r.arcs[1:]),
     )
-    with pytest.raises(DegenerateArc, match="matches no point"):
-        extract_abstract_graph(rotated)
+    with pytest.raises(DegenerateArc, match="does not join consecutive points"):
+        extract_with_arcs(rotated)
 
 
 def test_verify_bounds_rule(octa):
@@ -325,8 +322,26 @@ def test_verify_matches_the_extracted_edge_list(monkeypatch, name, make):
 
     monkeypatch.setattr(realization, "find_isomorphism", recording)
     assert verify_realization(r, g).passed
-    extracted = extract_abstract_graph(r)
+    extracted = extract_with_arcs(r)
     assert seen == [(extracted.n, extracted.edges())]
+
+
+@pytest.mark.parametrize("name, make", VERDICT_SYSTEMS,
+                         ids=[name for name, _ in VERDICT_SYSTEMS])
+def test_extracted_darts_follow_arc_numbering(name, make):
+    # arc k is dart 2k, leaving the point at its from-angle counterclockwise,
+    # and dart 2k + 1, leaving the point at its to-angle clockwise
+    _, r = make()
+    g = extract_with_arcs(r)
+    assert len(g.dart_tail) == 2 * len(r.arcs)
+    for k, arc in enumerate(r.arcs):
+        assert g.dart_rev[2 * k] == 2 * k + 1
+        for d, angle in ((2 * k, arc.from_angle), (2 * k + 1, arc.to_angle)):
+            tail = g.dart_tail[d]
+            assert arc.circle in r.points[tail].on
+            gap = realization._angle_gap(
+                realization.point_angle(r, tail, arc.circle), angle)
+            assert gap <= 1e-12
 
 
 def _soddy_overlapped_by(eps):
@@ -355,6 +370,6 @@ def test_verify_graph_match_refuses_nearly_coincident_points(octa):
     with pytest.raises(DegenerateArc, match="nearly coincide"):
         verify_realization(r, octa, 1e-6)
     with pytest.raises(DegenerateArc, match="nearly coincide"):
-        extract_abstract_graph(r, 1e-6)
+        extract_with_arcs(r, 1e-6)
     assert verify_realization(r, octa, 1e-8).violations == [
         ("graph-match", "abstract graph differs from the input graph")]
