@@ -3,6 +3,7 @@
 
 Usage: python scripts/bench.py --label NAME [--max-n 3840] [--repeats 3]
                                [--outdir DIR]
+       python scripts/bench.py --against REV [--max-n 3840] [--repeats 3]
 
 The ladder is the iterated medials of the icosahedron, n=60 up to
 ``--max-n`` (at most 3840), each realized by `realize`; the prisms with 40,
@@ -22,6 +23,18 @@ The record goes to ``BENCH_<label>.json`` in ``--outdir`` (the root of this
 checkout by default, created if missing), after the diff against the newest
 other ``BENCH_*.json`` there is printed.  The package is imported from ``src/``
 of this checkout.
+
+``--against REV`` compares this checkout with commit REV instead, and
+writes no file.  REV is exported with ``git archive`` into a temporary
+directory.  Each input gets two fresh subprocesses, one importing the
+package from each tree.  After one untimed call in each, they time single
+calls in alternation, the side that goes first alternating too, for at
+least ``--repeats`` pairs and until each side has timed ``--repeats`` times
+``AGAINST_SECONDS`` (at most 100 pairs).  Per input and column the script
+prints both medians and the ratio this checkout / REV: the median of the
+per-pair ratios and their min-max.  Timing the two trees call by call,
+not one after the other, keeps the drift in a shared machine's speed out
+of the ratio.  REV's package must have the functions this script calls.
 """
 
 import argparse
@@ -31,7 +44,9 @@ import platform
 import random
 import re
 import statistics
+import subprocess
 import sys
+import tempfile
 import time
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
@@ -59,6 +74,7 @@ from circlesystems.packing import pack
 from circlesystems.realization import realize, verify_realization
 
 TOL = 1e-9
+AGAINST_SECONDS = 0.3  # per repeat, input and side of --against
 COLUMNS = ("realize_s", "verify_s", "equivalent_s", "directions", "status")
 
 
@@ -123,36 +139,134 @@ def _ladder(max_n):
         yield f"medial-n{g.n}", g
 
 
-def collect(max_n, repeats):
-    rows = {}
+def _inputs(max_n):
+    """(name, timed) of every input in record order; ``timed(repeats)``
+    measures the input and returns its row."""
     for name, g in _ladder(max_n):
-        gray = build_il(g, two_color_faces(g)).graph
-        rows[name] = _row(lambda g=g: (g, realize(g, TOL)), gray, repeats)
-        print(name, rows[name], flush=True)
+        yield name, lambda repeats, g=g: _row(
+            lambda: (g, realize(g, TOL)),
+            build_il(g, two_color_faces(g)).graph, repeats)
     for k in (40, 70, 80):
         p = prism(k)
-        rows[f"prism{k}"] = _row(lambda p=p: pack(p, TOL), p, repeats,
-                                 verdicts=False)
-        print(f"prism{k}", rows[f"prism{k}"], flush=True)
+        yield f"prism{k}", lambda repeats, p=p: _row(
+            lambda: pack(p, TOL), p, repeats, verdicts=False)
     for c in range(3, 9):
-        rows[f"flower{c}"] = _row(lambda c=c: flower(c), None, repeats)
-        print(f"flower{c}", rows[f"flower{c}"], flush=True)
+        yield f"flower{c}", lambda repeats, c=c: _row(
+            lambda: flower(c), None, repeats)
     for c in range(4, 81, 2):
         base = tetrahedron() if c == 4 else prism(c // 2)
-        name = f"upper-bound-family{c}"
-        rows[name] = _row(lambda c=c: upper_bound_family(c), base, repeats)
-        print(name, rows[name], flush=True)
+        yield f"upper-bound-family{c}", lambda repeats, c=c, base=base: _row(
+            lambda: upper_bound_family(c), base, repeats)
     for phi in (0.5, 1.5, 2.5):
-        name = f"gadget-phi{phi}"
-        rows[name] = _row(lambda phi=phi: gadget_arc_infeasibility(phi, 100),
-                          None, repeats, verdicts=False)
-        print(name, rows[name], flush=True)
+        yield f"gadget-phi{phi}", lambda repeats, phi=phi: _row(
+            lambda: gadget_arc_infeasibility(phi, 100), None, repeats,
+            verdicts=False)
     for side in (INTERIOR, EXTERIOR):
-        name = f"arc-samples-{side.lower()}"
-        rows[name] = _row(lambda side=side: _arc_draws(side), None, repeats,
-                          verdicts=False)
+        yield f"arc-samples-{side.lower()}", lambda repeats, side=side: _row(
+            lambda: _arc_draws(side), None, repeats, verdicts=False)
+
+
+def collect(max_n, repeats):
+    rows = {}
+    for name, timed in _inputs(max_n):
+        rows[name] = timed(repeats)
         print(name, rows[name], flush=True)
     return rows
+
+
+# a worker of --against: import the package from the tree's src/ (argv[1])
+# before this script (from argv[2]) puts its own src/ first on the path;
+# then time one call of each input named on stdin, answering with its row
+_WORKER = """
+import json, pathlib, sys
+src, scripts, max_n = sys.argv[1:]
+sys.path.insert(0, src)
+import circlesystems
+package = pathlib.Path(circlesystems.__file__).parent
+if package != pathlib.Path(src, "circlesystems"):
+    raise SystemExit(f"circlesystems imported from {package}")
+sys.path.insert(0, scripts)
+import bench
+inputs = dict(bench._inputs(int(max_n)))
+for name in sys.stdin:
+    print(json.dumps(inputs[name.strip()](1)), flush=True)
+"""
+
+
+def _time_pairs(srcs, name, max_n, repeats):
+    """Rows of input ``name`` from two fresh workers importing the package
+    from ``srcs``, timed as the module docstring says for ``--against``."""
+    workers = [subprocess.Popen(
+        [sys.executable, "-c", _WORKER, str(src), str(ROOT / "scripts"),
+         str(max_n)], stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+        for src in srcs]
+    try:
+        def call(side):
+            workers[side].stdin.write(name + "\n")
+            workers[side].stdin.flush()
+            line = workers[side].stdout.readline()
+            if not line:
+                raise SystemExit(f"error: a worker stopped on {name}")
+            return json.loads(line)
+
+        call(0), call(1)
+        rows = ([], [])
+        spent = [0.0, 0.0]
+        # an input whose every call fails has no time to spend
+        while len(rows[0]) < repeats or (
+                0.0 < min(spent) < AGAINST_SECONDS * repeats
+                and len(rows[0]) < 100):
+            for side in ((0, 1) if len(rows[0]) % 2 == 0 else (1, 0)):
+                row = call(side)
+                rows[side].append(row)
+                spent[side] += sum(row[col] or 0.0 for col in COLUMNS[:3])
+        return rows
+    finally:
+        for w in workers:
+            w.stdin.close()
+            w.wait()
+
+
+def _ratio_cells(mine, theirs):
+    """Per time column measured on both sides: both medians, and the
+    median and min-max of the per-pair ratios mine / theirs."""
+    cells = []
+    for col in COLUMNS[:3]:
+        pairs = [(m[col], t[col]) for m, t in zip(mine, theirs)
+                 if m[col] and t[col]]
+        if not pairs:
+            continue
+        ratios = [m / t for m, t in pairs]
+        cells.append(
+            f"{col} {statistics.median(t for _, t in pairs):.4f} -> "
+            f"{statistics.median(m for m, _ in pairs):.4f} "
+            f"x{statistics.median(ratios):.3f} "
+            f"[{min(ratios):.3f}, {max(ratios):.3f}]")
+    for col in COLUMNS[3:]:
+        seen = [", ".join(sorted({str(row[col]) for row in rows}))
+                for rows in (theirs, mine)]
+        cells.append(f"{col} {seen[0]}" if seen[0] == seen[1]
+                     else f"{col} {seen[0]} -> {seen[1]}")
+    return cells
+
+
+def against(rev, max_n, repeats):
+    """Print, input by input, this checkout's times against commit ``rev``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        archive = subprocess.run(["git", "archive", "--format=tar", rev],
+                                 cwd=ROOT, stdout=subprocess.PIPE)
+        if archive.returncode:
+            raise SystemExit(f"error: git archive {rev} failed")
+        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout,
+                       check=True)
+        srcs = (ROOT / "src", pathlib.Path(tmp, "src"))
+        print(f"this checkout against {rev}: {rev} median -> this median, "
+              f"x ratio [min, max] over at least {repeats} alternating pairs",
+              flush=True)
+        for name, _ in _inputs(max_n):
+            rows = _time_pairs(srcs, name, max_n, repeats)
+            print(f"{name} ({len(rows[0])} pairs): "
+                  + "; ".join(_ratio_cells(*rows)), flush=True)
 
 
 def _cell(old, new):
@@ -178,11 +292,18 @@ def diff(old, new):
 
 def main():
     ap = argparse.ArgumentParser()
-    ap.add_argument("--label", required=True)
+    mode = ap.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--label")
+    mode.add_argument("--against", metavar="REV")
     ap.add_argument("--max-n", type=int, default=3840)
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--outdir", type=pathlib.Path, default=ROOT)
     args = ap.parse_args()
+    if args.repeats < 1:
+        ap.error("--repeats must be at least 1")
+    if args.against is not None:
+        against(args.against, args.max_n, args.repeats)
+        return 0
     if not re.fullmatch(r"[\w.-]+", args.label):
         ap.error("--label may hold letters, digits, '_', '.' and '-' only")
 

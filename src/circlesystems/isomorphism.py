@@ -1,13 +1,19 @@
 """Isomorphism of directed multigraphs, and of undirected ones through them.
 
-One backtracking search, in the frontier order of VF2 (Cordella et al., "A
-(sub)graph isomorphism algorithm for matching large graphs", IEEE TPAMI
-26(10), 2004): the next node is the unmapped node with the most mapped
-neighbours, its candidates are the neighbours of a mapped neighbour's image,
-and a node pairs only with nodes of its own degree signature.  Each pairing
-is checked against the mapped neighbours of both nodes, in O(degree).
-Parallel edges and loops are matched by multiplicity.  An undirected
-multigraph is searched as the digraph with each edge in both directions.
+The identity comes first: two graphs on equal node lists with equal edge
+multisets (and only fixed forced pairs) are matched by it in O(n + m).
+That is the common case of verification, where `realize` and the
+generators number point v of a system as vertex v of its graph.
+
+Otherwise one backtracking search runs, in the frontier order of VF2
+(Cordella et al., "A (sub)graph isomorphism algorithm for matching large
+graphs", IEEE TPAMI 26(10), 2004): the next node is the unmapped node with
+the most mapped neighbours, its candidates are the neighbours of a mapped
+neighbour's image, and a node pairs only with nodes of its own degree
+signature.  Each pairing is checked against the mapped neighbours of both
+nodes, in O(degree).  Parallel edges and loops are matched by multiplicity.
+An undirected multigraph is searched as the digraph with each edge in both
+directions.
 
 The frontier is a heap of (-mapped neighbours, rank, node) entries with lazy
 deletion: mapping or unmapping a node pushes a fresh entry for each of its
@@ -22,6 +28,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict
 from heapq import heapify, heappop, heappush
+from itertools import chain
 
 
 def find_isomorphism(n1, edges1, n2, edges2):
@@ -66,9 +73,21 @@ def digraph_isomorphism(nodes1, edges1, nodes2, edges2, forced=()):
 
     ``edges*`` are (tail, head) pairs, possibly with multiplicity; ``forced``
     lists node pairs the bijection must contain.  Returns a dict or None.
+
+    The identity is tried first, in O(n + m): when the node lists are
+    equal, every forced pair is (a, a) and the edge multisets are equal, it
+    is returned without a search.  The search would find a mapping in that
+    case too, so the check changes no verdict, only which mapping comes
+    back.  An edge or forced pair that names a missing node skips the check
+    and raises KeyError in the search, as before.
     """
     if len(nodes1) != len(nodes2) or len(edges1) != len(edges2):
         return None
+    if (list(nodes1) == list(nodes2) and all(a == b for a, b in forced)
+            and Counter(edges1) == Counter(edges2)
+            and set(nodes1).issuperset(
+                chain(chain.from_iterable(edges1), (a for a, _ in forced)))):
+        return {v: v for v in nodes1}
     index1, out1, in1, sig1 = _adjacency(nodes1, edges1)
     index2, out2, in2, sig2 = _adjacency(nodes2, edges2)
     if Counter(sig1) != Counter(sig2):

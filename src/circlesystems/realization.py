@@ -176,14 +176,16 @@ def _touchings(circles, pairs):
 
 
 def _check_circle_ids(r: Realization, slack):
-    """Raise MalformedRealization when a point or an arc names a circle
-    that ``r`` does not have, or when a point lies farther than ``slack``
-    times the radius off a circle it names."""
+    """Raise MalformedRealization when a point does not name two circles
+    (one circle twice for a degree-2 point), when a point or an arc names a
+    circle that ``r`` does not have, or when a point lies farther than
+    ``slack`` times the radius off a circle it names."""
     k = len(r.circles)
     for pid, p in enumerate(r.points):
-        if not all(0 <= ci < k for ci in p.on):
+        if len(p.on) != 2 or not all(0 <= ci < k for ci in p.on):
             raise MalformedRealization(
-                f"point {pid} names circles {p.on}; there are {k} circles"
+                f"point {pid} names circles {p.on}; a point names two of "
+                f"the {k} circles"
             )
         for ci in p.on:
             c = r.circles[ci]
@@ -469,8 +471,11 @@ def verify_realization(r: Realization, g: EmbeddedGraph | None = None,
     order.  The graph match reads the abstract graph straight off the arc
     ends that the partition rule already matched: arc k joins its (from,
     to) points, which is edge k of ``extract_with_arcs(r)``, so no
-    embedding is built.  Like extraction, the match raises DegenerateArc
-    when two points of a circle lie within ``tol`` of each other.
+    embedding is built.  The match is linear when point v is vertex v of
+    ``g``, as `realize` and the generators number them: the isomorphism
+    search then accepts the identity without searching.  Like extraction,
+    the match raises DegenerateArc when two points of a circle lie within
+    ``tol`` of each other.
     """
     _check_tol(tol)
     report = VerifyReport(
@@ -485,7 +490,7 @@ def verify_realization(r: Realization, g: EmbeddedGraph | None = None,
             if abs(math.hypot(p.x - circles[ci].cx, p.y - circles[ci].cy)
                    - circles[ci].r) <= tol * circles[ci].r
         )
-        if len(hits) != 2 or set(hits) != set(p.on) or p.on[0] == p.on[1]:
+        if len(hits) != 2 or len(p.on) != 2 or set(hits) != set(p.on):
             report.add(
                 "point-on-two-circles",
                 f"point {pid} lies on circles {hits}, declared {p.on}",
@@ -506,9 +511,9 @@ def verify_realization(r: Realization, g: EmbeddedGraph | None = None,
                 f"circle {ci} carries {len(pairs)} points",
             )
     for pid, p in enumerate(r.points):
-        a, b = p.on
-        if a != b:
-            key = (a, b) if a < b else (b, a)
+        # the point rule reports a point that does not name two circles
+        if len(p.on) == 2 and p.on[0] != p.on[1]:
+            key = tuple(sorted(p.on))
             pair_points.setdefault(key, []).append(pid)
     for key, pts in pair_points.items():
         if len(pts) > 2:

@@ -16,7 +16,7 @@ from circlesystems.generators import (
     upper_bound_family,
 )
 from circlesystems.packing import triangulate
-from circlesystems import realization
+from circlesystems import isomorphism, realization
 from circlesystems.realization import (
     Arc, RealPoint, Realization, _angle_gap, extract_with_arcs, realize,
 )
@@ -299,6 +299,21 @@ def relabel_realization(r, rng):
 @pytest.fixture
 def octa():
     return octahedron()
+
+
+@pytest.fixture
+def searched(monkeypatch):
+    """The node count of each graph the isomorphism search reads while the
+    test runs, two per search; empty while the identity check answers."""
+    counts = []
+    adjacency = isomorphism._adjacency
+
+    def recording(nodes, edges):
+        counts.append(len(nodes))
+        return adjacency(nodes, edges)
+
+    monkeypatch.setattr(isomorphism, "_adjacency", recording)
+    return counts
 
 
 def _realized_icosahedron_medial(depth):

@@ -189,3 +189,81 @@ def test_relabelled_medials_map_edges_onto_edges(depth):
         h.edges(), range(h.n), directed=False)
     digest = hashlib.sha256(repr(mapping).encode()).hexdigest()[:16]
     assert digest == _MEDIAL_MAPPINGS[depth]
+
+
+def _check_identical_labels(n, graphs, directed):
+    """Search every graph against itself with its edge list reversed (and
+    each edge turned round when undirected), under no forced pair and, for
+    digraphs, every forced list: the identity check answers the fixed ones
+    and the search the others.  A mapping comes back exactly when some
+    automorphism respects the forced pairs, and it is such a one."""
+    perms = list(itertools.permutations(range(n)))
+    forced_lists = [()]
+    if directed:
+        forced_lists += [[(a, b)] for a in range(n) for b in range(n)]
+        forced_lists += [[(0, b), (1, c)] for b in range(n) for c in range(n)]
+    found = Counter()
+    for edges in graphs:
+        twin = [(t, h) if directed else (h, t) for t, h in reversed(edges)]
+        target = _image(edges, range(n), directed)
+        autos = [p for p in perms if _image(edges, p, directed) == target]
+        for forced in forced_lists:
+            expected = any(all(p[a] == b for a, b in forced) for p in autos)
+            mapping = _search(n, edges, twin, directed, forced)
+            assert (mapping is not None) == expected, (edges, forced)
+            if mapping is not None:
+                p = [mapping[v] for v in range(n)]
+                assert sorted(p) == list(range(n))
+                assert _image(edges, p, directed) == target
+                assert all(p[a] == b for a, b in forced)
+            found[expected] += 1
+    assert found[True] and (found[False] or not directed)
+
+
+def test_digraphs_match_oracle_on_their_own_labels():
+    pairs = list(itertools.product(range(3), repeat=2))
+    _check_identical_labels(3, _multisets(pairs, 4), directed=True)
+
+
+def test_multigraphs_match_oracle_on_their_own_labels():
+    pairs = list(itertools.combinations_with_replacement(range(4), 2))
+    _check_identical_labels(4, _multisets(pairs, 4), directed=False)
+
+
+def test_simple_graphs_match_oracle_on_their_own_labels():
+    pairs = list(itertools.combinations(range(5), 2))
+    graphs = [[e for e, bit in zip(pairs, bits) if bit]
+              for bits in itertools.product((0, 1), repeat=len(pairs))]
+    _check_identical_labels(5, graphs, directed=False)
+
+
+def test_equal_graphs_under_a_moved_forced_pair_take_the_search(searched):
+    cycle = _cycles(3)
+    # the identity, with or without a fixed forced pair, needs no search
+    identity = {0: 0, 1: 1, 2: 2}
+    assert digraph_isomorphism(range(3), cycle, range(3), cycle) == identity
+    assert digraph_isomorphism(range(3), cycle, range(3), cycle,
+                               [(1, 1)]) == identity
+    assert searched == []
+    # a forced pair that moves a node leaves it to the search: a rotation
+    # answers it, and no automorphism of the cycle swaps two nodes
+    assert digraph_isomorphism(range(3), cycle, range(3), cycle, [(0, 1)]) == {
+        0: 1, 1: 2, 2: 0}
+    assert digraph_isomorphism(range(3), cycle, range(3), cycle,
+                               [(0, 1), (1, 0)]) is None
+    assert searched == [3, 3, 3, 3]
+
+
+@pytest.mark.parametrize("edges, forced", [
+    ([(0, 1), (1, 5)], ()),
+    ([(0, 1), (5, 1)], ()),
+    ([(0, 1), (1, 2)], [(7, 7)]),
+])
+def test_ends_that_name_no_node_raise_as_in_the_search(edges, forced):
+    # equal node lists and edge lists would pass the identity check, but an
+    # end that is not a node must not be accepted
+    with pytest.raises(KeyError):
+        digraph_isomorphism(range(3), edges, range(3), list(edges), forced)
+    if not forced:
+        with pytest.raises(KeyError):
+            find_isomorphism(3, edges, 3, list(edges))

@@ -1,11 +1,14 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from circlesystems import realization
 from circlesystems.embedding import build_embedding, medial
-from circlesystems.equivalence import RealizationClass, equivalent, smooth_degree_two
+from circlesystems.equivalence import (
+    RealizationClass, equivalent, oriented_dual, smooth_degree_two,
+)
 from circlesystems.errors import (
     DegenerateArc,
     DomainError,
@@ -39,7 +42,9 @@ from circlesystems.realization import (
     verify_realization,
 )
 
-from conftest import VERDICT_SYSTEMS, joined_octahedra
+from conftest import (
+    VERDICT_SYSTEMS, joined_octahedra, relabel_graph, relabel_realization,
+)
 
 CORPUS = [
     ("octahedron", octahedron),
@@ -373,3 +378,48 @@ def test_verify_graph_match_refuses_nearly_coincident_points(octa):
         extract_with_arcs(r, 1e-6)
     assert verify_realization(r, octa, 1e-8).violations == [
         ("graph-match", "abstract graph differs from the input graph")]
+
+
+@pytest.mark.parametrize("pattern", [(0, 1, 1), (0,)])
+def test_point_that_does_not_name_two_circles(pattern):
+    # verify reports such a point instead of unpacking its circles, and
+    # every reader refuses it in the one validated read
+    g, r = flower(4)
+    p = r.points[0]
+    on = tuple(p.on[i] for i in pattern)
+    bad = Realization(list(r.circles),
+                      [RealPoint(p.x, p.y, on, p.kind)] + list(r.points[1:]),
+                      list(r.arcs))
+    for graph in (None, g):
+        # with one circle named, the other circle also misses an arc end
+        assert verify_realization(bad, graph).violations[0] == (
+            "point-on-two-circles",
+            f"point 0 lies on circles {sorted(p.on)}, declared {on}",
+        )
+    for reader in (extract_with_arcs, oriented_dual, smooth_degree_two):
+        with pytest.raises(MalformedRealization, match="point 0 names"):
+            reader(bad)
+
+
+@pytest.mark.parametrize("name, make", VERDICT_SYSTEMS,
+                         ids=[name for name, _ in VERDICT_SYSTEMS])
+def test_relabelled_systems_match_through_the_search(searched, name, make):
+    # point v is vertex v on these systems, so the identity matches them;
+    # relabelling either side leaves the match to the search
+    g, r = make()
+    assert verify_realization(r, g).passed
+    assert searched == []
+    rng = random.Random(0)
+    assert verify_realization(relabel_realization(r, rng), g).passed
+    assert verify_realization(r, relabel_graph(g, rng)).passed
+    assert searched == [g.n] * 4
+
+
+def test_graph_match_fails_on_another_graph_of_equal_size():
+    # flower(6) and the icosahedron medial are 4-regular with n=30 and m=60
+    flower_graph, flower_system = flower(6)
+    medial_graph = medial(icosahedron())
+    differs = [("graph-match", "abstract graph differs from the input graph")]
+    for r, g in ((flower_system, medial_graph),
+                 (realize(medial_graph), flower_graph)):
+        assert verify_realization(r, g).violations == differs
