@@ -14,7 +14,8 @@ and 2.5, and 2000 seeded `sample_arc_pair_config` + `nested_arc_inequality`
 draws per side.  Per input it records the median seconds over
 ``--repeats`` runs of `realize` (or of `pack`, the generator or the
 oracle), of `verify_realization(r, g)` and of `equivalent(r, r)`, the
-Newton directions `pack` solved, and the status:
+Newton directions `pack` solved (one untimed packing per input and
+process), and the status:
 "ok", "verify failed", "not equivalent to itself", or the class of the
 exception that stopped the input.  A column that does not apply to an
 input, or that an exception left unmeasured, is null.
@@ -38,6 +39,7 @@ of the ratio.  REV's package must have the functions this script calls.
 """
 
 import argparse
+import functools
 import json
 import pathlib
 import platform
@@ -88,23 +90,28 @@ def _median_time(fn, repeats):
     return statistics.median(times), result
 
 
-def _directions(g):
-    """Newton directions of ``pack(g)``, read off the failure message when
-    the packing is not certified."""
-    try:
-        return pack(g, TOL).iterations
-    except CircleSystemsError as exc:
-        found = re.match(r"after (\d+) Newton steps", str(exc))
-        return int(found.group(1)) if found else None
+def _directions(graph):
+    """A function that returns the Newton directions of ``pack(graph())``,
+    read off the failure message when the packing is not certified.  It
+    packs on its first call only: ``--against`` times each input up to
+    100 times in one process."""
+    @functools.cache
+    def count():
+        try:
+            return pack(graph(), TOL).iterations
+        except CircleSystemsError as exc:
+            found = re.match(r"after (\d+) Newton steps", str(exc))
+            return int(found.group(1)) if found else None
+    return count
 
 
-def _row(make, packed, repeats, verdicts=True):
+def _row(make, directions, repeats, verdicts=True):
     """One record: ``make()`` returns (graph, realization), or a packing
-    when ``verdicts`` is False; ``packed`` is the graph whose packing
-    counts the Newton directions, or None."""
+    when ``verdicts`` is False; ``directions`` is a ``_directions``
+    function of the graph whose packing counts them, or None."""
     row = dict.fromkeys(COLUMNS)
-    if packed is not None:
-        row["directions"] = _directions(packed)
+    if directions is not None:
+        row["directions"] = directions()
     try:
         row["realize_s"], made = _median_time(make, repeats)
         row["status"] = "ok"
@@ -143,20 +150,22 @@ def _inputs(max_n):
     """(name, timed) of every input in record order; ``timed(repeats)``
     measures the input and returns its row."""
     for name, g in _ladder(max_n):
-        yield name, lambda repeats, g=g: _row(
-            lambda: (g, realize(g, TOL)),
-            build_il(g, two_color_faces(g)).graph, repeats)
+        count = _directions(lambda g=g: build_il(g, two_color_faces(g)).graph)
+        yield name, lambda repeats, g=g, count=count: _row(
+            lambda: (g, realize(g, TOL)), count, repeats)
     for k in (40, 70, 80):
         p = prism(k)
-        yield f"prism{k}", lambda repeats, p=p: _row(
-            lambda: pack(p, TOL), p, repeats, verdicts=False)
+        count = _directions(lambda p=p: p)
+        yield f"prism{k}", lambda repeats, p=p, count=count: _row(
+            lambda: pack(p, TOL), count, repeats, verdicts=False)
     for c in range(3, 9):
         yield f"flower{c}", lambda repeats, c=c: _row(
             lambda: flower(c), None, repeats)
     for c in range(4, 81, 2):
         base = tetrahedron() if c == 4 else prism(c // 2)
-        yield f"upper-bound-family{c}", lambda repeats, c=c, base=base: _row(
-            lambda: upper_bound_family(c), base, repeats)
+        count = _directions(lambda base=base: base)
+        yield f"upper-bound-family{c}", lambda repeats, c=c, count=count: _row(
+            lambda: upper_bound_family(c), count, repeats)
     for phi in (0.5, 1.5, 2.5):
         yield f"gadget-phi{phi}", lambda repeats, phi=phi: _row(
             lambda: gadget_arc_infeasibility(phi, 100), None, repeats,

@@ -1,26 +1,28 @@
 """Tangent-circle packing of embedded planar graphs.
 
 The solver triangulates the input by placing one apex vertex inside every
-face and solves for the radii with Newton's method on the log-radii u: the
-angle sums at the interior vertices must all be 2*pi, and their Jacobian
-in u is minus a symmetric weighted Laplacian, the Hessian of the convex
-functional of Bobenko and Springborn (Trans. AMS 356, 2004).  An apex
-touches base vertices only, so each Newton step first eliminates the apexes
-of the faces with at most 5 corners exactly (static condensation, a Schur
-complement), runs one conjugate-gradient solve on the base unknowns and the
-apexes of larger faces, and recovers the eliminated apexes by
-back-substitution.  Conjugate gradients are preconditioned by symmetric
-Gauss-Seidel, applied through Eisenstat's trick at the cost of one product
-with the Laplacian per iteration.  The solve is inexact: it stops once the
-residual of the Laplacian system itself, not the preconditioned one, is
-within a forcing term of the right-hand side; the forcing term shrinks with
-the angle-sum error but never asks for more than the rounding floor can
-show.  A step that does not lower the largest angle-sum error is halved
-until it does.  Iteration stops once every angle-sum error is within the
-rounding floor of its sum; the circles are then laid out by walking the
-triangles from a fixed boundary triangle, and the packing is certified by
-its tangency and overlap residuals.  Apex circles are discarded at the end;
-the required tangencies between base circles survive.  The Newton system's
+face.  The triangulation is read off the input's darts, not built: triangle
+d is the corner (tail d, head d, apex of d's face) of dart d.  The radii
+come from Newton's method on the log-radii u: the angle sums at the
+interior vertices must all be 2*pi, and their Jacobian in u is minus a
+symmetric weighted Laplacian, the Hessian of the convex functional of
+Bobenko and Springborn (Trans. AMS 356, 2004).  An apex touches base
+vertices only, so each Newton step first eliminates the apexes of the faces
+with at most 5 corners exactly (static condensation, a Schur complement),
+runs one conjugate-gradient solve on the base unknowns and the apexes of
+larger faces, and recovers the eliminated apexes by back-substitution.
+Conjugate gradients are preconditioned by symmetric Gauss-Seidel, applied
+through Eisenstat's trick at the cost of one product with the Laplacian per
+iteration.  The solve is inexact: it stops once the residual of the
+Laplacian system itself, not the preconditioned one, is within a forcing
+term of the right-hand side; the forcing term shrinks with the angle-sum
+error but never asks for more than the rounding floor can show.  A step
+that does not lower the largest angle-sum error is halved until it
+does.  Iteration stops once every angle-sum error is within the rounding
+floor of its sum; the circles are then laid out by walking the triangles
+from a fixed boundary triangle, and the packing is certified by its
+tangency and overlap residuals.  Apex circles are discarded at the end; the
+required tangencies between base circles survive.  The Newton system's
 pattern is built once per packing, its weights numbered in the condensed
 layout (``_newton_system``).
 
@@ -176,16 +178,22 @@ def _circles_near(circles, tol: float):
 
 @dataclass(frozen=True)
 class Triangulation:
-    """Apex-augmented graph in which every face is a triangle; the apex
-    of face f of the base graph is vertex ``base_n + f``."""
+    """The base graph with an apex vertex, ``base_n + f``, in every face f,
+    joined to each of its corners.  Triangle d is the corner of base dart
+    d: (tail d, head d, apex of d's face).  ``boundary_face`` is the
+    triangle whose circles anchor the layout."""
 
-    graph: EmbeddedGraph
-    base_n: int
+    base: EmbeddedGraph
     boundary_face: int
 
     @property
+    def base_n(self):
+        return self.base.n
+
+    @property
     def boundary_vertices(self):
-        return tuple(self.graph.face_tails(self.boundary_face))
+        g, d = self.base, self.boundary_face
+        return g.dart_tail[d], g.dart_head[d], g.n + g.dart_face[d]
 
 
 @dataclass(frozen=True)
@@ -205,41 +213,22 @@ class Packing:
 def triangulate(g: EmbeddedGraph) -> Triangulation:
     """Join an apex vertex to every corner of every face.
 
-    The boundary triangle is the lowest-numbered face incident to the apex
-    of the outer face; its three circles anchor the layout.
+    The boundary triangle is the lowest-numbered dart of the outer face: it
+    holds the outer face's apex, and its three circles anchor the layout.
     """
+    return Triangulation(base=g, boundary_face=min(g.faces[g.outer_face]))
+
+
+def _corners(g: EmbeddedGraph):
+    """The corners (tail d, head d, apex of d's face) of every triangle d."""
     n = g.n
+    return list(zip(g.dart_tail, g.dart_head, [n + f for f in g.dart_face]))
 
-    # the corner named by cycle dart d of face f sits at d's tail; it gets
-    # a dart up to the apex n + f and one back down, numbered in face order
-    up = [0] * len(g.dart_tail)
-    dart_tail = list(g.dart_tail)
-    dart_rev = list(g.dart_rev)
-    for f, cycle in enumerate(g.faces):
-        for d in cycle:
-            up[d] = len(dart_tail)
-            dart_tail += [g.dart_tail[d], n + f]
-            dart_rev += [up[d] + 1, up[d]]
 
-    # base vertex u: the corner (d, sigma(d)) belongs to the face of
-    # sigma(d), so its apex dart follows d
-    rotation = [
-        [e for d in rot for e in (d, up[g.sigma_next(d)])] for rot in g.rotation
-    ]
-    # apex of face f: the down darts in reversed cycle order
-    rotation += [[up[d] + 1 for d in reversed(cycle)] for cycle in g.faces]
-
-    tg = EmbeddedGraph(rotation, dart_tail, dart_rev)
-
-    outer_apex = n + g.outer_face
-    boundary_face = min(
-        tg.dart_face[d] for d in tg.rotation[outer_apex]
-    )
-    return Triangulation(
-        graph=tg,
-        base_n=n,
-        boundary_face=boundary_face,
-    )
+def _degrees(g: EmbeddedGraph):
+    """Degrees in the triangulation: a base vertex keeps its edges and
+    gains a spoke per corner, and an apex has a spoke per corner."""
+    return [2 * len(rot) for rot in g.rotation] + [len(c) for c in g.faces]
 
 
 def _newton_system(tri: Triangulation):
@@ -259,18 +248,20 @@ def _newton_system(tri: Triangulation):
     apexes to their kept corners, and one spare id for every edge with a
     boundary end.  No triangle names a fill id, so fill weights stay 0.
 
-    Returns (interior vertices; per face its corners (i, j, k) and the ids
-    of ij, jk and ki; the spare id; the kept interior vertices, in the
+    Returns (interior vertices; per triangle its corners (i, j, k) and the
+    ids of ij, jk and ki; the spare id; the kept interior vertices, in the
     order of the condensed unknowns; the condensed edges as pairs of their
     positions, by id; per eliminated apex (apex, positions of its kept
     corners, ids of the edges to them, (id, corner s, corner t) per pair of
     corners)).
     """
-    tg = tri.graph
+    g, n = tri.base, tri.base_n
+    tail = g.dart_tail
+    degree = _degrees(g)
     boundary = set(tri.boundary_vertices)
-    interior = [v for v in range(tg.n) if v not in boundary]
-    eliminated = [v for v in interior if v >= tri.base_n and tg.degree(v) <= 5]
-    kept = [v for v in interior if v < tri.base_n or tg.degree(v) > 5]
+    interior = [v for v in range(len(degree)) if v not in boundary]
+    eliminated = [v for v in interior if v >= n and degree[v] <= 5]
+    kept = [v for v in interior if v < n or degree[v] > 5]
     position = {v: i for i, v in enumerate(kept)}
     weight_id = {}
     pairs = []
@@ -281,11 +272,15 @@ def _newton_system(tri: Triangulation):
             pairs.append((position[j], position[k]))
         return weight_id[j, k]
 
-    for u, v in tg.edges():
+    # the edges of the base graph, then the spokes in face order
+    spokes = [(tail[d], n + f) for f, cycle in enumerate(g.faces) for d in cycle]
+    for u, v in g.edges() + spokes:
         if u in position and v in position:
             couple(u, v)
-    # a corner repeated around the face (a cut vertex) is coupled once
-    corners = [list(dict.fromkeys(v for v in tg.neighbors(a) if v in position))
+    # an apex meets its face's corners in reversed cycle order; a corner
+    # repeated around the face (a cut vertex) is coupled once
+    corners = [list(dict.fromkeys(tail[d] for d in reversed(g.faces[a - n])
+                                  if tail[d] in position))
                for a in eliminated]
     couplings = [[(couple(j, k), s, t)
                   for (s, j), (t, k) in combinations(enumerate(c), 2)]
@@ -300,7 +295,7 @@ def _newton_system(tri: Triangulation):
         apexes.append((a, [position[j] for j in c], ids, cp))
     get = weight_id.get
     triangles = [(i, j, k, get((i, j), spare), get((j, k), spare), get((k, i), spare))
-                 for i, j, k in map(tg.face_tails, range(tg.face_count))]
+                 for i, j, k in _corners(g)]
     return interior, triangles, spare, kept, pairs, apexes
 
 
@@ -469,12 +464,12 @@ def _newton_radii(tri: Triangulation):
 
     Returns (radii, Newton directions solved, largest angle-sum error).
     """
-    tg = tri.graph
+    degree = _degrees(tri.base)
     system = _newton_system(tri)
     eps = sys.float_info.epsilon
-    floor = [(v, 2.0 * tg.degree(v) * math.pi * eps) for v in system[0]]
+    floor = [(v, 2.0 * degree[v] * math.pi * eps) for v in system[0]]
     guard = 0.5 * min(b for _, b in floor)
-    radii = [1.0] * tg.n
+    radii = [1.0] * len(degree)
     err, worst, diag, weight = _linearize(radii, system)
     steps = 0
     while steps < MAX_STEPS and any(abs(err[v]) > b for v, b in floor):
@@ -495,14 +490,19 @@ def _newton_radii(tri: Triangulation):
     return radii, steps, worst
 
 
-def _layout(tg: EmbeddedGraph, radii, boundary_face):
-    """Place circle centers by walking triangles from the boundary face.
+def _layout(tri: Triangulation, radii):
+    """Place circle centers by walking triangles from the boundary triangle.
 
-    Every non-boundary face is a clockwise triangle, so the third vertex
-    goes on the right of the directed edge between two placed ones.
+    Every other triangle is clockwise, so the third corner goes on the
+    right of the directed side between two placed ones.  Across its sides
+    (tail d, head d), (head d, apex) and (apex, tail d), triangle d meets
+    the triangles of rev d, of the dart after d in its face, and of the
+    reverse of the dart before d around its tail.
     """
-    pos = [None] * tg.n
-    t0, t1, t2 = tg.face_tails(boundary_face)
+    g = tri.base
+    corners = _corners(g)
+    pos = [None] * len(radii)
+    t0, t1, t2 = corners[tri.boundary_face]
     pos[t0] = (0.0, 0.0)
     pos[t1] = (radii[t0] + radii[t1], 0.0)
     # boundary triangle counterclockwise in the plane (it is the outer face)
@@ -511,39 +511,31 @@ def _layout(tg: EmbeddedGraph, radii, boundary_face):
         Circle(*pos[t1], radii[t1] + radii[t2]),
     )
 
-    processed = {boundary_face}
-    queue = deque()
-    for d in tg.faces[boundary_face]:
-        queue.append(tg.dart_rev[d])
+    def across(d):
+        return g.dart_rev[d], g.next_in_face(d), g.dart_rev[g.sigma_prev(d)]
+
+    processed = {tri.boundary_face}
+    queue = deque(across(tri.boundary_face))
     while queue:
         d = queue.popleft()
-        f = tg.dart_face[d]
-        if f in processed:
+        if d in processed:
             continue
-        processed.add(f)
-        cycle = tg.faces[f]
-        tails = [tg.dart_tail[x] for x in cycle]
+        processed.add(d)
+        tails = corners[d]
         missing = [i for i, v in enumerate(tails) if pos[v] is None]
         if missing:
             i = missing[0]
-            # the dart from tails[i+1] to tails[i+2] has both ends placed
-            a = tails[(i + 1) % 3]
-            b = tails[(i + 2) % 3]
-            c = tails[i]
+            # the side from a to b has both ends placed
+            c, a, b = tails[i:] + tails[:i]
             if pos[a] == pos[b]:
-                raise NoConvergence(
-                    f"layout puts circles {a} and {b} at one center"
-                )
+                raise NoConvergence(f"layout puts circles {a} and {b} at one center")
             # c's center is where the circles of radius r_a + r_c around a
             # and r_b + r_c around b cross; clockwise triangle: right of a->b
             _, pos[c] = _circle_intersections(
                 Circle(*pos[a], radii[a] + radii[c]),
                 Circle(*pos[b], radii[b] + radii[c]),
             )
-        for x in cycle:
-            r = tg.dart_rev[x]
-            if tg.dart_face[r] not in processed:
-                queue.append(r)
+        queue.extend(e for e in across(d) if e not in processed)
     if any(p is None for p in pos):
         raise NoConvergence("layout left circles unplaced (disconnected input?)")
     return pos
@@ -562,9 +554,10 @@ def pack(g: EmbeddedGraph, tol: float = 1e-9) -> Packing:
     certificate only; one that is not finite or is negative raises
     DomainError.
 
-    The input must be simple, connected, and embedded; face boundaries must
-    be simple cycles (no cut vertices), otherwise the packing has hinge
-    freedom and ends in NoConvergence.  Deterministic: identical inputs
+    The input must be connected and embedded, with parallel edges allowed
+    but no loop (DomainError); face boundaries must be simple cycles (no
+    cut vertices), otherwise the packing has hinge freedom and ends in
+    NoConvergence.  Deterministic: identical inputs
     give bit-identical radii and centers.
     """
     _check_tol(tol)
@@ -572,13 +565,16 @@ def pack(g: EmbeddedGraph, tol: float = 1e-9) -> Packing:
         raise TooSmall("packing needs at least 3 vertices")
     if len(g.connected_components()) != 1:
         raise Disconnected("packing needs a connected graph")
+    for u, v in g.edges():
+        if u == v:
+            raise DomainError(f"packing needs a graph without loops; "
+                              f"vertex {u} has one")
 
     tri = triangulate(g)
-    tg = tri.graph
     radii, steps, angle_error = _newton_radii(tri)
     diagnosis = f"after {steps} Newton steps, angle-sum error {angle_error:.3e}"
     try:
-        pos = _layout(tg, radii, tri.boundary_face)
+        pos = _layout(tri, radii)
     except NoConvergence as exc:
         raise NoConvergence(f"{diagnosis}: {exc}") from None
 

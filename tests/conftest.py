@@ -6,7 +6,7 @@ from operator import add, mul, sub, truediv
 
 import pytest
 
-from circlesystems.embedding import build_embedding, medial
+from circlesystems.embedding import EmbeddedGraph, build_embedding, medial
 from circlesystems.equivalence import RealizationClass
 from circlesystems.generators import (
     canonical_octahedron_realization,
@@ -61,6 +61,32 @@ def brute_force_connectivity(g, cap=3):
     return level
 
 
+def apex_embedding(g):
+    """The triangulation ``packing`` reads off the darts of ``g``, built as
+    an embedding dart by dart: the oracle for its triangles, their
+    neighbours, its edges and its degrees.
+
+    The corner named by cycle dart d of face f sits at d's tail; it gets a
+    dart up to the apex n + f and one back down, numbered in face order.
+    A base vertex lists the up dart of the corner (d, sigma(d)) just after
+    d, and the apex of face f lists its down darts in reversed cycle order.
+    """
+    n = g.n
+    up = [0] * len(g.dart_tail)
+    dart_tail = list(g.dart_tail)
+    dart_rev = list(g.dart_rev)
+    for f, cycle in enumerate(g.faces):
+        for d in cycle:
+            up[d] = len(dart_tail)
+            dart_tail += [g.dart_tail[d], n + f]
+            dart_rev += [up[d] + 1, up[d]]
+    rotation = [
+        [e for d in rot for e in (d, up[g.sigma_next(d)])] for rot in g.rotation
+    ]
+    rotation += [[up[d] + 1 for d in reversed(cycle)] for cycle in g.faces]
+    return EmbeddedGraph(rotation, dart_tail, dart_rev)
+
+
 def gauss_seidel_radii(g, atol=1e-14, max_sweeps=10**5):
     """Base-vertex radii of the packing of ``g`` by the uniform-neighbour
     angle-sum sweep of Collins and Stephenson (Comput. Geom. 25, 2003).
@@ -70,7 +96,7 @@ def gauss_seidel_radii(g, atol=1e-14, max_sweeps=10**5):
     vertices until every angle sum is within ``atol`` of 2 pi.
     """
     tri = triangulate(g)
-    tg = tri.graph
+    tg = apex_embedding(g)
     boundary = set(tri.boundary_vertices)
     radii = [1.0] * tg.n
     interior = [v for v in range(tg.n) if v not in boundary]

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import sys
@@ -10,11 +11,13 @@ from circlesystems.coloring import build_il, two_color_faces
 from circlesystems.embedding import build_embedding, dual, medial
 from circlesystems.errors import Disconnected, DomainError, NoConvergence, TooSmall
 from circlesystems.geometry import descartes_check
+from circlesystems.jsonio import serialize_realization
 from circlesystems.packing import Circle, Packing, pack, packing_residual, triangulate
 from circlesystems.generators import cube, icosahedron, octahedron, prism, tetrahedron
 from circlesystems.realization import realize, verify_realization
 
 from conftest import (
+    apex_embedding,
     gauss_seidel_radii,
     jacobi_conjugate_gradients,
     joined_octahedra,
@@ -73,16 +76,14 @@ def test_boundary_normalization():
 
 
 def test_triangulate_k4():
-    tri = triangulate(tetrahedron())
-    g = tri.graph
+    g = apex_embedding(tetrahedron())
     assert g.n == 8
     assert g.edge_count == 18
     assert all(len(cycle) == 3 for cycle in g.faces)
 
 
 def test_triangulate_square():
-    tri = triangulate(build_embedding([[1, 3], [2, 0], [3, 1], [0, 2]]))
-    g = tri.graph
+    g = apex_embedding(build_embedding([[1, 3], [2, 0], [3, 1], [0, 2]]))
     assert g.n == 6  # 4 base + 2 apexes
     assert g.face_count == 8
     assert all(len(cycle) == 3 for cycle in g.faces)
@@ -91,7 +92,7 @@ def test_triangulate_square():
 def test_apex_degree_equals_face_length(octa):
     tri = triangulate(octa)
     for f, cycle in enumerate(octa.faces):
-        assert tri.graph.degree(tri.base_n + f) == len(cycle)
+        assert apex_embedding(octa).degree(tri.base_n + f) == len(cycle)
 
 
 @pytest.mark.parametrize("maker", [
@@ -103,7 +104,7 @@ def test_apex_degree_equals_face_length(octa):
 def test_triangulate_apex_darts_follow_corners(maker):
     g = maker()
     tri = triangulate(g)
-    tg = tri.graph
+    tg = apex_embedding(g)
     for u, rot in enumerate(g.rotation):
         row = tg.rotation[u]
         assert row[0::2] == rot
@@ -114,6 +115,61 @@ def test_triangulate_apex_darts_follow_corners(maker):
         # the up dart of cycle dart d's corner sits just before d
         downs = [tg.dart_rev[tg.sigma_prev(d)] for d in reversed(cycle)]
         assert tg.rotation[tri.base_n + f] == downs
+
+
+@pytest.mark.parametrize("maker", [
+    tetrahedron,
+    cube,
+    octahedron,
+    lambda: dual(icosahedron()),
+    icosahedron,
+    lambda: prism(3),
+    lambda: prism(40),
+    lambda: _gray_face_graph(medial(cube())),
+    lambda: _gray_face_graph(_icosahedron_medial(4)),
+    joined_octahedra,
+    lambda: build_embedding([[1, 1, 2], [0, 2, 0], [0, 1]]),
+], ids=["tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron",
+        "prism3", "prism40", "gray-medial-cube", "gray-icosahedron-n240",
+        "joined-octahedra", "parallel-edges"])
+def test_triangles_read_off_the_base_darts(maker):
+    # the triangulation that packing reads off the darts of g is the
+    # embedding built dart by dart: triangle d is its face d, and the
+    # sides, degrees and boundary triangle agree
+    g = maker()
+    tri = triangulate(g)
+    tg = apex_embedding(g)
+    assert tg.face_count == len(g.dart_tail)
+    assert packing._corners(g) == [tuple(tg.face_tails(f))
+                                   for f in range(tg.face_count)]
+    for d, cycle in enumerate(tg.faces):
+        across = [tg.dart_face[tg.dart_rev[x]] for x in cycle]
+        assert across == [g.dart_rev[d], g.next_in_face(d),
+                          g.dart_rev[g.sigma_prev(d)]]
+    assert packing._degrees(g) == [tg.degree(v) for v in range(tg.n)]
+    spokes = [(g.dart_tail[d], g.n + f) for f, cycle in enumerate(g.faces)
+              for d in cycle]
+    assert tg.edges() == g.edges() + spokes
+    for f, cycle in enumerate(g.faces):
+        assert tg.neighbors(g.n + f) == [g.dart_tail[d] for d in reversed(cycle)]
+    outer_apex = g.n + g.outer_face
+    assert tri.boundary_face == min(tg.dart_face[d] for d in tg.rotation[outer_apex])
+    assert tri.boundary_vertices == tuple(tg.face_tails(tri.boundary_face))
+
+
+def test_pack_refuses_a_loop():
+    # the boundary triangle would name vertex 0 twice
+    g = build_embedding([[0, 0, 1, 2], [2, 0], [0, 1]])
+    with pytest.raises(DomainError, match="vertex 0"):
+        pack(g)
+
+
+def test_pack_keeps_parallel_edges():
+    g = build_embedding([[1, 1, 2], [0, 2, 0], [0, 1]])
+    assert not g.is_simple()
+    p = pack(g, 1e-12)
+    assert p.residual <= 1e-15
+    assert packing_residual(p, g) <= 1e-15
 
 
 def test_residual_of_exact_triangle_packing():
@@ -166,8 +222,9 @@ def test_newton_radii_match_gauss_seidel_oracle(maker):
 
 
 def test_laplacian_is_minus_the_angle_sum_jacobian():
-    tri = triangulate(_gray_face_graph(medial(cube())))
-    tg = tri.graph
+    g = _gray_face_graph(medial(cube()))
+    tri = triangulate(g)
+    tg = apex_embedding(g)
     boundary = set(tri.boundary_vertices)
     system = packing._newton_system(tri)
     interior = system[0]
@@ -236,8 +293,9 @@ def test_loose_cg_still_realizes_n480(monkeypatch):
 ], ids=["gray-icosahedron-n30", "gray-icosahedron-n60", "gray-icosahedron-n120",
         "gray-icosahedron-n240", "prism8"])
 def test_newton_stops_at_the_rounding_floor(monkeypatch, maker):
-    tri = triangulate(maker())
-    tg = tri.graph
+    g = maker()
+    tri = triangulate(g)
+    tg = apex_embedding(g)
     system = packing._newton_system(tri)
     interior = system[0]
     # summing deg(v) arctangents below pi/2 and doubling the sum rounds by
@@ -284,7 +342,7 @@ def _system_at_random_radii(g, seed, spread=1.5):
     system = packing._newton_system(tri)
     rng = random.Random(seed)
     radii = [1.0 if v in boundary else math.exp(rng.uniform(-spread, spread))
-             for v in range(tri.graph.n)]
+             for v in range(apex_embedding(g).n)]
     err, _, diag, weight = packing._linearize(radii, system)
     return tri, system, err, diag, weight
 
@@ -391,8 +449,9 @@ def test_conjugate_gradients_zero_rhs_is_zero(rtol):
     lambda: _gray_face_graph(medial(medial(icosahedron()))),
 ], ids=["gray-medial-cube", "prism8", "dodecahedron", "gray-icosahedron-n60"])
 def test_condensation_fill(maker):
-    tri, system, *_ = _system_at_random_radii(maker(), 3)
-    tg = tri.graph
+    g = maker()
+    tri, system, *_ = _system_at_random_radii(g, 3)
+    tg = apex_embedding(g)
     interior, _, _, kept, pairs, apexes = system
     # exactly the interior apexes of faces with at most 5 corners go
     assert [a for a, *_ in apexes] == [
@@ -431,8 +490,9 @@ def test_condensation_fill(maker):
     lambda: joined_octahedra().with_outer_face(2),
 ], ids=["gray-medial-cube", "prism8", "dodecahedron", "joined-octahedra"])
 def test_weight_ids_follow_the_condensed_layout(maker):
-    tri, system, _, _, weight = _system_at_random_radii(maker(), 7)
-    tg = tri.graph
+    g = maker()
+    tri, system, _, _, weight = _system_at_random_radii(g, 7)
+    tg = apex_embedding(g)
     interior, triangles, spare, kept, pairs, apexes = system
     inside = set(interior)
     # every interior-interior edge has one id, shared by its parallel
@@ -483,3 +543,14 @@ def test_newton_directions_on_prisms():
     # 6 to 8 for prism(3) to prism(40)
     for k in range(3, 41):
         assert pack(prism(k), 1e-9).iterations <= 8, k
+
+
+def test_realize_and_pack_outputs_pinned():
+    # the bytes of realize on the icosahedron medials n=30..240 and the
+    # circles of the prisms: a solver change that moves any radius or
+    # center by one rounding changes this digest
+    docs = [serialize_realization(realize(_icosahedron_medial(depth)))
+            for depth in range(1, 5)]
+    docs += [repr(pack(prism(k)).circles) for k in range(3, 13)]
+    assert hashlib.sha256("".join(docs).encode()).hexdigest() == (
+        "34d0037bf892ad8b45e36fc9da7cf5329d948baf46a4f32ff772ae2cd15e2562")
