@@ -80,19 +80,27 @@ def test_triangulate_k4():
     assert g.n == 8
     assert g.edge_count == 18
     assert all(len(cycle) == 3 for cycle in g.faces)
+    # the triangles packing reads off the darts: one per face of g
+    assert len(packing._corners(tetrahedron())) == g.face_count
+    assert sum(packing._degrees(tetrahedron())) == 2 * g.edge_count
 
 
 def test_triangulate_square():
-    g = apex_embedding(build_embedding([[1, 3], [2, 0], [3, 1], [0, 2]]))
+    square = build_embedding([[1, 3], [2, 0], [3, 1], [0, 2]])
+    g = apex_embedding(square)
     assert g.n == 6  # 4 base + 2 apexes
     assert g.face_count == 8
     assert all(len(cycle) == 3 for cycle in g.faces)
+    assert len(packing._corners(square)) == g.face_count
+    assert len(packing._degrees(square)) == g.n
 
 
 def test_apex_degree_equals_face_length(octa):
     tri = triangulate(octa)
+    degree = packing._degrees(octa)
     for f, cycle in enumerate(octa.faces):
         assert apex_embedding(octa).degree(tri.base_n + f) == len(cycle)
+        assert degree[tri.base_n + f] == len(cycle)
 
 
 @pytest.mark.parametrize("maker", [
@@ -100,6 +108,15 @@ def test_apex_degree_equals_face_length(octa):
     lambda: prism(7),
     lambda: dual(icosahedron()),
     lambda: medial(medial(cube())),
+    tetrahedron,
+    cube,
+    icosahedron,
+    lambda: prism(3),
+    lambda: prism(40),
+    lambda: _gray_face_graph(medial(cube())),
+    lambda: _gray_face_graph(_icosahedron_medial(4)),
+    joined_octahedra,
+    lambda: build_embedding([[1, 1, 2], [0, 2, 0], [0, 1]]),  # parallel edges
 ])
 def test_triangulate_apex_darts_follow_corners(maker):
     g = maker()
@@ -115,30 +132,9 @@ def test_triangulate_apex_darts_follow_corners(maker):
         # the up dart of cycle dart d's corner sits just before d
         downs = [tg.dart_rev[tg.sigma_prev(d)] for d in reversed(cycle)]
         assert tg.rotation[tri.base_n + f] == downs
-
-
-@pytest.mark.parametrize("maker", [
-    tetrahedron,
-    cube,
-    octahedron,
-    lambda: dual(icosahedron()),
-    icosahedron,
-    lambda: prism(3),
-    lambda: prism(40),
-    lambda: _gray_face_graph(medial(cube())),
-    lambda: _gray_face_graph(_icosahedron_medial(4)),
-    joined_octahedra,
-    lambda: build_embedding([[1, 1, 2], [0, 2, 0], [0, 1]]),
-], ids=["tetrahedron", "cube", "octahedron", "dodecahedron", "icosahedron",
-        "prism3", "prism40", "gray-medial-cube", "gray-icosahedron-n240",
-        "joined-octahedra", "parallel-edges"])
-def test_triangles_read_off_the_base_darts(maker):
-    # the triangulation that packing reads off the darts of g is the
-    # embedding built dart by dart: triangle d is its face d, and the
-    # sides, degrees and boundary triangle agree
-    g = maker()
-    tri = triangulate(g)
-    tg = apex_embedding(g)
+    # the triangulation that packing reads off the darts of g is this
+    # embedding: triangle d is its face d, and the sides, degrees and
+    # boundary triangle agree
     assert tg.face_count == len(g.dart_tail)
     assert packing._corners(g) == [tuple(tg.face_tails(f))
                                    for f in range(tg.face_count)]
@@ -548,9 +544,13 @@ def test_newton_directions_on_prisms():
 def test_realize_and_pack_outputs_pinned():
     # the bytes of realize on the icosahedron medials n=30..240 and the
     # circles of the prisms: a solver change that moves any radius or
-    # center by one rounding changes this digest
+    # center by one rounding changes this digest.  From Python 3.12 on,
+    # sum() adds floats with compensation, so the dot products of the
+    # conjugate-gradient solve, and with them the last bits, differ
     docs = [serialize_realization(realize(_icosahedron_medial(depth)))
             for depth in range(1, 5)]
     docs += [repr(pack(prism(k)).circles) for k in range(3, 13)]
     assert hashlib.sha256("".join(docs).encode()).hexdigest() == (
+        "41635c898e5e7dbecb43ad21c4da77136db8d06db0fa170eac00c902964d0a66"
+        if sys.version_info >= (3, 12) else
         "34d0037bf892ad8b45e36fc9da7cf5329d948baf46a4f32ff772ae2cd15e2562")
