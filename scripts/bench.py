@@ -30,12 +30,13 @@ writes no file.  REV is exported with ``git archive`` into a temporary
 directory.  Each input gets two fresh subprocesses, one importing the
 package from each tree.  After one untimed call in each, they time single
 calls in alternation, the side that goes first alternating too, for at
-least ``--repeats`` pairs and until each side has timed ``--repeats`` times
-``AGAINST_SECONDS`` (at most 100 pairs).  Per input and column the script
-prints both medians and the ratio this checkout / REV: the median of the
-per-pair ratios and their min-max.  Timing the two trees call by call,
-not one after the other, keeps the drift in a shared machine's speed out
-of the ratio.  REV's package must have the functions this script calls.
+least ``MIN_PAIRS`` (10) pairs, the fewest a ratio can rest on, and until
+each side has timed ``--repeats`` times ``AGAINST_SECONDS`` (at most 100
+pairs).  Per input and column the script prints both medians and the
+ratio this checkout / REV: the median of the per-pair ratios and their
+min-max.  Timing the two trees call by call, not one after the other,
+keeps the drift in a shared machine's speed out of the ratio.  REV's
+package must have the functions this script calls.
 """
 
 import argparse
@@ -77,6 +78,7 @@ from circlesystems.realization import realize, verify_realization
 
 TOL = 1e-9
 AGAINST_SECONDS = 0.3  # per repeat, input and side of --against
+MIN_PAIRS = 10  # per input of --against
 COLUMNS = ("realize_s", "verify_s", "equivalent_s", "directions", "status")
 
 
@@ -222,7 +224,7 @@ def _time_pairs(srcs, name, max_n, repeats):
         rows = ([], [])
         spent = [0.0, 0.0]
         # an input whose every call fails has no time to spend
-        while len(rows[0]) < repeats or (
+        while len(rows[0]) < MIN_PAIRS or (
                 0.0 < min(spent) < AGAINST_SECONDS * repeats
                 and len(rows[0]) < 100):
             for side in ((0, 1) if len(rows[0]) % 2 == 0 else (1, 0)):
@@ -270,7 +272,7 @@ def against(rev, max_n, repeats):
                        check=True)
         srcs = (ROOT / "src", pathlib.Path(tmp, "src"))
         print(f"this checkout against {rev}: {rev} median -> this median, "
-              f"x ratio [min, max] over at least {repeats} alternating pairs",
+              f"x ratio [min, max] over at least {MIN_PAIRS} alternating pairs",
               flush=True)
         for name, _ in _inputs(max_n):
             rows = _time_pairs(srcs, name, max_n, repeats)

@@ -46,20 +46,27 @@ def outer_mate_radius(r1: float, r2: float, phi: float) -> float:
 
     Strictly increasing in phi and unbounded as phi approaches
     ``outer_phi_max(r1, r2)``, where the circle flattens into the common
-    tangent line.
+    tangent line.  Computed in units of r1, so that no product of two
+    radii overflows; a radius beyond the float range raises DomainError.
     """
     if not (0.0 < r1 <= 1.7976931348623157e308
             and 0.0 < r2 <= 1.7976931348623157e308):
         raise DomainError("radii must be positive and finite")
     if not phi > 0.0:
         raise DomainError(f"need phi > 0, got {phi!r}")
-    denom = r2 - r1 + (r2 + r1) * math.cos(phi)
+    t = r2 / r1
+    denom = t - 1.0 + (t + 1.0) * math.cos(phi)
     if denom <= 0.0 or phi >= outer_phi_max(r1, r2):
         raise DomainError(
             f"phi={phi!r} at or beyond the degeneration angle "
             f"{outer_phi_max(r1, r2)!r}"
         )
-    return 2.0 * r1 * r2 / denom - r1
+    if not denom < math.inf:  # t is so large that r / r1 is its limit in t
+        return r1 * math.tan(0.5 * phi) ** 2
+    r = 2.0 * (r2 / denom) - r1
+    if r == math.inf:
+        raise DomainError(f"mate radius at phi={phi!r} exceeds the float range")
+    return r
 
 
 def outer_phi_max(r1: float, r2: float) -> float:
@@ -67,7 +74,10 @@ def outer_phi_max(r1: float, r2: float) -> float:
     if not (0.0 < r1 <= 1.7976931348623157e308
             and 0.0 < r2 <= 1.7976931348623157e308):
         raise DomainError("radii must be positive and finite")
-    return math.acos((r1 - r2) / (r1 + r2))
+    t = r2 / r1
+    if t == math.inf:
+        return math.pi  # (1 - t) / (1 + t) rounds to -1
+    return math.acos((1.0 - t) / (1.0 + t))
 
 
 # -- constructive checks --------------------------------------------------------

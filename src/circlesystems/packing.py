@@ -1,8 +1,10 @@
 """Tangent-circle packing of embedded planar graphs.
 
 The solver triangulates the input by placing one apex vertex inside every
-face.  The triangulation is read off the input's darts, not built: triangle
-d is the corner (tail d, head d, apex of d's face) of dart d.  The radii
+face.  ``triangulate`` reads it off the input's darts into one record,
+``Triangulation``, with no second graph built: triangle d is the corner
+(tail d, head d, apex of d's face) of dart d, and the record holds the
+corners of every triangle and the degree of every vertex.  The radii
 come from Newton's method on the log-radii u: the angle sums at the
 interior vertices must all be 2*pi, and their Jacobian in u is minus a
 symmetric weighted Laplacian, the Hessian of the convex functional of
@@ -178,22 +180,17 @@ def _circles_near(circles, tol: float):
 
 @dataclass(frozen=True)
 class Triangulation:
-    """The base graph with an apex vertex, ``base_n + f``, in every face f,
-    joined to each of its corners.  Triangle d is the corner of base dart
-    d: (tail d, head d, apex of d's face).  ``boundary_face`` is the
-    triangle whose circles anchor the layout."""
+    """The apex triangulation of ``base``: an apex vertex, ``base.n + f``,
+    in every face f, joined to each of its corners.  Triangle d is the
+    corner of base dart d, ``corners[d]`` = (tail d, head d, apex of d's
+    face).  ``degrees`` lists the degree of every vertex in the
+    triangulation, base vertices first.  ``boundary_face`` is the triangle
+    whose circles anchor the layout."""
 
     base: EmbeddedGraph
     boundary_face: int
-
-    @property
-    def base_n(self):
-        return self.base.n
-
-    @property
-    def boundary_vertices(self):
-        g, d = self.base, self.boundary_face
-        return g.dart_tail[d], g.dart_head[d], g.n + g.dart_face[d]
+    corners: list
+    degrees: list
 
 
 @dataclass(frozen=True)
@@ -213,22 +210,18 @@ class Packing:
 def triangulate(g: EmbeddedGraph) -> Triangulation:
     """Join an apex vertex to every corner of every face.
 
+    The record is read off the darts of ``g``, with no second graph built:
+    the corners of triangle d, and the degrees, 2 deg v for a base vertex
+    (its edges and a spoke per corner) and the face length for an apex.
     The boundary triangle is the lowest-numbered dart of the outer face: it
     holds the outer face's apex, and its three circles anchor the layout.
     """
-    return Triangulation(base=g, boundary_face=min(g.faces[g.outer_face]))
-
-
-def _corners(g: EmbeddedGraph):
-    """The corners (tail d, head d, apex of d's face) of every triangle d."""
-    n = g.n
-    return list(zip(g.dart_tail, g.dart_head, [n + f for f in g.dart_face]))
-
-
-def _degrees(g: EmbeddedGraph):
-    """Degrees in the triangulation: a base vertex keeps its edges and
-    gains a spoke per corner, and an apex has a spoke per corner."""
-    return [2 * len(rot) for rot in g.rotation] + [len(c) for c in g.faces]
+    return Triangulation(
+        base=g,
+        boundary_face=min(g.faces[g.outer_face]),
+        corners=list(zip(g.dart_tail, g.dart_head, [g.n + f for f in g.dart_face])),
+        degrees=[2 * len(rot) for rot in g.rotation] + [len(c) for c in g.faces],
+    )
 
 
 def _newton_system(tri: Triangulation):
@@ -255,10 +248,9 @@ def _newton_system(tri: Triangulation):
     corners, ids of the edges to them, (id, corner s, corner t) per pair of
     corners)).
     """
-    g, n = tri.base, tri.base_n
+    g, n, degree = tri.base, tri.base.n, tri.degrees
     tail = g.dart_tail
-    degree = _degrees(g)
-    boundary = set(tri.boundary_vertices)
+    boundary = set(tri.corners[tri.boundary_face])
     interior = [v for v in range(len(degree)) if v not in boundary]
     eliminated = [v for v in interior if v >= n and degree[v] <= 5]
     kept = [v for v in interior if v < n or degree[v] > 5]
@@ -295,7 +287,7 @@ def _newton_system(tri: Triangulation):
         apexes.append((a, [position[j] for j in c], ids, cp))
     get = weight_id.get
     triangles = [(i, j, k, get((i, j), spare), get((j, k), spare), get((k, i), spare))
-                 for i, j, k in _corners(g)]
+                 for i, j, k in tri.corners]
     return interior, triangles, spare, kept, pairs, apexes
 
 
@@ -464,7 +456,7 @@ def _newton_radii(tri: Triangulation):
 
     Returns (radii, Newton directions solved, largest angle-sum error).
     """
-    degree = _degrees(tri.base)
+    degree = tri.degrees
     system = _newton_system(tri)
     eps = sys.float_info.epsilon
     floor = [(v, 2.0 * degree[v] * math.pi * eps) for v in system[0]]
@@ -499,8 +491,7 @@ def _layout(tri: Triangulation, radii):
     the triangles of rev d, of the dart after d in its face, and of the
     reverse of the dart before d around its tail.
     """
-    g = tri.base
-    corners = _corners(g)
+    g, corners = tri.base, tri.corners
     pos = [None] * len(radii)
     t0, t1, t2 = corners[tri.boundary_face]
     pos[t0] = (0.0, 0.0)
@@ -578,11 +569,8 @@ def pack(g: EmbeddedGraph, tol: float = 1e-9) -> Packing:
     except NoConvergence as exc:
         raise NoConvergence(f"{diagnosis}: {exc}") from None
 
-    circles = tuple(
-        Circle(pos[v][0], pos[v][1], radii[v]) for v in range(tri.base_n)
-    )
-    residual = _tangency_residual(circles, g)
-    overlap = _overlap_residual(circles, g)
+    circles = tuple(Circle(pos[v][0], pos[v][1], radii[v]) for v in range(g.n))
+    residual, overlap = _residuals(circles, g)
     if residual > tol or overlap > tol:
         raise NoConvergence(
             f"{diagnosis}: tangency residual {residual:.3e}, "
@@ -591,20 +579,18 @@ def pack(g: EmbeddedGraph, tol: float = 1e-9) -> Packing:
     return Packing(circles=circles, residual=residual, iterations=steps)
 
 
-def _tangency_residual(circles, g):
-    worst = 0.0
-    for u, v in g.edges():
-        gap = _tangency_gap(circles[u], circles[v])
-        if gap > worst:
-            worst = gap
-    return worst
-
-
-def _overlap_residual(circles, g):
+def _residuals(circles, g):
+    """(tangency, overlap): the largest relative gap from external tangency
+    over the edges of ``g``, and the deepest relative overlap of two
+    circles over its non-edges."""
     adjacent = set()
+    tangency = 0.0
     for u, v in g.edges():
         adjacent.add((u, v) if u < v else (v, u))
-    worst = 0.0
+        gap = _tangency_gap(circles[u], circles[v])
+        if gap > tangency:
+            tangency = gap
+    overlap = 0.0
     n = len(circles)
     for u in range(n):
         for v in range(u + 1, n):
@@ -612,12 +598,13 @@ def _overlap_residual(circles, g):
                 continue
             a, b = circles[u], circles[v]
             pen = ((a.r + b.r) - math.hypot(a.cx - b.cx, a.cy - b.cy)) / (a.r + b.r)
-            if pen > worst:
-                worst = pen
-    return worst
+            if pen > overlap:
+                overlap = pen
+    return tangency, overlap
 
 
 def packing_residual(p: Packing, g: EmbeddedGraph) -> float:
     """Max relative tangency violation over edges plus max relative overlap
     over non-edges; 0 for an exact packing."""
-    return _tangency_residual(p.circles, g) + _overlap_residual(p.circles, g)
+    tangency, overlap = _residuals(p.circles, g)
+    return tangency + overlap

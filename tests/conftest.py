@@ -97,7 +97,7 @@ def gauss_seidel_radii(g, atol=1e-14, max_sweeps=10**5):
     """
     tri = triangulate(g)
     tg = apex_embedding(g)
-    boundary = set(tri.boundary_vertices)
+    boundary = set(tri.corners[tri.boundary_face])
     radii = [1.0] * tg.n
     interior = [v for v in range(tg.n) if v not in boundary]
     flowers = [[tg.dart_head[d] for d in tg.rotation[v]] for v in range(tg.n)]
@@ -119,7 +119,7 @@ def gauss_seidel_radii(g, atol=1e-14, max_sweeps=10**5):
             delta = math.sin(math.pi / k)
             radii[v] = rv * beta / (1.0 - beta) * (1.0 - delta) / delta
         if worst < atol:
-            return radii[:tri.base_n]
+            return radii[:tri.base.n]
     raise AssertionError(f"oracle sweep above {atol} after {max_sweeps} sweeps")
 
 

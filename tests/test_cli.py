@@ -1,6 +1,7 @@
 import copy
 import io
 import json
+import math
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -346,11 +347,25 @@ def test_dumps_rejects_non_finite_floats():
 
 
 def test_non_finite_result_is_usage_error():
+    # the mate radius here is about 3.7e315, beyond the float range
     code, out, err = run(["geom", "outer-mate", "--r1", "1e308",
-                          "--r2", "1e308", "--phi", "0.1"])
+                          "--r2", "1e308", "--phi", "1.5707963"])
     assert code == 2
     assert out == ""
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["geom", "outer-mate", "--r1", "1e308", "--r2", "1e308", "--phi", "0.1"],
+     "radius", 1e308 * (1.0 / math.cos(0.1) - 1.0)),
+    (["geom", "phi-max", "--r1", "1.7e308", "--r2", "0.5e308"],
+     "phi_max", math.acos(6.0 / 11.0)),
+])
+def test_exterior_oracles_near_the_float_range_exit_0(argv, key, value):
+    # r1 * r2 overflows, r2 / r1 does not
+    code, out, _ = run(argv)
+    assert code == 0
+    assert json.loads(out)[key] == pytest.approx(value, rel=1e-12)
 
 
 _CIRCLE = {"id": 0, "cx": 0.0, "cy": 0.0, "r": 1.0}

@@ -44,6 +44,12 @@ def test_inner_mate_domain():
 def test_outer_mate_values():
     assert outer_mate_radius(1.0, 1.0, math.pi / 3) == pytest.approx(1.0, abs=1e-12)
     assert outer_mate_radius(1.0, 1.0, 1e-8) < 1e-7
+    # in units of r1: r1 * r2 would overflow, r2 / r1 does not
+    assert outer_mate_radius(1e308, 1e308, 0.1) == pytest.approx(
+        1e308 * (1.0 / math.cos(0.1) - 1.0), rel=1e-12)
+    # r2 / r1 overflows: the limit r1 tan(phi / 2)**2
+    assert outer_mate_radius(1e-300, 1e300, 1.0) == pytest.approx(
+        1e-300 * math.tan(0.5) ** 2, rel=1e-15)
 
 
 def test_outer_mate_domain():
@@ -51,6 +57,9 @@ def test_outer_mate_domain():
         outer_mate_radius(1.0, 1.0, math.pi / 2)
     with pytest.raises(DomainError):
         outer_mate_radius(1.0, 1.0, 2.0)
+    # the radius is about 3.7e315
+    with pytest.raises(DomainError, match="float range"):
+        outer_mate_radius(1e308, 1e308, 1.5707963)
 
 
 @pytest.mark.parametrize("oracle, args", [
@@ -69,6 +78,9 @@ def test_phi_max_values():
     assert outer_phi_max(1.0, 1.0) == pytest.approx(math.pi / 2, abs=1e-15)
     assert outer_phi_max(2.0, 2.0) == pytest.approx(math.pi / 2, abs=1e-15)
     assert outer_phi_max(3.0, 1.0) == pytest.approx(math.pi / 3, abs=1e-12)
+    assert outer_phi_max(1.7e308, 0.5e308) == pytest.approx(math.acos(6.0 / 11.0),
+                                                            rel=1e-15)
+    assert outer_phi_max(1e-300, 1e300) == math.pi
 
 
 def test_outer_singularity():

@@ -75,34 +75,6 @@ def test_boundary_normalization():
     assert len(unit) >= 2
 
 
-def test_triangulate_k4():
-    g = apex_embedding(tetrahedron())
-    assert g.n == 8
-    assert g.edge_count == 18
-    assert all(len(cycle) == 3 for cycle in g.faces)
-    # the triangles packing reads off the darts: one per face of g
-    assert len(packing._corners(tetrahedron())) == g.face_count
-    assert sum(packing._degrees(tetrahedron())) == 2 * g.edge_count
-
-
-def test_triangulate_square():
-    square = build_embedding([[1, 3], [2, 0], [3, 1], [0, 2]])
-    g = apex_embedding(square)
-    assert g.n == 6  # 4 base + 2 apexes
-    assert g.face_count == 8
-    assert all(len(cycle) == 3 for cycle in g.faces)
-    assert len(packing._corners(square)) == g.face_count
-    assert len(packing._degrees(square)) == g.n
-
-
-def test_apex_degree_equals_face_length(octa):
-    tri = triangulate(octa)
-    degree = packing._degrees(octa)
-    for f, cycle in enumerate(octa.faces):
-        assert apex_embedding(octa).degree(tri.base_n + f) == len(cycle)
-        assert degree[tri.base_n + f] == len(cycle)
-
-
 @pytest.mark.parametrize("maker", [
     octahedron,
     lambda: prism(7),
@@ -117,6 +89,7 @@ def test_apex_degree_equals_face_length(octa):
     lambda: _gray_face_graph(_icosahedron_medial(4)),
     joined_octahedra,
     lambda: build_embedding([[1, 1, 2], [0, 2, 0], [0, 1]]),  # parallel edges
+    lambda: build_embedding([[1, 3], [2, 0], [3, 1], [0, 2]]),  # square
 ])
 def test_triangulate_apex_darts_follow_corners(maker):
     g = maker()
@@ -127,22 +100,21 @@ def test_triangulate_apex_darts_follow_corners(maker):
         assert row[0::2] == rot
         for d, up in zip(rot, row[1::2]):
             # the corner (d, sigma(d)) lies in the face of sigma(d)
-            assert tg.dart_head[up] == tri.base_n + g.dart_face[g.sigma_next(d)]
+            assert tg.dart_head[up] == tri.base.n + g.dart_face[g.sigma_next(d)]
     for f, cycle in enumerate(g.faces):
         # the up dart of cycle dart d's corner sits just before d
         downs = [tg.dart_rev[tg.sigma_prev(d)] for d in reversed(cycle)]
-        assert tg.rotation[tri.base_n + f] == downs
+        assert tg.rotation[tri.base.n + f] == downs
     # the triangulation that packing reads off the darts of g is this
     # embedding: triangle d is its face d, and the sides, degrees and
     # boundary triangle agree
     assert tg.face_count == len(g.dart_tail)
-    assert packing._corners(g) == [tuple(tg.face_tails(f))
-                                   for f in range(tg.face_count)]
+    assert tri.corners == [tuple(tg.face_tails(f)) for f in range(tg.face_count)]
     for d, cycle in enumerate(tg.faces):
         across = [tg.dart_face[tg.dart_rev[x]] for x in cycle]
         assert across == [g.dart_rev[d], g.next_in_face(d),
                           g.dart_rev[g.sigma_prev(d)]]
-    assert packing._degrees(g) == [tg.degree(v) for v in range(tg.n)]
+    assert tri.degrees == [tg.degree(v) for v in range(tg.n)]
     spokes = [(g.dart_tail[d], g.n + f) for f, cycle in enumerate(g.faces)
               for d in cycle]
     assert tg.edges() == g.edges() + spokes
@@ -150,7 +122,7 @@ def test_triangulate_apex_darts_follow_corners(maker):
         assert tg.neighbors(g.n + f) == [g.dart_tail[d] for d in reversed(cycle)]
     outer_apex = g.n + g.outer_face
     assert tri.boundary_face == min(tg.dart_face[d] for d in tg.rotation[outer_apex])
-    assert tri.boundary_vertices == tuple(tg.face_tails(tri.boundary_face))
+    assert tri.corners[tri.boundary_face] == tuple(tg.face_tails(tri.boundary_face))
 
 
 def test_pack_refuses_a_loop():
@@ -221,7 +193,7 @@ def test_laplacian_is_minus_the_angle_sum_jacobian():
     g = _gray_face_graph(medial(cube()))
     tri = triangulate(g)
     tg = apex_embedding(g)
-    boundary = set(tri.boundary_vertices)
+    boundary = set(tri.corners[tri.boundary_face])
     system = packing._newton_system(tri)
     interior = system[0]
     rng = random.Random(5)
@@ -334,7 +306,7 @@ def _full_edges(system):
 
 def _system_at_random_radii(g, seed, spread=1.5):
     tri = triangulate(g)
-    boundary = set(tri.boundary_vertices)
+    boundary = set(tri.corners[tri.boundary_face])
     system = packing._newton_system(tri)
     rng = random.Random(seed)
     radii = [1.0 if v in boundary else math.exp(rng.uniform(-spread, spread))
@@ -351,7 +323,7 @@ def test_condensed_direction_matches_full_solve(maker, apexes_kept):
     tri, system, err, diag, weight = _system_at_random_radii(maker(), 11)
     interior, _, _, kept, _, apexes = system
     # every interior apex is eliminated, except prism(8)'s inner octagon
-    assert sum(v >= tri.base_n for v in kept) == apexes_kept
+    assert sum(v >= tri.base.n for v in kept) == apexes_kept
     assert len(kept) + len(apexes) == len(interior)
     ids, edges = zip(*_full_edges(system))
     full = packing._conjugate_gradients(
@@ -451,9 +423,9 @@ def test_condensation_fill(maker):
     interior, _, _, kept, pairs, apexes = system
     # exactly the interior apexes of faces with at most 5 corners go
     assert [a for a, *_ in apexes] == [
-        v for v in interior if v >= tri.base_n and tg.degree(v) <= 5
+        v for v in interior if v >= tri.base.n and tg.degree(v) <= 5
     ]
-    assert all(tg.degree(v) > 5 for v in kept if v >= tri.base_n)
+    assert all(tg.degree(v) > 5 for v in kept if v >= tri.base.n)
     position = {v: i for i, v in enumerate(kept)}
     neighbours = {(position[u], position[v]) for u, v in tg.edges()
                   if u in position and v in position}
