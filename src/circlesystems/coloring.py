@@ -28,9 +28,6 @@ class TwoColoring:
     def gray_faces(self):
         return [f for f, c in enumerate(self.colors) if c == GRAY]
 
-    def white_faces(self):
-        return [f for f, c in enumerate(self.colors) if c == WHITE]
-
 
 def two_color_faces(g: EmbeddedGraph) -> TwoColoring:
     """Proper 2-coloring of the face adjacency graph, outer face white.

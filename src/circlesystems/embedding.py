@@ -114,18 +114,8 @@ class EmbeddedGraph:
     def face_tails(self, f):
         return [self.dart_tail[d] for d in self.faces[f]]
 
-    def neighbors(self, v):
-        return [self.dart_head[d] for d in self.rotation[v]]
-
     def edges(self):
         return [(self.dart_tail[d], self.dart_head[d]) for d, _ in self.edge_darts]
-
-    def adjacency_sets(self):
-        adj = [set() for _ in range(self.n)]
-        for u, v in self.edges():
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
 
     def to_neighbor_lists(self):
         return [[self.dart_head[d] for d in rot] for rot in self.rotation]

@@ -19,8 +19,8 @@ from .errors import NoClassMatch
 from .isomorphism import digraph_isomorphism
 from .realization import (
     Realization,
-    _assemble,
     _extract,
+    _join,
     _read,
     extract_with_arcs,
     outer_face_of,
@@ -37,27 +37,14 @@ class RealizationClass(enum.Enum):
 class OrientedDual:
     """Directed dual of a realization's arrangement.
 
-    ``edges`` holds (tail face, head face, arc id) triples for every arc,
-    including those bordering the outer face; ``nodes`` excludes the outer
-    face id, which is kept separately in ``outer``.
+    ``edges`` holds one (tail face, head face) pair per arc, edge k for
+    arc k, including the arcs bordering the outer face; ``nodes`` excludes
+    the outer face id, which is kept separately in ``outer``.
     """
 
     nodes: tuple
     edges: tuple
     outer: int
-
-    def out_degree(self, node):
-        return sum(1 for t, _, _ in self.edges if t == node)
-
-    def in_degree(self, node):
-        return sum(1 for _, h, _ in self.edges if h == node)
-
-    def out_degree_counts(self):
-        counts = {}
-        for node in self.nodes:
-            d = self.out_degree(node)
-            counts[d] = counts.get(d, 0) + 1
-        return counts
 
 
 def _smooth(r: Realization):
@@ -66,15 +53,21 @@ def _smooth(r: Realization):
     # the points must lie on their circles and the arcs partition the
     # circles as extraction reads them, since the smoothed arcs are rebuilt
     # from the points alone
-    _read(r, 1e-8)
+    order, _ = _read(r, 1e-8)
 
-    # so a point has two arc ends exactly when it names one circle twice
-    kept = [p for p in r.points if p.on[0] != p.on[1]]
-    s, order, ends = _assemble(r.circles, kept)
+    # so a point has two arc ends exactly when it names one circle twice;
+    # the kept points are renumbered in order, so each circle's order of
+    # them stays sorted and ties keep their order
+    new_id = {}
+    for pid, p in enumerate(r.points):
+        if p.on[0] != p.on[1]:
+            new_id[pid] = len(new_id)
+    order = [[(a, new_id[p]) for a, p in pairs if p in new_id]
+             for pairs in order]
     for ci, pairs in enumerate(order):
         if not pairs:
             raise ValueError(f"circle {ci} would lose all its points")
-    return s, order, ends
+    return _join(r.circles, [r.points[pid] for pid in new_id], order)
 
 
 def smooth_degree_two(r: Realization) -> Realization:
@@ -97,10 +90,10 @@ def _dual(r: Realization, g) -> OrientedDual:
     """The oriented dual of ``r``, given its extracted graph ``g``, where
     arc k is darts 2k (counterclockwise) and 2k + 1 (clockwise)."""
     outer = outer_face_of(r, g)
-    edges = [(g.dart_face[2 * k + 1], g.dart_face[2 * k], k)
-             for k in range(len(r.arcs))]
+    edges = tuple((g.dart_face[2 * k + 1], g.dart_face[2 * k])
+                  for k in range(len(r.arcs)))
     nodes = tuple(f for f in range(g.face_count) if f != outer)
-    return OrientedDual(nodes=nodes, edges=tuple(edges), outer=outer)
+    return OrientedDual(nodes=nodes, edges=edges, outer=outer)
 
 
 def oriented_dual(r: Realization) -> OrientedDual:
@@ -126,9 +119,9 @@ def _smoothed_dual(r: Realization) -> OrientedDual:
 def digraph_isomorphic(d1: OrientedDual, d2: OrientedDual) -> bool:
     mapping = digraph_isomorphism(
         list(d1.nodes) + [d1.outer],
-        [(t, h) for t, h, _ in d1.edges],
+        d1.edges,
         list(d2.nodes) + [d2.outer],
-        [(t, h) for t, h, _ in d2.edges],
+        d2.edges,
         forced=[(d1.outer, d2.outer)],
     )
     return mapping is not None

@@ -209,40 +209,34 @@ def _loop_subgraph_rotation():
     return lists, 6
 
 
+def _relabel(rows, fixed, offset):
+    """Neighbour lists ``rows`` over local ids, renumbered: local id v
+    becomes ``fixed[v]`` when listed, and the others take the ids from
+    ``offset`` on in local order.  A dict from new id to renumbered row."""
+    free = iter(range(offset, offset + len(rows)))
+    table = {v: fixed[v] if v in fixed else next(free) for v in range(len(rows))}
+    return {table[v]: [table[w] for w in row] for v, row in enumerate(rows)}
+
+
 def gadget() -> GadgetFragment:
     """Fragment whose skeleton is two triangles sharing the middle vertex,
     with a hanging subgraph merged into each upper corner."""
     # ids: 0 = endpoint 1, 1 = endpoint 2, 2 = middle, 3 = corner 1,
     # 4 = corner 2, 5..10 = first loop, 11..16 = second loop
     loop_rot, merge = _loop_subgraph_rotation()
-
-    def relabel(rot, offset, merge_to):
-        table = {}
-        nxt = offset
-        for v in range(len(rot)):
-            if v == merge:
-                table[v] = merge_to
-            else:
-                table[v] = nxt
-                nxt += 1
-        return {table[v]: [table[w] for w in rot[v]] for v in range(len(rot))}
-
-    left = relabel(loop_rot, 5, 3)
-    right = relabel(loop_rot, 11, 4)
+    left = _relabel(loop_rot, {merge: 3}, 5)
+    right = _relabel(loop_rot, {merge: 4}, 11)
 
     lists = [[] for _ in range(17)]
+    for part in (left, right):
+        for v, row in part.items():
+            lists[v] = row
     lists[0] = [2, 3]
     lists[1] = [4, 2]
     lists[2] = [1, 4, 3, 0]
-    # loop neighbors keep their internal order; skeleton darts flank them
+    # the loops keep their internal order; skeleton darts flank them
     lists[3] = left[3] + [0, 2]
     lists[4] = right[4] + [2, 1]
-    for v, row in left.items():
-        if v != 3:
-            lists[v] = row
-    for v, row in right.items():
-        if v != 4:
-            lists[v] = row
 
     graph = build_embedding(lists)
     return GadgetFragment(
@@ -274,19 +268,13 @@ def bigadget() -> GadgetFragment:
     # ids: 0 = endpoint 1, 1 = endpoint 2, 2 = middle; biloop 1 on 3..9 with
     # attachment pair (3, 4); biloop 2 on 10..16 with pair (10, 11)
     biloop = _biloop_rotation()
-
-    def relabel(offset, pair_to):
-        table = {0: pair_to[0], 6: pair_to[1]}
-        nxt = offset
-        for v in range(1, 6):
-            table[v] = nxt
-            nxt += 1
-        return {table[v]: [table[w] for w in biloop[v]] for v in range(7)}
-
-    left = relabel(5, (3, 4))
-    right = relabel(12, (10, 11))
+    left = _relabel(biloop, {0: 3, 6: 4}, 5)
+    right = _relabel(biloop, {0: 10, 6: 11}, 12)
 
     lists = [[] for _ in range(17)]
+    for part in (left, right):
+        for v, row in part.items():
+            lists[v] = row
     lists[0] = [2, 3]
     lists[1] = [10, 2]
     lists[2] = [1, 11, 4, 0]
@@ -295,12 +283,6 @@ def bigadget() -> GadgetFragment:
     lists[4] = left[4][:2] + [2] + left[4][2:]
     lists[10] = right[10] + [1]
     lists[11] = right[11][:2] + [2] + right[11][2:]
-    for v, row in left.items():
-        if v not in (3, 4):
-            lists[v] = row
-    for v, row in right.items():
-        if v not in (10, 11):
-            lists[v] = row
 
     graph = build_embedding(lists)
     return GadgetFragment(

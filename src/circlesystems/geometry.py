@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 
 from .errors import DomainError, InvalidConfig, NotTangent
-from .packing import Circle, _tangency, _tangency_gap
+from .packing import Circle, _tangency
 
 INTERIOR = "INTERIOR"
 EXTERIOR = "EXTERIOR"
@@ -78,32 +78,6 @@ def outer_phi_max(r1: float, r2: float) -> float:
     if t == math.inf:
         return math.pi  # (1 - t) / (1 + t) rounds to -1
     return math.acos((1.0 - t) / (1.0 + t))
-
-
-# -- constructive checks --------------------------------------------------------
-
-
-def build_inner_configuration(r1, r2, phi):
-    """Circles (C1, C2, C) realizing the interior mate formula."""
-    r = inner_mate_radius(r1, r2, phi)
-    c1 = Circle(0.0, 0.0, r1)
-    c2 = Circle(r1 - r2, 0.0, r2)
-    c = Circle((r1 - r) * math.cos(phi), (r1 - r) * math.sin(phi), r)
-    return c1, c2, c
-
-
-def build_outer_configuration(r1, r2, phi):
-    """Circles (C1, C2, C) realizing the exterior mate formula."""
-    r = outer_mate_radius(r1, r2, phi)
-    c1 = Circle(0.0, 0.0, r1)
-    c2 = Circle(r1 + r2, 0.0, r2)
-    c = Circle((r1 + r) * math.cos(phi), (r1 + r) * math.sin(phi), r)
-    return c1, c2, c
-
-
-def tangency_residual(a: Circle, b: Circle) -> float:
-    """Relative deviation from external tangency of two circles."""
-    return _tangency_gap(a, b)
 
 
 # -- nested arc-pair inequality --------------------------------------------------

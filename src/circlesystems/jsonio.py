@@ -192,7 +192,7 @@ def serialize_dual(d: OrientedDual) -> str:
             "type": "oriented_dual",
             "version": VERSION,
             "nodes": list(d.nodes),
-            "edges": [[t, h] for t, h, _ in d.edges],
+            "edges": [list(e) for e in d.edges],
             "outer": d.outer,
         }
     )
@@ -205,7 +205,7 @@ def parse_dual(data) -> OrientedDual:
         raise ValueError("dual document: 'edges' must be [tail, head] pairs")
     return OrientedDual(
         nodes=tuple(_ints(_field(data, "nodes", "dual", list), "dual", "nodes")),
-        edges=tuple((t, h, i) for i, (t, h) in enumerate(edges)),
+        edges=tuple(map(tuple, edges)),
         outer=_field(data, "outer", "dual", int),
     )
 

@@ -85,12 +85,6 @@ def _tangency(a: Circle, b: Circle, tol: float):
     return None
 
 
-def _tangency_gap(a: Circle, b: Circle) -> float:
-    """Relative deviation from external tangency of two circles."""
-    d = math.hypot(a.cx - b.cx, a.cy - b.cy)
-    return abs(d - (a.r + b.r)) / (a.r + b.r)
-
-
 def _circle_intersections(a: Circle, b: Circle):
     """Crossing points of two circles: the one left of the line from a's
     center to b's, then the one right of it."""
@@ -580,26 +574,28 @@ def pack(g: EmbeddedGraph, tol: float = 1e-9) -> Packing:
 
 
 def _residuals(circles, g):
-    """(tangency, overlap): the largest relative gap from external tangency
-    over the edges of ``g``, and the deepest relative overlap of two
-    circles over its non-edges."""
+    """(tangency, overlap) from the signed relative gap
+    s = (d - (r_a + r_b)) / (r_a + r_b) of two circles at center distance
+    d: the largest |s| over the edges of ``g``, and the largest -s, the
+    deepest overlap, over its non-edges."""
+
+    def gap(a, b):
+        d = math.hypot(a.cx - b.cx, a.cy - b.cy)
+        return (d - (a.r + b.r)) / (a.r + b.r)
+
     adjacent = set()
-    tangency = 0.0
+    tangency = overlap = 0.0
     for u, v in g.edges():
         adjacent.add((u, v) if u < v else (v, u))
-        gap = _tangency_gap(circles[u], circles[v])
-        if gap > tangency:
-            tangency = gap
-    overlap = 0.0
-    n = len(circles)
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (u, v) in adjacent:
-                continue
-            a, b = circles[u], circles[v]
-            pen = ((a.r + b.r) - math.hypot(a.cx - b.cx, a.cy - b.cy)) / (a.r + b.r)
-            if pen > overlap:
-                overlap = pen
+        s = abs(gap(circles[u], circles[v]))
+        if s > tangency:
+            tangency = s
+    for u, a in enumerate(circles):
+        for v in range(u + 1, len(circles)):
+            if (u, v) not in adjacent:
+                s = -gap(a, circles[v])
+                if s > overlap:
+                    overlap = s
     return tangency, overlap
 
 

@@ -68,12 +68,6 @@ class Realization:
     points: list
     arcs: list
 
-    def arcs_on(self, circle_id):
-        return [a for a in self.arcs if a.circle == circle_id]
-
-    def points_on(self, circle_id):
-        return [i for i, p in enumerate(self.points) if circle_id in p.on]
-
 
 def angle_on(circle: Circle, xy) -> float:
     return math.atan2(xy[1] - circle.cy, xy[0] - circle.cx) % TWO_PI
@@ -84,11 +78,6 @@ def point_kind(a: Circle, b: Circle, tol: float = 1e-8) -> str:
     tolerance, CROSS otherwise."""
     _check_tol(tol)
     return KIND_CROSS if _tangency(a, b, tol) is None else KIND_TOUCH
-
-
-def point_angle(r: Realization, point_id: int, circle_id: int) -> float:
-    p = r.points[point_id]
-    return angle_on(r.circles[circle_id], (p.x, p.y))
 
 
 def _angle_gap(a: float, b: float) -> float:
@@ -157,7 +146,12 @@ def _assemble(circles, points):
     angularly consecutive points of every circle, with fresh edge ids in
     circle order; also its angular order and the (from, to) point ids of
     every arc, known by construction."""
-    order = _angular_order(circles, points)
+    return _join(circles, points, _angular_order(circles, points))
+
+
+def _join(circles, points, order):
+    """``_assemble(circles, points)`` from ``order``, the angular order of
+    ``points`` on ``circles``."""
     arcs = []
     ends = []
     for ci, pairs in enumerate(order):

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from collections import Counter
 from operator import add, mul, sub, truediv
 
 import pytest
@@ -15,11 +16,21 @@ from circlesystems.generators import (
     octahedron,
     upper_bound_family,
 )
-from circlesystems.packing import triangulate
+from circlesystems.geometry import inner_mate_radius, outer_mate_radius
+from circlesystems.packing import Circle, triangulate
 from circlesystems import isomorphism, realization
 from circlesystems.realization import (
     Arc, RealPoint, Realization, _angle_gap, extract_with_arcs, realize,
 )
+
+
+def adjacency_sets(g):
+    """The neighbours of each vertex of ``g`` as a set."""
+    adj = [set() for _ in range(g.n)]
+    for u, v in g.edges():
+        adj[u].add(v)
+        adj[v].add(u)
+    return adj
 
 
 def brute_force_connectivity(g, cap=3):
@@ -29,7 +40,7 @@ def brute_force_connectivity(g, cap=3):
     usable for small graphs.
     """
     n = g.n
-    adj = g.adjacency_sets()
+    adj = adjacency_sets(g)
 
     def connected_without(removed):
         remaining = [v for v in range(n) if v not in removed]
@@ -201,6 +212,50 @@ def gadget_search(phi, grid):
                                     return True, tested, tuple(
                                         z * scale for z in witness)
     return False, tested, None
+
+
+def build_inner_configuration(r1, r2, phi):
+    """Circles (C1, C2, C) realizing the interior mate formula: C2 and C,
+    of radius ``inner_mate_radius(r1, r2, phi)``, touch C1 from inside at
+    angles 0 and ``phi``, so C must touch C2."""
+    r = inner_mate_radius(r1, r2, phi)
+    c1 = Circle(0.0, 0.0, r1)
+    c2 = Circle(r1 - r2, 0.0, r2)
+    c = Circle((r1 - r) * math.cos(phi), (r1 - r) * math.sin(phi), r)
+    return c1, c2, c
+
+
+def build_outer_configuration(r1, r2, phi):
+    """Circles (C1, C2, C) realizing the exterior mate formula: C2 and C,
+    of radius ``outer_mate_radius(r1, r2, phi)``, touch C1 from outside at
+    angles 0 and ``phi``, so C must touch C2."""
+    r = outer_mate_radius(r1, r2, phi)
+    c1 = Circle(0.0, 0.0, r1)
+    c2 = Circle(r1 + r2, 0.0, r2)
+    c = Circle((r1 + r) * math.cos(phi), (r1 + r) * math.sin(phi), r)
+    return c1, c2, c
+
+
+def tangency_residual(a, b):
+    """Relative deviation from external tangency of two circles."""
+    d = math.hypot(a.cx - b.cx, a.cy - b.cy)
+    return abs(d - (a.r + b.r)) / (a.r + b.r)
+
+
+def in_degree(d, node):
+    """Edges of the oriented dual ``d`` into ``node``."""
+    return sum(1 for _, h in d.edges if h == node)
+
+
+def out_degree(d, node):
+    """Edges of the oriented dual ``d`` out of ``node``."""
+    return sum(1 for t, _ in d.edges if t == node)
+
+
+def out_degree_counts(d):
+    """How many nodes of the oriented dual ``d``, the outer face left out,
+    have each out-degree."""
+    return Counter(out_degree(d, node) for node in d.nodes)
 
 
 def scan_hits(circles, x, y, tol):

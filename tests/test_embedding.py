@@ -26,6 +26,7 @@ from circlesystems.generators import (
 from circlesystems.isomorphism import graphs_isomorphic
 
 from conftest import (
+    adjacency_sets,
     brute_force_connectivity,
     joined_octahedra,
     pinched_octahedra,
@@ -220,7 +221,7 @@ def test_dual_of_four_regular_is_bipartite(octa):
     d = dual(octa)
     color = {0: 0}
     stack = [0]
-    adj = d.adjacency_sets()
+    adj = adjacency_sets(d)
     while stack:
         u = stack.pop()
         for w in adj[u]:

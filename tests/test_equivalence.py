@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from circlesystems import equivalence
+from circlesystems import equivalence, realization
 from circlesystems.equivalence import (
     OrientedDual,
     RealizationClass,
@@ -19,6 +19,7 @@ from circlesystems.generators import (
     octahedron,
     upper_bound_family,
 )
+from circlesystems.jsonio import parse_dual, serialize_dual
 from circlesystems.packing import Circle
 from circlesystems.realization import (
     Arc,
@@ -28,7 +29,13 @@ from circlesystems.realization import (
     realize,
 )
 
-from conftest import VERDICT_SYSTEMS, relabel_realization
+from conftest import (
+    VERDICT_SYSTEMS,
+    in_degree,
+    out_degree,
+    out_degree_counts,
+    relabel_realization,
+)
 
 EXPECTED_OUT3 = {
     RealizationClass.THREE_CROSSING: 1,
@@ -65,7 +72,7 @@ def _with_split_arc(r):
 def test_out_degree_three_counts(kind):
     r = canonical_octahedron_realization(kind)
     d = oriented_dual(smooth_degree_two(r))
-    assert d.out_degree_counts().get(3, 0) == EXPECTED_OUT3[kind]
+    assert out_degree_counts(d).get(3, 0) == EXPECTED_OUT3[kind]
 
 
 @pytest.mark.parametrize("kind", list(RealizationClass))
@@ -74,7 +81,7 @@ def test_dual_degree_matches_face_length(kind):
     d = oriented_dual(r)
     g = extract_with_arcs(r)
     for node in d.nodes:
-        assert d.in_degree(node) + d.out_degree(node) == len(g.faces[node])
+        assert in_degree(d, node) + out_degree(d, node) == len(g.faces[node])
 
 
 def test_dual_node_count_omits_outer():
@@ -96,8 +103,8 @@ def test_outer_face_detection_nested():
     boundary_arcs = {d >> 1 for d in g.faces[outer]}
     assert all(r.arcs[a].circle == enclosing for a in boundary_arcs)
     d = oriented_dual(r)
-    assert d.in_degree(d.outer) == 3
-    assert d.out_degree(d.outer) == 0
+    assert in_degree(d, d.outer) == 3
+    assert out_degree(d, d.outer) == 0
 
 
 def test_digraph_iso_self():
@@ -113,7 +120,7 @@ def test_digraph_iso_relabeled():
     relabel[d.outer] = 99
     d2 = OrientedDual(
         nodes=tuple(relabel[n] for n in d.nodes),
-        edges=tuple((relabel[t], relabel[h], a) for t, h, a in d.edges),
+        edges=tuple((relabel[t], relabel[h]) for t, h in d.edges),
         outer=99,
     )
     assert digraph_isomorphic(d, d2)
@@ -152,6 +159,34 @@ def test_smooth_identity_without_degree_two_points():
     for r in systems:
         s = smooth_degree_two(r)
         assert s.points == r.points and s.arcs == r.arcs
+
+
+@pytest.mark.parametrize("name, make", VERDICT_SYSTEMS,
+                         ids=[name for name, _ in VERDICT_SYSTEMS])
+def test_smoothing_reuses_the_validated_order(name, make):
+    # smoothing filters the order its validation read and renumbers the
+    # kept points in order; assembling the kept points afresh must give
+    # the same circles, points and arcs, and the same order and arc ends.
+    # The degree-2 point is listed first, so every kept point is renumbered
+    _, r = make()
+    split = _with_split_arc(r)
+    split = Realization(split.circles, split.points[-1:] + split.points[:-1],
+                        split.arcs)
+    kept = [p for p in split.points if p.on[0] != p.on[1]]
+    s = smooth_degree_two(split)
+    fresh, order, ends = realization._assemble(split.circles, kept)
+    assert s.circles == fresh.circles
+    assert s.points == fresh.points
+    assert s.arcs == fresh.arcs
+    assert equivalence._smooth(split)[1:] == (order, ends)
+
+
+def test_dual_document_round_trip():
+    systems = [canonical_octahedron_realization(k) for k in RealizationClass]
+    systems.append(smooth_degree_two(flower(5)[1]))
+    for r in systems:
+        d = oriented_dual(r)
+        assert parse_dual(serialize_dual(d)) == d
 
 
 def test_smooth_removes_subdivision_point():
@@ -254,7 +289,7 @@ def test_dual_degrees_invariant_under_rigid_motions():
     d1 = oriented_dual(moved)
 
     def degree_multiset(d):
-        return sorted((d.in_degree(v), d.out_degree(v)) for v in d.nodes)
+        return sorted((in_degree(d, v), out_degree(d, v)) for v in d.nodes)
 
     assert degree_multiset(d0) == degree_multiset(d1)
     assert digraph_isomorphic(d0, d1)

@@ -9,8 +9,6 @@ from circlesystems.geometry import (
     EXTERIOR,
     INTERIOR,
     ArcPairConfig,
-    build_inner_configuration,
-    build_outer_configuration,
     descartes_check,
     gadget_arc_infeasibility,
     inner_mate_radius,
@@ -19,11 +17,15 @@ from circlesystems.geometry import (
     outer_phi_max,
     sample_arc_pair_config,
     symmetric_pair_radius,
-    tangency_residual,
 )
 from circlesystems.packing import Circle
 
-from conftest import gadget_search
+from conftest import (
+    build_inner_configuration,
+    build_outer_configuration,
+    gadget_search,
+    tangency_residual,
+)
 
 
 def test_inner_mate_values():

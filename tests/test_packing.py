@@ -22,6 +22,7 @@ from conftest import (
     jacobi_conjugate_gradients,
     joined_octahedra,
     laplacian_product,
+    tangency_residual,
 )
 
 
@@ -119,7 +120,8 @@ def test_triangulate_apex_darts_follow_corners(maker):
               for d in cycle]
     assert tg.edges() == g.edges() + spokes
     for f, cycle in enumerate(g.faces):
-        assert tg.neighbors(g.n + f) == [g.dart_tail[d] for d in reversed(cycle)]
+        assert ([tg.dart_head[d] for d in tg.rotation[g.n + f]]
+                == [g.dart_tail[d] for d in reversed(cycle)])
     outer_apex = g.n + g.outer_face
     assert tri.boundary_face == min(tg.dart_face[d] for d in tg.rotation[outer_apex])
     assert tri.corners[tri.boundary_face] == tuple(tg.face_tails(tri.boundary_face))
@@ -154,6 +156,27 @@ def test_residual_detects_perturbation():
     circles = (Circle(0.0, 0.0, 1.01), Circle(2.0, 0.0, 1.0), Circle(1.0, s3, 1.0))
     p = Packing(circles=circles, residual=0.0, iterations=0)
     assert packing_residual(p, triangle) > 1e-3
+
+
+def test_residuals_equal_the_unsigned_gap_forms():
+    # pack certifies with one signed gap s per pair: max |s| over edges and
+    # max -s over non-edges must equal, bit for bit, the two forms
+    # |d - (ra + rb)| / (ra + rb) and ((ra + rb) - d) / (ra + rb)
+    rng = random.Random(5)
+    graphs = [octahedron(), cube(), build_embedding([[1, 1, 2], [0, 2, 0], [0, 1]])]
+    for g in graphs:
+        exact = pack(g, 1e-9).circles
+        for _ in range(20):
+            circles = [Circle(c.cx * (1 + rng.uniform(-1e-3, 1e-3)), c.cy,
+                              c.r * (1 + rng.uniform(-0.5, 0.5))) for c in exact]
+            tangency = max(tangency_residual(circles[u], circles[v])
+                           for u, v in g.edges())
+            adjacent = {frozenset(e) for e in g.edges()}
+            overlap = max([0.0] + [
+                ((a.r + b.r) - math.hypot(a.cx - b.cx, a.cy - b.cy)) / (a.r + b.r)
+                for u, a in enumerate(circles) for v, b in enumerate(circles)
+                if u < v and frozenset((u, v)) not in adjacent])
+            assert packing._residuals(circles, g) == (tangency, overlap)
 
 
 def test_dropping_apexes_preserves_base_tangencies(octa):

@@ -165,7 +165,7 @@ def test_circle_angular_order_matches_face_order():
     # points around each circle follow the gray face boundary
     # counterclockwise, whichever face is outer; realize relies on it
     from circlesystems.coloring import build_il, two_color_faces
-    from circlesystems.realization import point_angle
+    from circlesystems.realization import angle_on
 
     for solid in (tetrahedron, cube, octahedron, dodecahedron, icosahedron):
         m = medial(solid())
@@ -176,12 +176,13 @@ def test_circle_angular_order_matches_face_order():
             for ci, face in enumerate(il.gray_faces):
                 boundary = g.face_tails(face)
                 by_angle = sorted(
-                    boundary, key=lambda v: point_angle(r, v, ci)
+                    boundary,
+                    key=lambda v: angle_on(r.circles[ci], (r.points[v].x, r.points[v].y)),
                 )
                 k = len(boundary)
                 rotations = [boundary[i:] + boundary[:i] for i in range(k)]
                 assert by_angle in rotations
-                total = sum(a.extent for a in r.arcs_on(ci))
+                total = sum(a.extent for a in r.arcs if a.circle == ci)
                 assert abs(total - 2 * math.pi) < 1e-9
 
 
@@ -344,8 +345,9 @@ def test_extracted_darts_follow_arc_numbering(name, make):
         for d, angle in ((2 * k, arc.from_angle), (2 * k + 1, arc.to_angle)):
             tail = g.dart_tail[d]
             assert arc.circle in r.points[tail].on
+            p = r.points[tail]
             gap = realization._angle_gap(
-                realization.point_angle(r, tail, arc.circle), angle)
+                realization.angle_on(r.circles[arc.circle], (p.x, p.y)), angle)
             assert gap <= 1e-12
 
 
