@@ -15,15 +15,19 @@ follow the base classes in ``errors``.
 from __future__ import annotations
 
 import argparse
+import json
 import random
 import sys
+from contextlib import nullcontext
+from dataclasses import asdict
 
 from . import generators, geometry, jsonio
 from .embedding import medial
 from .equivalence import RealizationClass, classify_octahedron, equivalent
 from .errors import CircleSystemsError, NoClassMatch, NumericError, UsageError
-from .packing import Circle
-from .realization import circle_count_bounds, realize, verify_realization
+from .packing import PACK_TOL, Circle
+from .realization import (READ_TOL, circle_count_bounds, realize,
+                          verify_realization)
 from .svgrender import RenderOptions, render_svg
 
 _PLATONICS = {
@@ -40,6 +44,14 @@ _CLASS_NAMES = {
     "touching-nested": RealizationClass.FOUR_TOUCHING_NESTED,
 }
 
+# geom's scalar oracles: the arguments they need, their output key, and
+# the function
+_SCALAR_ORACLES = {
+    "inner-mate": (("r1", "r2", "phi"), "radius", geometry.inner_mate_radius),
+    "outer-mate": (("r1", "r2", "phi"), "radius", geometry.outer_mate_radius),
+    "phi-max": (("r1", "r2"), "phi_max", geometry.outer_phi_max),
+}
+
 
 def _read_input(path):
     if path is None or path == "-":
@@ -49,15 +61,11 @@ def _read_input(path):
 
 
 def _emit(text, out):
-    if out is None or out == "-":
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+    if not text.endswith("\n"):
+        text += "\n"
+    with (nullcontext(sys.stdout) if out is None or out == "-"
+          else open(out, "w", encoding="utf-8")) as fh:
+        fh.write(text)
 
 
 def _build_parser():
@@ -67,7 +75,13 @@ def _build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="emit a reference graph or realization")
+    def command(name, summary, reads=False):
+        p = sub.add_parser(name, help=summary)
+        if reads:
+            p.add_argument("--in", dest="infile")
+        return p
+
+    g = command("generate", "emit a reference graph or realization")
     g.add_argument("family",
                    choices=sorted(_PLATONICS) + [
                        "medial", "flower", "upper-bound", "canonical",
@@ -81,37 +95,26 @@ def _build_parser():
                    help="gadget pairs per edge for the augmented family")
     g.add_argument("--realization", action="store_true",
                    help="emit the reference realization instead of the graph")
-    g.add_argument("--out")
 
-    r = sub.add_parser("realize", help="realize a graph as touching circles")
-    r.add_argument("--in", dest="infile")
-    r.add_argument("--tol", type=float, default=1e-9)
-    r.add_argument("--out")
+    r = command("realize", "realize a graph as touching circles", reads=True)
+    r.add_argument("--tol", type=float, default=PACK_TOL)
 
-    v = sub.add_parser("verify", help="check a realization against the rules")
-    v.add_argument("--in", dest="infile")
+    v = command("verify", "check a realization against the rules", reads=True)
     v.add_argument("--graph", help="graph JSON the realization must match")
-    v.add_argument("--tol", type=float, default=1e-8)
-    v.add_argument("--out")
+    v.add_argument("--tol", type=float, default=READ_TOL)
 
-    b = sub.add_parser("bounds", help="circle-count bounds for n vertices")
+    b = command("bounds", "circle-count bounds for n vertices")
     b.add_argument("--n", type=int, required=True)
-    b.add_argument("--out")
 
-    e = sub.add_parser("equiv", help="test equivalence of two realizations")
+    e = command("equiv", "test equivalence of two realizations")
     e.add_argument("first")
     e.add_argument("second")
-    e.add_argument("--out")
 
-    c = sub.add_parser("classify", help="octahedron realization class")
-    c.add_argument("--in", dest="infile")
-    c.add_argument("--out")
+    command("classify", "octahedron realization class", reads=True)
 
-    m = sub.add_parser("geom", help="evaluate a tangent-circle oracle")
-    m.add_argument("oracle", choices=[
-        "inner-mate", "outer-mate", "phi-max", "arc-inequality",
-        "infeasibility", "descartes",
-    ])
+    m = command("geom", "evaluate a tangent-circle oracle")
+    m.add_argument("oracle", choices=[*_SCALAR_ORACLES, "arc-inequality",
+                                      "infeasibility", "descartes"])
     m.add_argument("--r1", type=float)
     m.add_argument("--r2", type=float)
     m.add_argument("--phi", type=float)
@@ -120,11 +123,8 @@ def _build_parser():
     m.add_argument("--samples", type=int, default=100)
     m.add_argument("--seed", type=int, default=0)
     m.add_argument("--circles", help="JSON list of four [cx, cy, r] triples")
-    m.add_argument("--out")
 
-    s = sub.add_parser("render", help="render a packing or realization to SVG")
-    s.add_argument("--in", dest="infile")
-    s.add_argument("--format", choices=["svg"], default="svg")
+    s = command("render", "render a packing or realization to SVG", reads=True)
     s.add_argument("--width", type=int, default=800)
     s.add_argument("--height", type=int, default=800)
     s.add_argument("--no-circles", action="store_true")
@@ -132,54 +132,48 @@ def _build_parser():
     s.add_argument("--no-arcs", action="store_true")
     s.add_argument("--labels", action="store_true")
     s.add_argument("--shade", action="store_true")
-    s.add_argument("--out")
+
+    for p in sub.choices.values():
+        p.add_argument("--out")
     return parser
 
 
 def _cmd_generate(args):
     fam = args.family
     if fam in _PLATONICS:
-        _emit(jsonio.serialize_graph(_PLATONICS[fam]()), args.out)
-        return 0
-    if fam == "medial":
+        doc = jsonio.graph_to_obj(_PLATONICS[fam]())
+    elif fam == "medial":
         if not args.base:
             raise ValueError("medial needs --base")
-        _emit(jsonio.serialize_graph(medial(_PLATONICS[args.base]())), args.out)
-        return 0
-    if fam in ("flower", "upper-bound"):
+        doc = jsonio.graph_to_obj(medial(_PLATONICS[args.base]()))
+    elif fam in ("flower", "upper-bound"):
         if args.count is None:
             raise ValueError(f"{fam} needs --count")
         make = (generators.flower if fam == "flower"
                 else generators.upper_bound_family)
         graph, real = make(args.count)
-        doc = (jsonio.serialize_realization(real) if args.realization
-               else jsonio.serialize_graph(graph))
-        _emit(doc, args.out)
-        return 0
-    if fam == "canonical":
+        doc = (jsonio.realization_to_obj(real) if args.realization
+               else jsonio.graph_to_obj(graph))
+    elif fam == "canonical":
         kind = _CLASS_NAMES.get(args.kind or "")
         if kind is None:
             raise ValueError(
                 f"canonical needs --kind from {sorted(_CLASS_NAMES)}"
             )
-        real = generators.canonical_octahedron_realization(kind)
-        _emit(jsonio.serialize_realization(real), args.out)
-        return 0
-    if fam in ("gadget", "bigadget"):
-        fragment = generators.gadget() if fam == "gadget" else generators.bigadget()
-        obj = jsonio.graph_to_obj(fragment.graph)
-        obj["endpoints"] = list(fragment.endpoints)
-        obj["skeleton"] = dict(fragment.skeleton)
-        _emit(jsonio.dumps(obj), args.out)
-        return 0
-    if fam == "augmented":
+        doc = jsonio.realization_to_obj(
+            generators.canonical_octahedron_realization(kind))
+    elif fam == "augmented":
         kind = (args.kind or "gadget").upper()
         if kind not in (generators.GADGET, generators.BIGADGET):
             raise ValueError("augmented needs --kind gadget|bigadget")
-        g = generators.augment_octahedron(kind, args.pairs)
-        _emit(jsonio.serialize_graph(g), args.out)
-        return 0
-    raise ValueError(f"unknown family {fam!r}")
+        doc = jsonio.graph_to_obj(generators.augment_octahedron(kind, args.pairs))
+    else:  # the gadget and bigadget fragments
+        fragment = generators.gadget() if fam == "gadget" else generators.bigadget()
+        doc = jsonio.graph_to_obj(fragment.graph)
+        doc["endpoints"] = list(fragment.endpoints)
+        doc["skeleton"] = dict(fragment.skeleton)
+    _emit(jsonio.dumps(doc), args.out)
+    return 0
 
 
 def _cmd_realize(args):
@@ -239,18 +233,10 @@ def _cmd_classify(args):
 
 def _cmd_geom(args):
     oracle = args.oracle
-    if oracle == "inner-mate":
-        _require(args, "r1", "r2", "phi")
-        value = geometry.inner_mate_radius(args.r1, args.r2, args.phi)
-        _emit(jsonio.dumps({"radius": value}), args.out)
-    elif oracle == "outer-mate":
-        _require(args, "r1", "r2", "phi")
-        value = geometry.outer_mate_radius(args.r1, args.r2, args.phi)
-        _emit(jsonio.dumps({"radius": value}), args.out)
-    elif oracle == "phi-max":
-        _require(args, "r1", "r2")
-        value = geometry.outer_phi_max(args.r1, args.r2)
-        _emit(jsonio.dumps({"phi_max": value}), args.out)
+    if oracle in _SCALAR_ORACLES:
+        names, key, function = _SCALAR_ORACLES[oracle]
+        _require(args, *names)
+        doc = {key: function(*(getattr(args, name) for name in names))}
     elif oracle == "arc-inequality":
         if args.samples < 0:
             raise ValueError(f"--samples must not be negative, got {args.samples}")
@@ -262,27 +248,14 @@ def _cmd_geom(args):
             cfg = geometry.sample_arc_pair_config(rng, side)
             if geometry.nested_arc_inequality(cfg):
                 holds += 1
-        _emit(
-            jsonio.dumps({"samples": args.samples, "holds": holds}), args.out
-        )
+        doc = {"samples": args.samples, "holds": holds}
     elif oracle == "infeasibility":
         _require(args, "phi")
-        rep = geometry.gadget_arc_infeasibility(args.phi, args.grid)
-        _emit(
-            jsonio.dumps({
-                "feasible_found": rep.feasible_found,
-                "tested": rep.tested,
-                "phi": rep.phi,
-                "grid": rep.grid,
-            }),
-            args.out,
-        )
-    elif oracle == "descartes":
-        import json as _json
-
+        doc = asdict(geometry.gadget_arc_infeasibility(args.phi, args.grid))
+    else:  # descartes
         if not args.circles:
             raise ValueError("descartes needs --circles")
-        raw = _json.loads(args.circles)
+        raw = json.loads(args.circles)
         if not (isinstance(raw, list) and len(raw) == 4
                 and all(isinstance(e, list) and len(e) == 3
                         and all(isinstance(z, (int, float))
@@ -293,8 +266,8 @@ def _cmd_geom(args):
                 "triples of numbers"
             )
         circles = [Circle(*entry) for entry in raw]
-        value = geometry.descartes_check(*circles)
-        _emit(jsonio.dumps({"residual": value}), args.out)
+        doc = {"residual": geometry.descartes_check(*circles)}
+    _emit(jsonio.dumps(doc), args.out)
     return 0
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .errors import NoClassMatch
 from .isomorphism import digraph_isomorphism
 from .realization import (
+    READ_TOL,
     Realization,
     _extract,
     _join,
@@ -53,7 +54,7 @@ def _smooth(r: Realization):
     # the points must lie on their circles and the arcs partition the
     # circles as extraction reads them, since the smoothed arcs are rebuilt
     # from the points alone
-    order, _ = _read(r, 1e-8)
+    order, _ = _read(r, READ_TOL)
 
     # so a point has two arc ends exactly when it names one circle twice;
     # the kept points are renumbered in order, so each circle's order of
@@ -113,7 +114,7 @@ def _smoothed_dual(r: Realization) -> OrientedDual:
     """``oriented_dual(smooth_degree_two(r))``, extracted from the order
     and the arc ends that smoothing builds instead of matching them anew."""
     s, order, ends = _smooth(r)
-    return _dual(s, _extract(s, order, ends, 1e-8))
+    return _dual(s, _extract(s, order, ends, READ_TOL))
 
 
 def digraph_isomorphic(d1: OrientedDual, d2: OrientedDual) -> bool:

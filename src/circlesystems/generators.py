@@ -16,7 +16,7 @@ from . import realization as rz
 from .embedding import EmbeddedGraph, build_embedding, dual, subdivide_edges
 from .equivalence import RealizationClass
 from .errors import DegenerateArc, DegenerateRadius
-from .packing import Circle, _circle_intersections, pack
+from .packing import PACK_TOL, Circle, _circle_intersections, pack
 
 # -- platonic solids (hand-checked rotation systems) --------------------------
 
@@ -95,7 +95,7 @@ def _assembled_graph(circles, points):
     ``extract_with_arcs`` of the realization, read off the arc ends the
     assembly built instead of matching them anew."""
     real, order, ends = rz._assemble(circles, points)
-    return rz._extract(real, order, ends, 1e-8), real
+    return rz._extract(real, order, ends, rz.READ_TOL), real
 
 
 def _crossings(circles):
@@ -177,7 +177,7 @@ def upper_bound_family(c: int):
     if c < 4 or c % 2 != 0:
         raise ValueError("upper_bound_family needs an even c >= 4")
     base = tetrahedron() if c == 4 else prism(c // 2)
-    p = pack(base, 1e-9)
+    p = pack(base, PACK_TOL)
     circles = list(p.circles)
     return _assembled_graph(circles, rz._touchings(circles, base.edges()))
 

@@ -6,7 +6,9 @@ output reproduces every value bit for bit and identical inputs serialize to
 identical bytes.  JSON has no NaN or infinity, so serializing a non-finite
 float raises ValueError.  Parsing checks every document at the boundary:
 a missing key, a wrongly typed or non-finite field, or an id out of range
-raises ValueError naming the document type.
+raises ValueError naming the document type.  A graph's ``n`` must count
+its rotation rows; a dual's nodes must be distinct and differ from its
+``outer``, and every edge end must be one of them or ``outer``.
 """
 
 from __future__ import annotations
@@ -103,6 +105,9 @@ def parse_graph(data) -> EmbeddedGraph:
     data = _document(data, ("graph",), "graph")
     rotation = [_ints(row, "graph", "rotation")
                 for row in _field(data, "rotation", "graph", list)]
+    if _field(data, "n", "graph", int) != len(rotation):
+        raise ValueError(f"graph document: 'n' is {data['n']}, but "
+                         f"'rotation' has {len(rotation)} rows")
     if data.get("outer_face") is None:
         return build_embedding(rotation)
     return build_embedding(rotation, _field(data, "outer_face", "graph", int))
@@ -203,11 +208,17 @@ def parse_dual(data) -> OrientedDual:
     edges = _field(data, "edges", "dual", list)
     if not all(len(_ints(e, "dual", "edges")) == 2 for e in edges):
         raise ValueError("dual document: 'edges' must be [tail, head] pairs")
-    return OrientedDual(
-        nodes=tuple(_ints(_field(data, "nodes", "dual", list), "dual", "nodes")),
-        edges=tuple(map(tuple, edges)),
-        outer=_field(data, "outer", "dual", int),
-    )
+    nodes = _ints(_field(data, "nodes", "dual", list), "dual", "nodes")
+    outer = _field(data, "outer", "dual", int)
+    ends = {*nodes, outer}
+    if len(ends) != len(nodes) + 1:
+        raise ValueError("dual document: 'nodes' must be distinct and "
+                         "exclude 'outer'")
+    if not all(ends.issuperset(e) for e in edges):
+        raise ValueError("dual document: an edge end is neither a node "
+                         "nor 'outer'")
+    return OrientedDual(nodes=tuple(nodes), edges=tuple(map(tuple, edges)),
+                        outer=outer)
 
 
 def parse_any(text: str):

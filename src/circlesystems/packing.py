@@ -45,6 +45,7 @@ from operator import add, itemgetter, mul, sub
 from .embedding import EmbeddedGraph
 from .errors import Disconnected, DomainError, NoConvergence, TooSmall
 
+PACK_TOL = 1e-9  # default certificate tolerance of pack and realize
 # Newton directions (the corpus needs 6 to 8 to reach the rounding floor)
 # and the largest change of one log-radius in one step; their product, 200,
 # keeps every radius within e**200 of 1 and a product of three radii finite.
@@ -526,7 +527,7 @@ def _layout(tri: Triangulation, radii):
     return pos
 
 
-def pack(g: EmbeddedGraph, tol: float = 1e-9) -> Packing:
+def pack(g: EmbeddedGraph, tol: float = PACK_TOL) -> Packing:
     """Circle packing whose tangency graph equals the edges of ``g``.
 
     Newton's method on the log-radii runs until every angle-sum error is

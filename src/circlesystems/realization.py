@@ -28,13 +28,15 @@ from .errors import (
 )
 from .isomorphism import find_isomorphism
 from .packing import (
-    Circle, _check_tol, _circles_near, _tangency, _tangency_point, pack,
+    PACK_TOL, Circle, _check_tol, _circles_near, _tangency, _tangency_point,
+    pack,
 )
 
 KIND_TOUCH = "TOUCH"
 KIND_CROSS = "CROSS"
 
 TWO_PI = 2.0 * math.pi
+READ_TOL = 1e-8  # default tolerance of point kinds, extraction, verifier
 
 
 @dataclass(frozen=True)
@@ -73,7 +75,7 @@ def angle_on(circle: Circle, xy) -> float:
     return math.atan2(xy[1] - circle.cy, xy[0] - circle.cx) % TWO_PI
 
 
-def point_kind(a: Circle, b: Circle, tol: float = 1e-8) -> str:
+def point_kind(a: Circle, b: Circle, tol: float = READ_TOL) -> str:
     """TOUCH when the circles are externally or internally tangent within
     tolerance, CROSS otherwise."""
     _check_tol(tol)
@@ -289,7 +291,7 @@ def circle_count_bounds(n: int) -> BoundsResult:
 # -- pipeline ------------------------------------------------------------------
 
 
-def realize(g: EmbeddedGraph, tol: float = 1e-9) -> Realization:
+def realize(g: EmbeddedGraph, tol: float = PACK_TOL) -> Realization:
     """Realize a 3-connected 4-regular plane graph as touching circles.
 
     One circle per gray face; the touching point of two circles is the graph
@@ -338,7 +340,7 @@ def realize(g: EmbeddedGraph, tol: float = 1e-9) -> Realization:
 # -- graph extraction ----------------------------------------------------------
 
 
-def extract_with_arcs(r: Realization, tol: float = 1e-8) -> EmbeddedGraph:
+def extract_with_arcs(r: Realization, tol: float = READ_TOL) -> EmbeddedGraph:
     """Embedded abstract graph of a realization.
 
     Vertices are the points; arc k is darts 2k (counterclockwise) and
@@ -450,7 +452,7 @@ class VerifyReport:
 
 
 def verify_realization(r: Realization, g: EmbeddedGraph | None = None,
-                       tol: float = 1e-8) -> VerifyReport:
+                       tol: float = READ_TOL) -> VerifyReport:
     """Check the structural rules of a system of circles.
 
     Violations are reported, not raised: every point on exactly two circles,
@@ -544,7 +546,7 @@ def verify_realization(r: Realization, g: EmbeddedGraph | None = None,
 # -- innermost-face arc property ----------------------------------------------
 
 
-def innermost_face_arc_check(r: Realization, tol: float = 1e-8) -> bool:
+def innermost_face_arc_check(r: Realization, tol: float = READ_TOL) -> bool:
     """For an octahedron realization: the interior face disjoint from the
     outer face has at least one bounding arc of central angle below pi.
     A ``tol`` that is not finite or is negative raises DomainError."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import EmptyInput, NotRenderable
 from .packing import Packing
@@ -19,6 +20,8 @@ from .realization import Realization
 CIRCLE_STROKE = 1.5
 ARC_STROKE = 2.5
 POINT_RADIUS = 4.0
+ARC_PALETTE = ("#c62828", "#1565c0", "#2e7d32", "#ef6c00", "#6a1b9a",
+               "#00838f", "#9e9d24", "#4e342e")
 
 
 @dataclass(frozen=True)
@@ -76,96 +79,66 @@ def render_svg(obj, opts: RenderOptions = RenderOptions()) -> str:
             or opts.show_labels or opts.shade_gray):
         raise ValueError("at least one layer must be enabled")
 
-    if isinstance(obj, Packing):
-        circles = list(obj.circles)
-        points = []
-        arcs = []
-    elif isinstance(obj, Realization):
-        circles = list(obj.circles)
-        points = list(obj.points)
-        arcs = list(obj.arcs)
-    else:
+    if not isinstance(obj, (Packing, Realization)):
         raise NotRenderable(
             f"only packings and realizations render, not {type(obj).__name__}")
+    circles = list(obj.circles)
+    points, arcs = ((obj.points, obj.arcs) if isinstance(obj, Realization)
+                    else ((), ()))
     if not circles:
         raise EmptyInput("nothing to render")
 
     tr = _Transform(circles, opts.width, opts.height)
+
+    def disc(cls, x, y, r, paint):
+        px, py = tr.point(x, y)
+        return (f'<circle class="{cls}" cx="{_fmt(px)}" cy="{_fmt(py)}" '
+                f'r="{_fmt(r)}" {paint}/>')
+
+    def arc(i, a):
+        c = circles[a.circle]
+        x0, y0 = tr.point(c.cx + c.r * math.cos(a.from_angle),
+                          c.cy + c.r * math.sin(a.from_angle))
+        x1, y1 = tr.point(c.cx + c.r * math.cos(a.to_angle),
+                          c.cy + c.r * math.sin(a.to_angle))
+        r = _fmt(tr.length(c.r))
+        large = 1 if a.extent > math.pi else 0
+        # math-ccw becomes sweep=0 after the y flip
+        return (f'<path class="arc" d="M {_fmt(x0)} {_fmt(y0)} A {r} {r} 0 '
+                f'{large} 0 {_fmt(x1)} {_fmt(y1)}" fill="none" '
+                f'stroke="{ARC_PALETTE[i % len(ARC_PALETTE)]}" '
+                f'stroke-width="{_fmt(ARC_STROKE)}"/>')
+
+    # (group class, shown, elements): a generator formats nothing until
+    # its layer is drawn; an empty layer writes no group
+    layers = (
+        ("shading", opts.shade_gray,
+         (disc("shade", c.cx, c.cy, tr.length(c.r),
+               'fill="#dddddd" stroke="none"') for c in circles)),
+        ("circles", opts.show_circles,
+         (disc("circle", c.cx, c.cy, tr.length(c.r),
+               f'fill="none" stroke="#333333" '
+               f'stroke-width="{_fmt(CIRCLE_STROKE)}"') for c in circles)),
+        ("arcs", opts.show_arcs, (arc(i, a) for i, a in enumerate(arcs))),
+        ("points", opts.show_points,
+         (disc("point", p.x, p.y, POINT_RADIUS, 'fill="#000000"')
+          for p in points)),
+        ("labels", opts.show_labels, chain(
+            (f'<text class="label" x="{_fmt(x)}" y="{_fmt(y)}" '
+             f'font-size="14" text-anchor="middle">c{i}</text>'
+             for i, (x, y) in enumerate(tr.point(c.cx, c.cy) for c in circles)),
+            (f'<text class="label" x="{_fmt(x + 6)}" y="{_fmt(y - 6)}" '
+             f'font-size="12">p{i}</text>'
+             for i, (x, y) in enumerate(tr.point(p.x, p.y) for p in points)))),
+    )
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '
         f'width="{opts.width}" height="{opts.height}" '
         f'viewBox="0 0 {opts.width} {opts.height}">'
     ]
-
-    if opts.shade_gray:
-        parts.append('<g class="shading">')
-        for c in circles:
-            cx, cy = tr.point(c.cx, c.cy)
-            parts.append(
-                f'<circle class="shade" cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-                f'r="{_fmt(tr.length(c.r))}" fill="#dddddd" stroke="none"/>'
-            )
-        parts.append("</g>")
-
-    if opts.show_circles:
-        parts.append('<g class="circles">')
-        for c in circles:
-            cx, cy = tr.point(c.cx, c.cy)
-            parts.append(
-                f'<circle class="circle" cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-                f'r="{_fmt(tr.length(c.r))}" fill="none" stroke="#333333" '
-                f'stroke-width="{_fmt(CIRCLE_STROKE)}"/>'
-            )
-        parts.append("</g>")
-
-    if opts.show_arcs and arcs:
-        palette = ("#c62828", "#1565c0", "#2e7d32", "#ef6c00", "#6a1b9a",
-                   "#00838f", "#9e9d24", "#4e342e")
-        parts.append('<g class="arcs">')
-        for i, a in enumerate(arcs):
-            c = circles[a.circle]
-            x0 = c.cx + c.r * math.cos(a.from_angle)
-            y0 = c.cy + c.r * math.sin(a.from_angle)
-            x1 = c.cx + c.r * math.cos(a.to_angle)
-            y1 = c.cy + c.r * math.sin(a.to_angle)
-            p0 = tr.point(x0, y0)
-            p1 = tr.point(x1, y1)
-            large = 1 if a.extent > math.pi else 0
-            # math-ccw becomes sweep=0 after the y flip
-            parts.append(
-                f'<path class="arc" d="M {_fmt(p0[0])} {_fmt(p0[1])} '
-                f'A {_fmt(tr.length(c.r))} {_fmt(tr.length(c.r))} 0 '
-                f'{large} 0 {_fmt(p1[0])} {_fmt(p1[1])}" fill="none" '
-                f'stroke="{palette[i % len(palette)]}" '
-                f'stroke-width="{_fmt(ARC_STROKE)}"/>'
-            )
-        parts.append("</g>")
-
-    if opts.show_points and points:
-        parts.append('<g class="points">')
-        for p in points:
-            px, py = tr.point(p.x, p.y)
-            parts.append(
-                f'<circle class="point" cx="{_fmt(px)}" cy="{_fmt(py)}" '
-                f'r="{_fmt(POINT_RADIUS)}" fill="#000000"/>'
-            )
-        parts.append("</g>")
-
-    if opts.show_labels:
-        parts.append('<g class="labels">')
-        for i, c in enumerate(circles):
-            cx, cy = tr.point(c.cx, c.cy)
-            parts.append(
-                f'<text class="label" x="{_fmt(cx)}" y="{_fmt(cy)}" '
-                f'font-size="14" text-anchor="middle">c{i}</text>'
-            )
-        for i, p in enumerate(points):
-            px, py = tr.point(p.x, p.y)
-            parts.append(
-                f'<text class="label" x="{_fmt(px + 6)}" y="{_fmt(py - 6)}" '
-                f'font-size="12">p{i}</text>'
-            )
-        parts.append("</g>")
-
+    for cls, shown, elements in layers:
+        elements = list(elements) if shown else ()
+        if elements:
+            parts += [f'<g class="{cls}">', *elements, "</g>"]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

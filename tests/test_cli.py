@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import io
 import json
 import math
@@ -18,7 +19,7 @@ from circlesystems.generators import (
 )
 from circlesystems.packing import pack
 from circlesystems.realization import realize
-from circlesystems.svgrender import render_svg
+from circlesystems.svgrender import RenderOptions, render_svg
 
 
 def run(argv, stdin_text=""):
@@ -260,6 +261,18 @@ def test_render_refuses_coordinates_beyond_the_float_range():
         render_svg(r)
 
 
+def test_render_bytes_pinned():
+    # the drawings of the canonical octahedra and flower(3..8), by default
+    # and with every layer on
+    systems = [canonical_octahedron_realization(k) for k in RealizationClass]
+    systems += [flower(c)[1] for c in range(3, 9)]
+    every = RenderOptions(show_labels=True, shade_gray=True)
+    svgs = [render_svg(r, opts)
+            for r in systems for opts in (RenderOptions(), every)]
+    assert hashlib.sha256("".join(svgs).encode()).hexdigest() == (
+        "183e75f687df4ce861230ce45cb1ef589e1538818447fcdf8b7e68df4d1e4980")
+
+
 def test_render_determinism():
     _, real_json, _ = run(["generate", "canonical", "--kind", "touching-nested"])
     _, svg1, _ = run(["render"], real_json)
@@ -405,6 +418,10 @@ _EMPTY_GRAPH = {"type": "graph", "version": 1, "n": 0, "rotation": []}
     (["render"], jsonio.graph_to_obj(octahedron())),
     (["classify"], _REPEATED_CIRCLE),
     (["realize"], _EMPTY_GRAPH),
+    # an 'n' that does not count the rotation rows, and a missing 'n'
+    (["realize"], dict(jsonio.graph_to_obj(octahedron()), n=7)),
+    (["realize"], {key: value for key, value
+                   in jsonio.graph_to_obj(octahedron()).items() if key != "n"}),
     # viewport sides beyond the float range
     (["render", "--width", str(10**400)], _THREE_CROSSING),
     (["render", "--height", str(10**400)], _THREE_CROSSING),

@@ -189,6 +189,18 @@ def test_dual_document_round_trip():
         assert parse_dual(serialize_dual(d)) == d
 
 
+@pytest.mark.parametrize("nodes, edges, outer", [
+    ([0, 1], [[0, 7], [1, 0]], 2),  # an edge end that is no face
+    ([0, 0, 1], [[0, 1], [1, 2]], 2),  # a repeated node
+    ([0, 1, 2], [[0, 1], [1, 2]], 2),  # the outer face among the nodes
+])
+def test_dual_document_refuses_unknown_and_repeated_ids(nodes, edges, outer):
+    doc = {"type": "oriented_dual", "version": 1, "nodes": nodes,
+           "edges": edges, "outer": outer}
+    with pytest.raises(ValueError, match="^dual document: "):
+        parse_dual(doc)
+
+
 def test_smooth_removes_subdivision_point():
     r = canonical_octahedron_realization(RealizationClass.FOUR_TOUCHING_DISJOINT)
     split = _with_split_arc(r)
