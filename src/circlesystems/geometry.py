@@ -2,11 +2,12 @@
 
 Covers the mate-radius formulas for a circle tangent to a base circle and
 to a second circle already tangent to the base (interior and exterior
-variants), the exterior angle bound where the mate degenerates to a line,
-the strict arc inequality for nested non-crossing tangent pairs, the
-infeasibility report for the gadget attachment pattern (its search count
-follows from a closed-form cut), and a Descartes-identity residual used as
-an independent packing check.
+variants), the exterior angle bound 2*atan(sqrt(r2/r1)) where the mate
+degenerates to a line, the equal-size pair radius h/(1+h) inside and
+h/(1-h) outside with h = sin(span/2), the strict arc inequality for nested
+non-crossing tangent pairs, the infeasibility report for the gadget
+attachment pattern (its search count follows from a closed-form cut), and
+a Descartes-identity residual used as an independent packing check.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ def inner_mate_radius(r1: float, r2: float, phi: float) -> float:
         raise DomainError("need 0 < r2 < r1, both finite")
     if not (0.0 < phi <= math.pi):
         raise DomainError("need phi in (0, pi]")
-    return r1 - 2.0 * r1 * r2 / (r1 + r2 - (r1 - r2) * math.cos(phi))
+    t = r2 / r1  # in units of r1, so that no product of radii overflows
+    return r1 * (1.0 - 2.0 * t / (1.0 + t - (1.0 - t) * math.cos(phi)))
 
 
 def outer_mate_radius(r1: float, r2: float, phi: float) -> float:
@@ -70,14 +72,13 @@ def outer_mate_radius(r1: float, r2: float, phi: float) -> float:
 
 
 def outer_phi_max(r1: float, r2: float) -> float:
-    """Supremum tangency angle for the exterior mate circle."""
+    """Supremum tangency angle for the exterior mate circle,
+    2*atan(sqrt(r2/r1)); the square roots are taken apart, so that the
+    ratio neither underflows nor overflows."""
     if not (0.0 < r1 <= 1.7976931348623157e308
             and 0.0 < r2 <= 1.7976931348623157e308):
         raise DomainError("radii must be positive and finite")
-    t = r2 / r1
-    if t == math.inf:
-        return math.pi  # (1 - t) / (1 + t) rounds to -1
-    return math.acos((1.0 - t) / (1.0 + t))
+    return 2.0 * math.atan(math.sqrt(r2) / math.sqrt(r1))
 
 
 # -- nested arc-pair inequality --------------------------------------------------
@@ -157,23 +158,15 @@ def _check_side(side: str) -> None:
 
 
 def symmetric_pair_radius(span: float, side: str) -> float:
-    """Radius of the equal-size tangent pair touching the base circle at two
-    points ``span`` apart (the smallest the larger pair member can be);
-    ``span`` must lie in (0, pi)."""
+    """Radius of the equal-size tangent pair touching the unit base circle
+    at two points ``span`` apart (the smallest the larger pair member can
+    be); ``span`` must lie in (0, pi).  With h = sin(span/2) it is h/(1+h)
+    on the INTERIOR side and h/(1-h) on the EXTERIOR side."""
     if not (0.0 < span < math.pi):
         raise DomainError(f"span must lie strictly between 0 and pi, got {span!r}")
     _check_side(side)
-    if side == EXTERIOR:
-        c = math.cos(span)
-        return ((1.0 - c) + math.sqrt(2.0 * (1.0 - c))) / (1.0 + c)
-    lo, hi = 1e-9, 1.0 - 1e-9
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if inner_mate_radius(1.0, mid, span) > mid:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    h = math.sin(0.5 * span)
+    return h / (1.0 + h) if side == INTERIOR else h / (1.0 - h)
 
 
 def sample_arc_pair_config(rng: random.Random, side: str) -> ArcPairConfig:

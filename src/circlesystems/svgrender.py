@@ -75,9 +75,6 @@ def render_svg(obj, opts: RenderOptions = RenderOptions()) -> str:
                for side in (opts.width, opts.height)):
         raise ValueError("render dimensions must be positive and within "
                          "the float range")
-    if not (opts.show_circles or opts.show_points or opts.show_arcs
-            or opts.show_labels or opts.shade_gray):
-        raise ValueError("at least one layer must be enabled")
 
     if not isinstance(obj, (Packing, Realization)):
         raise NotRenderable(
@@ -140,5 +137,8 @@ def render_svg(obj, opts: RenderOptions = RenderOptions()) -> str:
         elements = list(elements) if shown else ()
         if elements:
             parts += [f'<g class="{cls}">', *elements, "</g>"]
+    if len(parts) == 1:  # every layer is off, or holds what obj lacks
+        raise ValueError("at least one enabled layer must have something "
+                         "to draw")
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -214,6 +214,20 @@ def gadget_search(phi, grid):
     return False, tested, None
 
 
+def bisected_symmetric_pair_radius(span):
+    """Radius of the equal-size pair inside the unit circle touching it at
+    two points ``span`` apart, found by bisecting on ``inner_mate_radius``:
+    the oracle for ``geometry.symmetric_pair_radius``'s closed form."""
+    lo, hi = 1e-9, 1.0 - 1e-9
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if inner_mate_radius(1.0, mid, span) > mid:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
 def build_inner_configuration(r1, r2, phi):
     """Circles (C1, C2, C) realizing the interior mate formula: C2 and C,
     of radius ``inner_mate_radius(r1, r2, phi)``, touch C1 from inside at

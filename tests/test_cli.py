@@ -254,6 +254,21 @@ def test_render_rejects_all_layers_off():
     assert code == 2
 
 
+def test_render_svg_refuses_a_packing_with_only_point_and_arc_layers():
+    # a packing has no points or arcs, so nothing would be drawn
+    with pytest.raises(ValueError, match="something to draw"):
+        render_svg(pack(octahedron(), 1e-9), RenderOptions(show_circles=False))
+
+
+def test_render_no_circles_on_a_packing_is_a_usage_error():
+    p = pack(octahedron(), 1e-9)
+    code, out, err = run(["render", "--no-circles"],
+                         jsonio.serialize_packing(p))
+    assert code == 2
+    assert out == ""
+    assert "something to draw" in err
+
+
 def test_render_refuses_coordinates_beyond_the_float_range():
     _, r = flower(4)
     r.circles[0] = packing.Circle(-1e308, r.circles[0].cy, 1e308)
@@ -379,6 +394,20 @@ def test_exterior_oracles_near_the_float_range_exit_0(argv, key, value):
     code, out, _ = run(argv)
     assert code == 0
     assert json.loads(out)[key] == pytest.approx(value, rel=1e-12)
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    # r1 * r2 would overflow; in units of r1 nothing does
+    (["geom", "inner-mate", "--r1", "1.5e308", "--r2", "1", "--phi", "1"],
+     "radius", 1.5e308),
+    # r2 / r1 underflows to 0.0, its square root does not
+    (["geom", "phi-max", "--r1", "1e300", "--r2", "1e-300"],
+     "phi_max", 2e-300),
+])
+def test_oracles_at_the_float_range_ends_print_finite_json(argv, key, value):
+    code, out, _ = run(argv)
+    assert code == 0
+    assert json.loads(out)[key] == pytest.approx(value, rel=1e-15, abs=0.0)
 
 
 _CIRCLE = {"id": 0, "cx": 0.0, "cy": 0.0, "r": 1.0}

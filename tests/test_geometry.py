@@ -21,6 +21,7 @@ from circlesystems.geometry import (
 from circlesystems.packing import Circle
 
 from conftest import (
+    bisected_symmetric_pair_radius,
     build_inner_configuration,
     build_outer_configuration,
     gadget_search,
@@ -32,6 +33,10 @@ def test_inner_mate_values():
     assert inner_mate_radius(1.0, 0.5, math.pi) == pytest.approx(0.5, abs=1e-15)
     assert inner_mate_radius(1.0, 0.5, math.pi / 2) == pytest.approx(1 / 3, abs=1e-15)
     assert inner_mate_radius(1.0, 0.5, 1e-8) < 1e-7
+    # r1 * r2 would overflow; in units of r1 nothing does
+    r = inner_mate_radius(1.5e308, 1.0, 1.0)
+    assert math.isfinite(r)
+    assert r == pytest.approx(1.5e308, rel=1e-15)
 
 
 def test_inner_mate_domain():
@@ -83,6 +88,22 @@ def test_phi_max_values():
     assert outer_phi_max(1.7e308, 0.5e308) == pytest.approx(math.acos(6.0 / 11.0),
                                                             rel=1e-15)
     assert outer_phi_max(1e-300, 1e300) == math.pi
+    assert outer_phi_max(0.37, 0.37) == math.pi / 2
+    # r2 / r1 underflows to 0.0, its square root does not
+    assert outer_phi_max(1e300, 1e-300) == pytest.approx(
+        2e-300, rel=1e-15, abs=0.0)
+
+
+def test_outer_mate_names_a_positive_degeneration_angle():
+    # t = r2 / r1 underflows in the denominator, so the mate may be refused;
+    # the refusal names the true angle bound, not 0.0
+    try:
+        r = outer_mate_radius(1e300, 1e-300, 1e-301)
+    except DomainError as exc:
+        angle = float(str(exc).rsplit(" ", 1)[1])
+        assert angle == pytest.approx(2e-300, rel=1e-15, abs=0.0)
+    else:
+        assert math.isfinite(r) and r > 0.0
 
 
 def test_outer_singularity():
@@ -174,6 +195,24 @@ def test_symmetric_interior_radius_matches_closed_form():
         h = math.sin(span / 2.0)
         assert symmetric_pair_radius(span, INTERIOR) == pytest.approx(
             h / (1.0 + h), rel=1e-12, abs=0.0)
+
+
+def test_symmetric_interior_radius_matches_bisection():
+    for k in range(1, 400):
+        span = k * math.pi / 400
+        assert symmetric_pair_radius(span, INTERIOR) == pytest.approx(
+            bisected_symmetric_pair_radius(span), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("side, mate", [
+    (INTERIOR, inner_mate_radius),
+    (EXTERIOR, outer_mate_radius),
+])
+def test_symmetric_pair_is_its_own_mate(side, mate):
+    for k in range(1, 400):
+        span = k * math.pi / 400
+        rho = symmetric_pair_radius(span, side)
+        assert mate(1.0, rho, span) == pytest.approx(rho, rel=1e-10, abs=0.0)
 
 
 @pytest.mark.parametrize("side", [INTERIOR, EXTERIOR])
