@@ -5,7 +5,9 @@ to a second circle already tangent to the base (interior and exterior
 variants), the exterior angle bound 2*atan(sqrt(r2/r1)) where the mate
 degenerates to a line, the equal-size pair radius h/(1+h) inside and
 h/(1-h) outside with h = sin(span/2), the strict arc inequality for nested
-non-crossing tangent pairs, the infeasibility report for the gadget
+non-crossing tangent pairs (a sampled candidate is checked on its plain
+numbers, and only an accepted one becomes a record), the infeasibility
+report for the gadget
 attachment pattern (its search count follows from a closed-form cut), and
 a Descartes-identity residual used as an independent packing check.
 """
@@ -105,49 +107,57 @@ class ArcPairConfig:
     rho1_p: float
     rho2_p: float
 
-    def circles(self):
-        sign = -1.0 if self.side == INTERIOR else 1.0
 
-        def on_base(angle, rho):
-            d = self.base_radius + sign * rho
-            return Circle(d * math.cos(angle), d * math.sin(angle), rho)
+def _arc_pair_fault(base_radius, alpha, beta, alpha_p, beta_p, side,
+                    rho1, rho2, rho1_p, rho2_p) -> str | None:
+    """Why the ``ArcPairConfig`` with these fields is invalid, or None.
 
-        return (
-            on_base(self.alpha, self.rho1),
-            on_base(self.beta, self.rho2),
-            on_base(self.alpha_p, self.rho1_p),
-            on_base(self.beta_p, self.rho2_p),
-        )
-
-
-def _validate_config(cfg: ArcPairConfig):
-    if cfg.side not in (INTERIOR, EXTERIOR):
-        raise InvalidConfig(f"unknown side {cfg.side!r}")
-    if not (cfg.alpha < cfg.alpha_p < cfg.beta_p < cfg.beta):
-        raise InvalidConfig("touch angles out of order")
-    if not (cfg.beta - cfg.alpha < math.pi):
-        raise InvalidConfig("total span must stay below pi")
-    mate = inner_mate_radius if cfg.side == INTERIOR else outer_mate_radius
+    Works on the plain numbers, so that a sampled candidate is checked
+    before its record is built; each circle's center is computed once."""
+    if side not in (INTERIOR, EXTERIOR):
+        return f"unknown side {side!r}"
+    if not (alpha < alpha_p < beta_p < beta):
+        return "touch angles out of order"
+    if not (beta - alpha < math.pi):
+        return "total span must stay below pi"
+    mate = inner_mate_radius if side == INTERIOR else outer_mate_radius
     for rho_a, rho_b, span in (
-        (cfg.rho1, cfg.rho2, cfg.beta - cfg.alpha),
-        (cfg.rho1_p, cfg.rho2_p, cfg.beta_p - cfg.alpha_p),
+        (rho1, rho2, beta - alpha),
+        (rho1_p, rho2_p, beta_p - alpha_p),
     ):
-        expect = mate(cfg.base_radius, rho_a, span)
+        expect = mate(base_radius, rho_a, span)
         if abs(expect - rho_b) > CONFIG_TOL * max(1.0, abs(rho_b)):
-            raise InvalidConfig(
-                f"pair radii {rho_a}, {rho_b} are not mutually tangent"
-            )
-    c1, c2, c1p, c2p = cfg.circles()
-    for a, b in ((c1, c1p), (c1, c2p), (c2, c1p), (c2, c2p)):
-        d = math.hypot(a.cx - b.cx, a.cy - b.cy)
-        if d <= (a.r + b.r) * (1.0 + CONFIG_TOL):
-            raise InvalidConfig("the two pairs cross or touch")
+            return f"pair radii {rho_a}, {rho_b} are not mutually tangent"
+    # a circle of radius rho touching the base at angle a from the given
+    # side has its center at distance base_radius -+ rho along a
+    sign = -1.0 if side == INTERIOR else 1.0
+    d = base_radius + sign * rho1
+    x1, y1 = d * math.cos(alpha), d * math.sin(alpha)
+    d = base_radius + sign * rho2
+    x2, y2 = d * math.cos(beta), d * math.sin(beta)
+    d = base_radius + sign * rho1_p
+    x1p, y1p = d * math.cos(alpha_p), d * math.sin(alpha_p)
+    d = base_radius + sign * rho2_p
+    x2p, y2p = d * math.cos(beta_p), d * math.sin(beta_p)
+    touch = 1.0 + CONFIG_TOL
+    if (math.hypot(x1 - x1p, y1 - y1p) <= (rho1 + rho1_p) * touch
+            or math.hypot(x1 - x2p, y1 - y2p) <= (rho1 + rho2_p) * touch
+            or math.hypot(x2 - x1p, y2 - y1p) <= (rho2 + rho1_p) * touch
+            or math.hypot(x2 - x2p, y2 - y2p) <= (rho2 + rho2_p) * touch):
+        return "the two pairs cross or touch"
+    return None
 
 
 def nested_arc_inequality(cfg: ArcPairConfig) -> bool:
     """True when the inner pair's gap arc is strictly shorter than both
-    flanking arcs of the outer pair."""
-    _validate_config(cfg)
+    flanking arcs of the outer pair; InvalidConfig when ``cfg`` is not a
+    valid configuration."""
+    fault = _arc_pair_fault(
+        cfg.base_radius, cfg.alpha, cfg.beta, cfg.alpha_p, cfg.beta_p,
+        cfg.side, cfg.rho1, cfg.rho2, cfg.rho1_p, cfg.rho2_p,
+    )
+    if fault is not None:
+        raise InvalidConfig(fault)
     inner = cfg.beta_p - cfg.alpha_p
     return inner < cfg.alpha_p - cfg.alpha and inner < cfg.beta - cfg.beta_p
 
@@ -174,9 +184,11 @@ def sample_arc_pair_config(rng: random.Random, side: str) -> ArcPairConfig:
 
     The inner pair's touch points must sit strictly between the outer
     pair's, so the inner span is drawn below the flanking gaps; both pair
-    radii start from the symmetric-pair size with a log-uniform jitter, and
-    crossing candidates are rejected.  An unknown ``side`` raises
-    DomainError, and InvalidConfig follows ``SAMPLE_TRIES`` rejections.
+    radii start from the symmetric-pair size with a log-uniform jitter.
+    Each candidate is checked on its numbers, by the check that
+    ``nested_arc_inequality`` runs, and only the accepted one is built
+    into an ``ArcPairConfig``.  An unknown ``side`` raises DomainError, and
+    InvalidConfig follows ``SAMPLE_TRIES`` rejections.
     """
     _check_side(side)
     mate = inner_mate_radius if side == INTERIOR else outer_mate_radius
@@ -202,23 +214,10 @@ def sample_arc_pair_config(rng: random.Random, side: str) -> ArcPairConfig:
             continue
         if min(rho2, rho2_p) <= 0.0:
             continue
-        cfg = ArcPairConfig(
-            base_radius=1.0,
-            alpha=0.0,
-            beta=span,
-            alpha_p=g1,
-            beta_p=g1 + inner_span,
-            side=side,
-            rho1=rho1,
-            rho2=rho2,
-            rho1_p=rho1_p,
-            rho2_p=rho2_p,
-        )
-        try:
-            _validate_config(cfg)
-        except InvalidConfig:
-            continue
-        return cfg
+        fields = (1.0, 0.0, span, g1, g1 + inner_span, side,
+                  rho1, rho2, rho1_p, rho2_p)
+        if _arc_pair_fault(*fields) is None:
+            return ArcPairConfig(*fields)
     raise InvalidConfig(f"no valid configuration after {SAMPLE_TRIES} tries")
 
 

@@ -16,7 +16,10 @@ from circlesystems.generators import (
     octahedron,
     upper_bound_family,
 )
-from circlesystems.geometry import inner_mate_radius, outer_mate_radius
+from circlesystems.errors import InvalidConfig
+from circlesystems.geometry import (
+    CONFIG_TOL, EXTERIOR, INTERIOR, inner_mate_radius, outer_mate_radius,
+)
 from circlesystems.packing import Circle, triangulate
 from circlesystems import isomorphism, realization
 from circlesystems.realization import (
@@ -248,6 +251,41 @@ def build_outer_configuration(r1, r2, phi):
     c2 = Circle(r1 + r2, 0.0, r2)
     c = Circle((r1 + r) * math.cos(phi), (r1 + r) * math.sin(phi), r)
     return c1, c2, c
+
+
+def arc_pair_check(cfg):
+    """The arc-pair validity check on four ``Circle`` records built from
+    ``cfg``: the oracle for ``nested_arc_inequality``'s check on plain
+    numbers.  Raises InvalidConfig with the same message, in the same order
+    of conditions, or returns None."""
+    if cfg.side not in (INTERIOR, EXTERIOR):
+        raise InvalidConfig(f"unknown side {cfg.side!r}")
+    if not (cfg.alpha < cfg.alpha_p < cfg.beta_p < cfg.beta):
+        raise InvalidConfig("touch angles out of order")
+    if not (cfg.beta - cfg.alpha < math.pi):
+        raise InvalidConfig("total span must stay below pi")
+    mate = inner_mate_radius if cfg.side == INTERIOR else outer_mate_radius
+    for rho_a, rho_b, span in (
+        (cfg.rho1, cfg.rho2, cfg.beta - cfg.alpha),
+        (cfg.rho1_p, cfg.rho2_p, cfg.beta_p - cfg.alpha_p),
+    ):
+        expect = mate(cfg.base_radius, rho_a, span)
+        if abs(expect - rho_b) > CONFIG_TOL * max(1.0, abs(rho_b)):
+            raise InvalidConfig(
+                f"pair radii {rho_a}, {rho_b} are not mutually tangent"
+            )
+    sign = -1.0 if cfg.side == INTERIOR else 1.0
+
+    def on_base(angle, rho):
+        d = cfg.base_radius + sign * rho
+        return Circle(d * math.cos(angle), d * math.sin(angle), rho)
+
+    c1, c2 = on_base(cfg.alpha, cfg.rho1), on_base(cfg.beta, cfg.rho2)
+    c1p, c2p = on_base(cfg.alpha_p, cfg.rho1_p), on_base(cfg.beta_p, cfg.rho2_p)
+    for a, b in ((c1, c1p), (c1, c2p), (c2, c1p), (c2, c2p)):
+        d = math.hypot(a.cx - b.cx, a.cy - b.cy)
+        if d <= (a.r + b.r) * (1.0 + CONFIG_TOL):
+            raise InvalidConfig("the two pairs cross or touch")
 
 
 def tangency_residual(a, b):

@@ -1,3 +1,5 @@
+import dataclasses
+import hashlib
 import math
 import random
 
@@ -6,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from circlesystems.errors import DomainError, InvalidConfig, NotTangent
 from circlesystems.geometry import (
+    CONFIG_TOL,
     EXTERIOR,
     INTERIOR,
     ArcPairConfig,
@@ -21,6 +24,7 @@ from circlesystems.geometry import (
 from circlesystems.packing import Circle
 
 from conftest import (
+    arc_pair_check,
     bisected_symmetric_pair_radius,
     build_inner_configuration,
     build_outer_configuration,
@@ -185,6 +189,102 @@ def test_arc_inequality_symmetric_config():
     inner = cfg.beta_p - cfg.alpha_p
     assert inner < cfg.alpha_p - cfg.alpha
     assert inner < cfg.beta - cfg.beta_p
+
+
+def test_interior_draw_stream_pinned():
+    # 500 seeded INTERIOR draws and the generator's state after them: a
+    # sampler change that moves a radius by one rounding, flips an
+    # accept/reject decision or draws one random number more or less
+    # changes a digest
+    rng = random.Random(20250)
+    draws = [sample_arc_pair_config(rng, INTERIOR) for _ in range(500)]
+    assert hashlib.sha256(repr(draws).encode()).hexdigest() == (
+        "53ee466bc0823d4207b14d8cfdead1b93701213e902dc8611b2cd44f836730fa")
+    assert hashlib.sha256(repr(rng.getstate()).encode()).hexdigest() == (
+        "ece09638ff6b9bf8ca7b683ffd29cdd286d8a537e00bb0682a33c9b370a5e16c")
+
+
+def _check_outcome(check, cfg):
+    """("valid", None) when ``check`` accepts ``cfg``, else the class and
+    message of what it raises."""
+    try:
+        check(cfg)
+    except (InvalidConfig, DomainError) as exc:
+        return type(exc).__name__, str(exc)
+    return "valid", None
+
+
+# (outer circle, inner circle): which of the two ends of each pair
+PAIRS = [(o, i) for o in ("alpha", "beta") for i in ("alpha_p", "beta_p")]
+
+
+def _touching(cfg, outer, inner, delta):
+    """``cfg`` with its inner pair turned about the base center, its span
+    kept, until the ``outer`` and ``inner`` circles' center distance is
+    (1 + delta) times their radius sum."""
+    sign = -1.0 if cfg.side == INTERIOR else 1.0
+    radius = {"alpha": cfg.rho1, "beta": cfg.rho2,
+              "alpha_p": cfg.rho1_p, "beta_p": cfg.rho2_p}
+    ra, rb = radius[outer], radius[inner]
+    da, db = 1.0 + sign * ra, 1.0 + sign * rb
+    dist = (ra + rb) * (1.0 + delta)
+    cos_turn = (da * da + db * db - dist * dist) / (2.0 * da * db)
+    turn = math.acos(max(-1.0, min(1.0, cos_turn)))
+    at = cfg.alpha + turn if outer == "alpha" else cfg.beta - turn
+    span = cfg.beta_p - cfg.alpha_p
+    if inner == "alpha_p":
+        return dataclasses.replace(cfg, alpha_p=at, beta_p=at + span)
+    return dataclasses.replace(cfg, alpha_p=at - span, beta_p=at)
+
+
+@st.composite
+def _arc_pair_candidates(draw):
+    """Sampled configurations with one outer/inner circle pair turned to
+    within 2 CONFIG_TOL of touching, and candidates of arbitrary numbers."""
+    side = draw(st.sampled_from([INTERIOR, EXTERIOR]))
+    if draw(st.booleans()):
+        cfg = sample_arc_pair_config(
+            random.Random(draw(st.integers(0, 2**32 - 1))), side)
+        outer, inner = draw(st.sampled_from(PAIRS))
+        delta = draw(st.floats(min_value=-2 * CONFIG_TOL,
+                               max_value=2 * CONFIG_TOL))
+        return _touching(cfg, outer, inner, delta)
+    # sorted, the angles are in order: alpha, alpha_p, beta_p, beta
+    angles = draw(st.lists(st.floats(min_value=-4.0, max_value=4.0),
+                           min_size=4, max_size=4))
+    if draw(st.booleans()):
+        angles.sort()
+    alpha, alpha_p, beta_p, beta = angles
+    return ArcPairConfig(
+        draw(st.floats(min_value=0.1, max_value=4.0)),
+        alpha, beta, alpha_p, beta_p,
+        draw(st.sampled_from([side, "BOGUS"])),
+        *draw(st.lists(st.floats(min_value=1e-3, max_value=3.0),
+                       min_size=4, max_size=4)),
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(_arc_pair_candidates())
+def test_arc_pair_check_agrees_with_the_circle_oracle(cfg):
+    assert _check_outcome(nested_arc_inequality, cfg) == (
+        _check_outcome(arc_pair_check, cfg))
+
+
+@pytest.mark.parametrize("side", [INTERIOR, EXTERIOR])
+@pytest.mark.parametrize("outer, inner", [("alpha", "alpha_p"), ("beta", "beta_p")])
+def test_arc_pair_check_refuses_touching_and_accepts_a_gap(side, outer, inner):
+    # the neighbouring circles of the two pairs, turned to touch, are
+    # refused up to CONFIG_TOL beyond touching, and kept apart beyond it
+    cfg = sample_arc_pair_config(random.Random(5), side)
+    for delta in (-2 * CONFIG_TOL, 0.0, 0.5 * CONFIG_TOL):
+        with pytest.raises(InvalidConfig, match="cross or touch"):
+            nested_arc_inequality(_touching(cfg, outer, inner, delta))
+        with pytest.raises(InvalidConfig, match="cross or touch"):
+            arc_pair_check(_touching(cfg, outer, inner, delta))
+    apart = _touching(cfg, outer, inner, 2 * CONFIG_TOL)
+    assert arc_pair_check(apart) is None
+    assert nested_arc_inequality(apart) is True
 
 
 def test_symmetric_interior_radius_matches_closed_form():
