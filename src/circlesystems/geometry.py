@@ -50,24 +50,26 @@ def outer_mate_radius(r1: float, r2: float, phi: float) -> float:
 
     Strictly increasing in phi and unbounded as phi approaches
     ``outer_phi_max(r1, r2)``, where the circle flattens into the common
-    tangent line.  Computed in units of r1, so that no product of two
-    radii overflows; a radius beyond the float range raises DomainError.
+    tangent line.  With h = sin(phi/2) and q = h**2 * (1 + r1/r2) it is
+    r1 * q / (1 - q); q is summed from h and h * sqrt(r1) / sqrt(r2), so
+    that r2/r1 neither underflows nor overflows and no product of two radii
+    is formed.  A radius beyond the float range raises DomainError.
     """
     if not (0.0 < r1 <= 1.7976931348623157e308
             and 0.0 < r2 <= 1.7976931348623157e308):
         raise DomainError("radii must be positive and finite")
     if not phi > 0.0:
         raise DomainError(f"need phi > 0, got {phi!r}")
-    t = r2 / r1
-    denom = t - 1.0 + (t + 1.0) * math.cos(phi)
-    if denom <= 0.0 or phi >= outer_phi_max(r1, r2):
+    h = math.sin(0.5 * phi)
+    s = h * (math.sqrt(r1) / math.sqrt(r2))
+    q = h * h + s * s
+    bound = outer_phi_max(r1, r2)
+    if q >= 1.0 or phi >= bound:
         raise DomainError(
-            f"phi={phi!r} at or beyond the degeneration angle "
-            f"{outer_phi_max(r1, r2)!r}"
+            f"phi={phi!r} at or beyond the degeneration angle {bound!r}"
         )
-    if not denom < math.inf:  # t is so large that r / r1 is its limit in t
-        return r1 * math.tan(0.5 * phi) ** 2
-    r = 2.0 * (r2 / denom) - r1
+    # q < 1, so q / (1 - q) stays below 2**53 and only the result overflows
+    r = r1 * (q / (1.0 - q))
     if r == math.inf:
         raise DomainError(f"mate radius at phi={phi!r} exceeds the float range")
     return r

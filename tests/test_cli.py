@@ -403,6 +403,9 @@ def test_exterior_oracles_near_the_float_range_exit_0(argv, key, value):
     # r2 / r1 underflows to 0.0, its square root does not
     (["geom", "phi-max", "--r1", "1e300", "--r2", "1e-300"],
      "phi_max", 2e-300),
+    # r2 / r1 underflows, yet the mate below that angle is r1 / 399
+    (["geom", "outer-mate", "--r1", "1e300", "--r2", "1e-300", "--phi", "1e-301"],
+     "radius", 1e300 / 399),
 ])
 def test_oracles_at_the_float_range_ends_print_finite_json(argv, key, value):
     code, out, _ = run(argv)

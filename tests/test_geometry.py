@@ -99,15 +99,15 @@ def test_phi_max_values():
 
 
 def test_outer_mate_names_a_positive_degeneration_angle():
-    # t = r2 / r1 underflows in the denominator, so the mate may be refused;
-    # the refusal names the true angle bound, not 0.0
-    try:
-        r = outer_mate_radius(1e300, 1e-300, 1e-301)
-    except DomainError as exc:
-        angle = float(str(exc).rsplit(" ", 1)[1])
-        assert angle == pytest.approx(2e-300, rel=1e-15, abs=0.0)
-    else:
-        assert math.isfinite(r) and r > 0.0
+    # r2 / r1 underflows to 0.0, yet below the angle bound 2e-300 the mate
+    # is finite: q = sin(phi/2)**2 (1 + r1/r2) = 1/400 and r = r1 q/(1 - q)
+    assert outer_mate_radius(1e300, 1e-300, 1e-301) == pytest.approx(
+        1e300 / 399, rel=1e-12, abs=0.0)
+    # beyond it the refusal names the true bound, not 0.0
+    with pytest.raises(DomainError) as exc:
+        outer_mate_radius(1e300, 1e-300, 3e-300)
+    angle = float(str(exc.value).rsplit(" ", 1)[1])
+    assert angle == pytest.approx(2e-300, rel=1e-15, abs=0.0)
 
 
 def test_outer_singularity():
