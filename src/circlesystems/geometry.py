@@ -7,9 +7,9 @@ degenerates to a line, the equal-size pair radius h/(1+h) inside and
 h/(1-h) outside with h = sin(span/2), the strict arc inequality for nested
 non-crossing tangent pairs (a sampled candidate is checked on its plain
 numbers, and only an accepted one becomes a record), the infeasibility
-report for the gadget
-attachment pattern (its search count follows from a closed-form cut), and
-a Descartes-identity residual used as an independent packing check.
+report for the gadget attachment pattern (its search count follows from a
+closed-form cut), and a Descartes-identity residual used as an independent
+packing check.
 """
 
 from __future__ import annotations

@@ -277,14 +277,16 @@ def test_arc_pair_check_refuses_touching_and_accepts_a_gap(side, outer, inner):
     # the neighbouring circles of the two pairs, turned to touch, are
     # refused up to CONFIG_TOL beyond touching, and kept apart beyond it
     cfg = sample_arc_pair_config(random.Random(5), side)
-    for delta in (-2 * CONFIG_TOL, 0.0, 0.5 * CONFIG_TOL):
-        with pytest.raises(InvalidConfig, match="cross or touch"):
-            nested_arc_inequality(_touching(cfg, outer, inner, delta))
-        with pytest.raises(InvalidConfig, match="cross or touch"):
-            arc_pair_check(_touching(cfg, outer, inner, delta))
-    apart = _touching(cfg, outer, inner, 2 * CONFIG_TOL)
-    assert arc_pair_check(apart) is None
-    assert nested_arc_inequality(apart) is True
+    for delta, outcome in (
+        (-2 * CONFIG_TOL, ("InvalidConfig", "the two pairs cross or touch")),
+        (0.0, ("InvalidConfig", "the two pairs cross or touch")),
+        (0.5 * CONFIG_TOL, ("InvalidConfig", "the two pairs cross or touch")),
+        (2 * CONFIG_TOL, ("valid", None)),
+    ):
+        turned = _touching(cfg, outer, inner, delta)
+        assert _check_outcome(nested_arc_inequality, turned) == outcome
+        assert _check_outcome(arc_pair_check, turned) == outcome
+    assert nested_arc_inequality(turned) is True
 
 
 def test_symmetric_interior_radius_matches_closed_form():
