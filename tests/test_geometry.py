@@ -12,6 +12,7 @@ from circlesystems.geometry import (
     EXTERIOR,
     INTERIOR,
     ArcPairConfig,
+    _arc_pair_fault,
     descartes_check,
     gadget_arc_infeasibility,
     inner_mate_radius,
@@ -202,6 +203,34 @@ def test_interior_draw_stream_pinned():
         "53ee466bc0823d4207b14d8cfdead1b93701213e902dc8611b2cd44f836730fa")
     assert hashlib.sha256(repr(rng.getstate()).encode()).hexdigest() == (
         "ece09638ff6b9bf8ca7b683ffd29cdd286d8a537e00bb0682a33c9b370a5e16c")
+
+
+def test_exterior_draw_stream_pinned():
+    # the EXTERIOR twin of the pin above: it guards the outer_mate_radius
+    # path of the sampler at the bit level
+    rng = random.Random(20251)
+    draws = [sample_arc_pair_config(rng, EXTERIOR) for _ in range(500)]
+    assert hashlib.sha256(repr(draws).encode()).hexdigest() == (
+        "60486eaece0c4e9aea8e11dbf5a2f4d6aec7a6d18dd219e4bce7e20e7b5f6b2c")
+    assert hashlib.sha256(repr(rng.getstate()).encode()).hexdigest() == (
+        "a03a0977f13f109d8f72095357dd409f88c86399b5a53f2a97b95744e54a28d9")
+
+
+@pytest.mark.parametrize("side", [INTERIOR, EXTERIOR])
+def test_sampled_pairs_pass_the_tangency_test_the_sampler_skips(side):
+    # the sampler tests its candidates for crossings only: its mate radii
+    # make both pairs tangent.  The outer pair's span is the sampler's own
+    # argument, so its radius matches exactly; (g1 + inner_span) - g1 is
+    # not exactly inner_span, so the inner one matches to a few roundings,
+    # far inside CONFIG_TOL
+    mate = inner_mate_radius if side == INTERIOR else outer_mate_radius
+    rng = random.Random(31)
+    for _ in range(5000):
+        cfg = sample_arc_pair_config(rng, side)
+        assert mate(1.0, cfg.rho1, cfg.beta - cfg.alpha) == cfg.rho2
+        inner = mate(1.0, cfg.rho1_p, cfg.beta_p - cfg.alpha_p)
+        assert abs(inner - cfg.rho2_p) <= 1e-13 * max(1.0, cfg.rho2_p)
+        assert _arc_pair_fault(*dataclasses.astuple(cfg)) is None
 
 
 def _check_outcome(check, cfg):
