@@ -5,11 +5,12 @@ to a second circle already tangent to the base (interior and exterior
 variants), the exterior angle bound 2*atan(sqrt(r2/r1)) where the mate
 degenerates to a line, the equal-size pair radius h/(1+h) inside and
 h/(1-h) outside with h = sin(span/2), the strict arc inequality for nested
-non-crossing tangent pairs (a sampled candidate, tangent by construction,
-is tested on its plain numbers for crossings alone, and only an accepted
-one becomes a record), the infeasibility report for the gadget attachment
-pattern (its search count follows from a closed-form cut), and a
-Descartes-identity residual used as an independent packing check.
+non-crossing tangent pairs (a sampled candidate is tested on its plain
+numbers, its alpha pair for crossing before its beta pair is sized, and
+only an accepted one becomes a record), the infeasibility report for the
+gadget attachment pattern (its search count summed in closed form in
+O(grid) steps), and a Descartes-identity residual used as an independent
+packing check.
 """
 
 from __future__ import annotations
@@ -125,29 +126,42 @@ def _arc_pair_fault(base_radius, alpha, beta, alpha_p, beta_p, side,
         (rho1_p, rho2_p, beta_p - alpha_p),
     ):
         expect = mate(base_radius, rho_a, span)
-        if abs(expect - rho_b) > CONFIG_TOL * max(1.0, abs(rho_b)):
+        if not (0.0 < rho_b < math.inf
+                and abs(expect - rho_b) <= CONFIG_TOL * max(1.0, rho_b)):
             return f"pair radii {rho_a}, {rho_b} are not mutually tangent"
     return _crossing_fault(base_radius, alpha, beta, alpha_p, beta_p, side,
                            rho1, rho2, rho1_p, rho2_p)
 
 
-def _crossing_fault(base_radius, alpha, beta, alpha_p, beta_p, side,
-                    rho1, rho2, rho1_p, rho2_p) -> str | None:
-    """``_arc_pair_fault``'s last test, for a valid side: an outer circle
-    crosses or touches an inner one.  The alpha/alpha_p pair goes first and
-    the beta centers are computed only if it passes: it refuses about 97%
-    (INTERIOR) and 99% (EXTERIOR) of sampled candidates that fail here.
-    Every test gives one message, so the order never changes the verdict."""
+def _alpha_pair_apart(base_radius, alpha, alpha_p, sign, rho1, rho1_p):
+    """The centers (x1, y1, x1p, y1p) of the circles of radii ``rho1`` and
+    ``rho1_p`` touching the base at ``alpha`` and ``alpha_p`` from the side
+    ``sign`` (-1.0 inside, 1.0 outside), or None when they cross or touch:
+    the crossing test that needs no mate radius."""
     # a circle of radius rho touching the base at angle a from the given
     # side has its center at distance base_radius -+ rho along a
-    sign = -1.0 if side == INTERIOR else 1.0
-    touch = 1.0 + CONFIG_TOL
     d = base_radius + sign * rho1
     x1, y1 = d * math.cos(alpha), d * math.sin(alpha)
     d = base_radius + sign * rho1_p
     x1p, y1p = d * math.cos(alpha_p), d * math.sin(alpha_p)
-    if math.hypot(x1 - x1p, y1 - y1p) <= (rho1 + rho1_p) * touch:
+    if math.hypot(x1 - x1p, y1 - y1p) <= (rho1 + rho1_p) * (1.0 + CONFIG_TOL):
+        return None
+    return x1, y1, x1p, y1p
+
+
+def _crossing_fault(base_radius, alpha, beta, alpha_p, beta_p, side,
+                    rho1, rho2, rho1_p, rho2_p) -> str | None:
+    """``_arc_pair_fault``'s last test, for a valid side: an outer circle
+    crosses or touches an inner one.  ``_alpha_pair_apart`` goes first and
+    the beta centers are computed only if it passes; the sampler runs it
+    before it sizes the beta pair.  Every test gives one message, so the
+    order never changes the verdict."""
+    sign = -1.0 if side == INTERIOR else 1.0
+    apart = _alpha_pair_apart(base_radius, alpha, alpha_p, sign, rho1, rho1_p)
+    if apart is None:
         return "the two pairs cross or touch"
+    x1, y1, x1p, y1p = apart
+    touch = 1.0 + CONFIG_TOL
     d = base_radius + sign * rho2
     x2, y2 = d * math.cos(beta), d * math.sin(beta)
     d = base_radius + sign * rho2_p
@@ -178,6 +192,12 @@ def _check_side(side: str) -> None:
         raise DomainError(f"side must be {INTERIOR} or {EXTERIOR}, got {side!r}")
 
 
+def _pair_radius(span: float, side: str) -> float:
+    """``symmetric_pair_radius`` for a span and side already checked."""
+    h = math.sin(0.5 * span)
+    return h / (1.0 + h) if side == INTERIOR else h / (1.0 - h)
+
+
 def symmetric_pair_radius(span: float, side: str) -> float:
     """Radius of the equal-size tangent pair touching the unit base circle
     at two points ``span`` apart (the smallest the larger pair member can
@@ -186,8 +206,7 @@ def symmetric_pair_radius(span: float, side: str) -> float:
     if not (0.0 < span < math.pi):
         raise DomainError(f"span must lie strictly between 0 and pi, got {span!r}")
     _check_side(side)
-    h = math.sin(0.5 * span)
-    return h / (1.0 + h) if side == INTERIOR else h / (1.0 - h)
+    return _pair_radius(span, side)
 
 
 def sample_arc_pair_config(rng: random.Random, side: str) -> ArcPairConfig:
@@ -196,30 +215,34 @@ def sample_arc_pair_config(rng: random.Random, side: str) -> ArcPairConfig:
     The inner pair's touch points must sit strictly between the outer
     pair's, so the inner span is drawn below the flanking gaps; both pair
     radii start from the symmetric-pair size with a log-uniform jitter.
-    The mate radii make each pair tangent, so a candidate is tested on its
-    numbers only for crossings, the last test ``nested_arc_inequality``
-    runs, and only the accepted one is built into an ``ArcPairConfig``.
-    An unknown ``side`` raises DomainError, and InvalidConfig follows
-    ``SAMPLE_TRIES`` rejections.
+    A candidate's numbers are all drawn before it is tested, so the order
+    of the tests never changes the draws.  The alpha pair's crossing test
+    needs no mate radius and refuses most candidates, so it runs before
+    the mate radii make each pair tangent; then the other crossings, the
+    last test ``nested_arc_inequality`` runs.  Only the accepted candidate
+    becomes an ``ArcPairConfig``.  An unknown ``side`` raises DomainError,
+    and InvalidConfig follows ``SAMPLE_TRIES`` rejections.
     """
     _check_side(side)
     mate = inner_mate_radius if side == INTERIOR else outer_mate_radius
+    sign = -1.0 if side == INTERIOR else 1.0
+    # rng.uniform(a, b) is a + (b - a) * rng.random(), written out
+    uniform = rng.random
     for _ in range(SAMPLE_TRIES):
-        span = rng.uniform(0.5, math.pi - 0.05)
-        g1 = rng.uniform(0.2, 0.4) * span
-        gap_cap = min(g1, rng.uniform(0.2, 0.4) * span)
-        inner_span = rng.uniform(0.15, 0.75) * gap_cap
+        span = 0.5 + (math.pi - 0.05 - 0.5) * uniform()
+        g1 = (0.2 + (0.4 - 0.2) * uniform()) * span
+        gap_cap = min(g1, (0.2 + (0.4 - 0.2) * uniform()) * span)
+        inner_span = (0.15 + (0.75 - 0.15) * uniform()) * gap_cap
         if span - g1 - inner_span <= 0.02:
             continue
+        # span lies in [0.5, pi - 0.05] and inner_span in (0, span)
+        rho1 = _pair_radius(span, side) * math.exp(-0.25 + 0.5 * uniform())
+        rho1_p = _pair_radius(inner_span, side) * math.exp(-0.25 + 0.5 * uniform())
+        if side == INTERIOR and not (0.0 < rho1 < 1.0 and 0.0 < rho1_p < 1.0):
+            continue
+        if _alpha_pair_apart(1.0, 0.0, g1, sign, rho1, rho1_p) is None:
+            continue
         try:
-            rho1 = symmetric_pair_radius(span, side) * math.exp(
-                rng.uniform(-0.25, 0.25)
-            )
-            rho1_p = symmetric_pair_radius(inner_span, side) * math.exp(
-                rng.uniform(-0.25, 0.25)
-            )
-            if side == INTERIOR and not (0.0 < rho1 < 1.0 and 0.0 < rho1_p < 1.0):
-                continue
             rho2 = mate(1.0, rho1, span)
             rho2_p = mate(1.0, rho1_p, inner_span)
         except DomainError:
@@ -257,6 +280,15 @@ def gadget_arc_infeasibility(phi: float, grid: int) -> InfeasibilityReport:
     z6 < z7 < 2*z4 - z3 <= 2*z5 - z2 - 3 < z6, so none exists.  ``tested``
     counts the partial placements that the branch-and-bound enumerates.
     ``grid`` must be an int (not a bool) of at least 8.
+
+    The count is summed over z1 in closed form.  The search takes each z5
+    in [z2 + 3, min(k, G - 3)], k = 2*z2 - z1 - 1 the most (a) allows, and
+    each z6 in [2*z5 - z2 + 1, G - 2], cut at once by the chain above.  So
+    with c = G - 7 - z2 and j = min(k, C) - z2 - 2 it takes j z5 (C = G - 3)
+    and j*(c - j) z6 (C = z2 + 2 + c//2, an arithmetic series over z5).  As
+    z1 runs over [0, z2), k takes each value in [z2, 2*z2 - 1] once, and
+    the z2 - 3 from z2 + 3 up give j = 1, ..., n, then n for each k above
+    C: arithmetic and square-pyramidal series, O(grid) steps in all.
     """
     if not (0.0 < phi < math.pi):
         raise DomainError("phi must lie strictly between 0 and pi")
@@ -270,22 +302,14 @@ def gadget_arc_infeasibility(phi: float, grid: int) -> InfeasibilityReport:
     # all constraints scale with phi/grid, so pure index arithmetic is exact:
     #   (a) z5-z2 < z2-z1   (b) z6-z5 > z5-z2
     #   (c) z7-z4 < z4-z3   (d) z8-z7 > z7-z4
-    for z1 in range(0, G - 6):
-        for z2 in range(z1 + 1, G - 5):
-            # every z5 in [lo, hi] is enumerated, hi the most (a) allows
-            lo, hi = z2 + 3, min(2 * z2 - z1 - 1, G - 3)
-            if hi < lo:
-                continue
-            tested += hi - lo + 1
-            # each z6 in [z6_lo, G - 2] is enumerated and cut at once, with
-            # z6_lo = 2*z5 - z2 + 1 the least z6 that (b) allows: (c) and
-            # z2 < z3 < z4 < z5 give z7 < 2*z4 - z3 <= 2*(z5 - 1) - (z2 + 1)
-            # = z6_lo - 4, yet z7 > z6 >= z6_lo.  That is G - 1 - z6_lo
-            # branches for each z5 up to top, where z6_lo <= G - 2, an
-            # arithmetic series in z5
-            top = min(hi, (G - 3 + z2) // 2)
-            if top >= lo:
-                tested += (top - lo + 1) * (G - 2 + z2 - lo - top)
+    for z2 in range(4, G - 5):
+        ks = z2 - 3  # the k in [z2 + 3, 2*z2 - 1]
+        c = G - 7 - z2
+        n = min(ks, c + 2)  # z5 nodes
+        tested += n * (n + 1) // 2 + (ks - n) * n
+        n = max(0, min(ks, c // 2))  # z6 nodes
+        tested += (n * (n + 1) * (3 * c - 2 * n - 1) // 6
+                   + (ks - n) * n * (c - n))
     return InfeasibilityReport(
         feasible_found=False, tested=tested, phi=phi, grid=grid
     )

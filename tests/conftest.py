@@ -217,6 +217,28 @@ def gadget_search(phi, grid):
     return False, tested, None
 
 
+def gadget_double_sum(grid):
+    """The count of ``gadget_search`` as a sum over z1 and z2 of the z5
+    nodes and of the always-cut z6 nodes, each range counted in closed
+    form: the oracle for ``geometry.gadget_arc_infeasibility``'s sum over
+    z2 alone, Theta(grid**2) steps."""
+    G = grid
+    tested = 0
+    for z1 in range(0, G - 6):
+        for z2 in range(z1 + 1, G - 5):
+            # every z5 in [lo, hi] is enumerated, hi the most (a) allows
+            lo, hi = z2 + 3, min(2 * z2 - z1 - 1, G - 3)
+            if hi < lo:
+                continue
+            tested += hi - lo + 1
+            # each z6 in [2*z5 - z2 + 1, G - 2] is enumerated and cut at
+            # once, an arithmetic series over the z5 up to top
+            top = min(hi, (G - 3 + z2) // 2)
+            if top >= lo:
+                tested += (top - lo + 1) * (G - 2 + z2 - lo - top)
+    return tested
+
+
 def bisected_symmetric_pair_radius(span):
     """Radius of the equal-size pair inside the unit circle touching it at
     two points ``span`` apart, found by bisecting on ``inner_mate_radius``:
@@ -270,7 +292,8 @@ def arc_pair_check(cfg):
         (cfg.rho1_p, cfg.rho2_p, cfg.beta_p - cfg.alpha_p),
     ):
         expect = mate(cfg.base_radius, rho_a, span)
-        if abs(expect - rho_b) > CONFIG_TOL * max(1.0, abs(rho_b)):
+        if not 0.0 < rho_b < math.inf or (
+                abs(expect - rho_b) > CONFIG_TOL * max(1.0, rho_b)):
             raise InvalidConfig(
                 f"pair radii {rho_a}, {rho_b} are not mutually tangent"
             )

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from circlesystems import geometry
 from circlesystems.errors import DomainError, InvalidConfig, NotTangent
 from circlesystems.geometry import (
     CONFIG_TOL,
@@ -29,6 +30,7 @@ from conftest import (
     bisected_symmetric_pair_radius,
     build_inner_configuration,
     build_outer_configuration,
+    gadget_double_sum,
     gadget_search,
     tangency_residual,
 )
@@ -233,6 +235,55 @@ def test_sampled_pairs_pass_the_tangency_test_the_sampler_skips(side):
         assert _arc_pair_fault(*dataclasses.astuple(cfg)) is None
 
 
+@pytest.mark.parametrize("side, calls", [
+    (INTERIOR, {"alpha pair": 1784, "refused": 732, "mate": 1052}),
+    (EXTERIOR, {"alpha pair": 1682, "refused": 674, "mate": 1008}),
+])
+def test_mate_radii_are_sized_only_past_the_alpha_pair(monkeypatch, side, calls):
+    # the sampler sizes the beta pair only for a candidate whose alpha pair
+    # passed its crossing test.  The alpha-pair test runs once per candidate
+    # and again in _crossing_fault for each candidate that reaches it, so
+    # about 1.4 candidates a draw are refused without a mate radius
+    counts = dict.fromkeys(calls, 0)
+    last = {"refused": None}
+    alpha_pair_apart = geometry._alpha_pair_apart
+
+    def counted_alpha_pair(*args):
+        apart = alpha_pair_apart(*args)
+        counts["alpha pair"] += 1
+        counts["refused"] += apart is None
+        last["refused"] = apart is None
+        return apart
+
+    def counted_mate(mate):
+        def wrapper(*args):
+            assert last["refused"] is False
+            counts["mate"] += 1
+            return mate(*args)
+        return wrapper
+
+    monkeypatch.setattr(geometry, "_alpha_pair_apart", counted_alpha_pair)
+    for name in ("inner_mate_radius", "outer_mate_radius"):
+        monkeypatch.setattr(geometry, name, counted_mate(getattr(geometry, name)))
+    rng = random.Random(47)
+    for _ in range(500):
+        sample_arc_pair_config(rng, side)
+    assert counts == calls
+
+
+@pytest.mark.parametrize("side", [INTERIOR, EXTERIOR])
+@pytest.mark.parametrize("field", ["rho2", "rho2_p"])
+@pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
+def test_a_pair_radius_that_is_not_finite_is_not_tangent(side, field, radius):
+    cfg = dataclasses.replace(sample_arc_pair_config(random.Random(3), side),
+                              **{field: radius})
+    with pytest.raises(InvalidConfig,
+                       match=r"^pair radii .* are not mutually tangent$"):
+        nested_arc_inequality(cfg)
+    assert _check_outcome(arc_pair_check, cfg) == (
+        _check_outcome(nested_arc_inequality, cfg))
+
+
 def _check_outcome(check, cfg):
     """("valid", None) when ``check`` accepts ``cfg``, else the class and
     message of what it raises."""
@@ -427,6 +478,12 @@ def test_gadget_count_matches_the_loop_nest(phi):
         assert (report.feasible_found, report.tested) == (found, tested)
         assert witness is None
         assert (report.phi, report.grid) == (phi, grid)
+
+
+def test_gadget_count_matches_the_double_sum():
+    for grid in range(8, 401):
+        assert gadget_arc_infeasibility(1.0, grid).tested == (
+            gadget_double_sum(grid))
 
 
 @pytest.mark.parametrize("grid, tested", [
