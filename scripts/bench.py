@@ -11,14 +11,19 @@ The ladder is the iterated medials of the icosahedron, n=60 up to
 `upper_bound_family(4..80)`, generated with their realizations; and the
 geometry oracles: `gadget_arc_infeasibility(phi, 100)` for phi 0.5, 1.5
 and 2.5, and 2000 seeded `sample_arc_pair_config` + `nested_arc_inequality`
-draws per side.  Per input it records the median seconds over
-``--repeats`` runs of `realize` (or of `pack`, the generator or the
-oracle), of `verify_realization(r, g)` and of `equivalent(r, r)`, the
-Newton directions `pack` solved (one untimed packing per input and
-process), and the status:
-"ok", "verify failed", "not equivalent to itself", or the class of the
-exception that stopped the input.  A column that does not apply to an
-input, or that an exception left unmeasured, is null.
+draws per side; and the isomorphism search: `graphs_isomorphic` on the
+GADGET and BIGADGET augmented octahedra, and `find_isomorphism` of each
+ladder rung against a seeded relabelled copy, both graphs built untimed.
+A search row is skipped when its graph has more than ``--max-n`` vertices.
+Per input it records the median seconds over ``--repeats`` runs of
+`realize` (or of `pack`, the generator, the oracle or the search), of
+`verify_realization(r, g)` and of `equivalent(r, r)`, the Newton
+directions `pack` solved (one untimed packing per input and process), and
+the status: "ok", "verify failed", "not equivalent to itself", "wrong
+answer" (the octahedra found isomorphic, or a mapping that does not carry
+edges onto edges), or the class of the exception that stopped the input.
+A column that does not apply to an input, or that an exception left
+unmeasured, is null.
 
 The record goes to ``BENCH_<label>.json`` in ``--outdir`` (the root of this
 checkout by default, created if missing), after the diff against the newest
@@ -51,6 +56,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
@@ -60,6 +66,9 @@ from circlesystems.embedding import medial
 from circlesystems.equivalence import equivalent
 from circlesystems.errors import CircleSystemsError
 from circlesystems.generators import (
+    BIGADGET,
+    GADGET,
+    augment_octahedron,
     flower,
     icosahedron,
     prism,
@@ -73,6 +82,7 @@ from circlesystems.geometry import (
     nested_arc_inequality,
     sample_arc_pair_config,
 )
+from circlesystems.isomorphism import find_isomorphism, graphs_isomorphic
 from circlesystems.packing import pack
 from circlesystems.realization import realize, verify_realization
 
@@ -107,16 +117,17 @@ def _directions(graph):
     return count
 
 
-def _row(make, directions, repeats, verdicts=True):
+def _row(make, directions, repeats, verdicts=True, right=None):
     """One record: ``make()`` returns (graph, realization), or a packing
     when ``verdicts`` is False; ``directions`` is a ``_directions``
-    function of the graph whose packing counts them, or None."""
+    function of the graph whose packing counts them, or None; ``right``,
+    if given, tells whether ``make()``'s result is the right answer."""
     row = dict.fromkeys(COLUMNS)
     if directions is not None:
         row["directions"] = directions()
     try:
         row["realize_s"], made = _median_time(make, repeats)
-        row["status"] = "ok"
+        row["status"] = "ok" if right is None or right(made) else "wrong answer"
         if verdicts:
             g, r = made
             row["verify_s"], report = _median_time(
@@ -138,6 +149,26 @@ def _arc_draws(side, count=2000):
     rng = random.Random(2024)
     for _ in range(count):
         nested_arc_inequality(sample_arc_pair_config(rng, side))
+
+
+def _edge_multiset(edges, name=lambda v: v):
+    """Undirected edges with every vertex ``v`` renamed ``name(v)``."""
+    return Counter(tuple(sorted((name(u), name(v)))) for u, v in edges)
+
+
+def _relabelled_search(g, seed):
+    """``find_isomorphism`` of ``g`` against a copy with its vertex ids
+    permuted by a seeded shuffle, and whether a mapping carries the edges
+    of ``g`` onto those of the copy."""
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    edges = g.edges()
+    copy = [(perm[u], perm[v]) for u, v in edges]
+    random.Random(seed).shuffle(copy)
+    target = _edge_multiset(copy)
+    return (lambda: find_isomorphism(g.n, edges, g.n, copy),
+            lambda m: m is not None
+            and _edge_multiset(edges, m.__getitem__) == target)
 
 
 def _ladder(max_n):
@@ -175,6 +206,15 @@ def _inputs(max_n):
     for side in (INTERIOR, EXTERIOR):
         yield f"arc-samples-{side.lower()}", lambda repeats, side=side: _row(
             lambda: _arc_draws(side), None, repeats, verdicts=False)
+    gadgets = [augment_octahedron(kind) for kind in (GADGET, BIGADGET)]
+    if gadgets[0].n <= max_n:
+        yield "iso-gadget-bigadget", lambda repeats: _row(
+            lambda: graphs_isomorphic(*gadgets), None, repeats,
+            verdicts=False, right=lambda same: not same)
+    for name, g in _ladder(max_n):
+        search, right = _relabelled_search(g, g.n)
+        yield f"iso-{name}", lambda repeats, search=search, right=right: _row(
+            search, None, repeats, verdicts=False, right=right)
 
 
 def collect(max_n, repeats):

@@ -233,21 +233,19 @@ def sample_arc_pair_config(rng: random.Random, side: str) -> ArcPairConfig:
         g1 = (0.2 + (0.4 - 0.2) * uniform()) * span
         gap_cap = min(g1, (0.2 + (0.4 - 0.2) * uniform()) * span)
         inner_span = (0.15 + (0.75 - 0.15) * uniform()) * gap_cap
-        if span - g1 - inner_span <= 0.02:
-            continue
-        # span lies in [0.5, pi - 0.05] and inner_span in (0, span)
+        # span lies in [0.5, pi - 0.05]; g1 <= 0.4 * span and inner_span <=
+        # 0.3 * span, so the flanking gap span - g1 - inner_span is at least
+        # 0.15, and inner_span is at least 0.015.  A pair radius is then
+        # positive, and below 0.5 * e**0.25 < 1 on the INTERIOR side; the
+        # mate radii are positive wherever the mate formulas do not raise.
         rho1 = _pair_radius(span, side) * math.exp(-0.25 + 0.5 * uniform())
         rho1_p = _pair_radius(inner_span, side) * math.exp(-0.25 + 0.5 * uniform())
-        if side == INTERIOR and not (0.0 < rho1 < 1.0 and 0.0 < rho1_p < 1.0):
-            continue
         if _alpha_pair_apart(1.0, 0.0, g1, sign, rho1, rho1_p) is None:
             continue
         try:
             rho2 = mate(1.0, rho1, span)
             rho2_p = mate(1.0, rho1_p, inner_span)
         except DomainError:
-            continue
-        if min(rho2, rho2_p) <= 0.0:
             continue
         fields = (1.0, 0.0, span, g1, g1 + inner_span, side,
                   rho1, rho2, rho1_p, rho2_p)

@@ -15,19 +15,20 @@ nodes, in O(degree).  Parallel edges and loops are matched by multiplicity.
 An undirected multigraph is searched as the digraph with each edge in both
 directions.
 
-The frontier is a heap of (-mapped neighbours, rank, node) entries with lazy
-deletion: mapping or unmapping a node pushes a fresh entry for each of its
-neighbours whose count changed, and an entry counts only while its node is
-unmapped and its count is current.  The heap's least valid entry is the
-node that a scan of the whole frontier would pick, so the order of the
-search, and the mapping it returns, are those of the scan; picking costs
-O(log n) amortized instead of O(frontier).
+The node picked at depth d depends only on graph 1 and on the nodes picked
+before it, never on their images, so the order is computed once, before
+the search, as in VF2++ (Juttner and Madarasi, "VF2++ -- An improved
+subgraph isomorphism algorithm", Discrete Applied Mathematics 242, 2018).
+Ties go to the least rank (the count of graph-2 nodes of the node's
+signature), then to the least index; when no unmapped node has a mapped
+neighbour, the first by (rank, index) starts a new component.  The search
+walks that order depth by depth, and backtracking only unmaps a node.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from itertools import chain
 
 
@@ -97,12 +98,7 @@ def digraph_isomorphism(nodes1, edges1, nodes2, edges2, forced=()):
     for x in range(n):
         same_sig[sig2[x]].append(x)
     rank = [len(same_sig[sig1[v]]) for v in range(n)]
-    starts = sorted(range(n), key=lambda v: (rank[v], v))
-    nbrs1 = [sorted((set(out1[v]) | set(in1[v])) - {v}) for v in range(n)]
     mapping, inverse = [-1] * n, [-1] * n
-    mapped_nbrs = [0] * n
-    # the frontier, unmapped nodes with a mapped neighbour, as a lazy heap
-    frontier = []  # (-mapped_nbrs[v], rank[v], v), stale entries included
 
     def consistent(v, x):
         # equal signatures also match the loops, which the checks below skip
@@ -117,69 +113,66 @@ def digraph_isomorphism(nodes1, edges1, nodes2, edges2, forced=()):
                 return False
         return True
 
-    def assign(v, x):
-        mapping[v], inverse[x] = x, v
-        for w in nbrs1[v]:
-            mapped_nbrs[w] += 1
-            if mapping[w] == -1:
-                heappush(frontier, (-mapped_nbrs[w], rank[w], w))
-
-    def unassign(v):
-        inverse[mapping[v]], mapping[v] = -1, -1
-        for w in nbrs1[v]:
-            mapped_nbrs[w] -= 1
-            if mapping[w] == -1 and mapped_nbrs[w]:
-                heappush(frontier, (-mapped_nbrs[w], rank[w], w))
-        if mapped_nbrs[v]:
-            heappush(frontier, (-mapped_nbrs[v], rank[v], v))
-
-    def pick():
-        """The next node to map and the nodes it may map to: the frontier
-        node with the most mapped neighbours, then the least rank, then the
-        least index."""
-        if len(frontier) > 4 * n + 64:  # drop the stale entries
-            frontier[:] = [(-mapped_nbrs[v], rank[v], v) for v in range(n)
-                           if mapping[v] == -1 and mapped_nbrs[v]]
-            heapify(frontier)
-        while frontier:
-            count, _, v = frontier[0]
-            if mapping[v] == -1 and mapped_nbrs[v] == -count:
-                break
-            heappop(frontier)
-        else:  # first node of a component
-            v = next(v for v in starts if mapping[v] == -1)
-            return v, same_sig[sig1[v]]
-        w = next(w for w in nbrs1[v] if mapping[w] != -1)
-        return v, in2[mapping[w]] if w in out1[v] else out2[mapping[w]]
-
-    def dfs():
-        """Extend the mapping to every node, backtracking on dead ends."""
-        stack = []  # (node, its remaining candidates) per search level
-        left = mapping.count(-1)
-        while left:
-            v, candidates = pick()
-            candidates = iter(candidates)
-            while True:
-                x = next((x for x in candidates if consistent(v, x)), None)
-                if x is not None:
-                    break
-                if not stack:
-                    return False
-                v, candidates = stack.pop()
-                unassign(v)
-                left += 1
-            assign(v, x)
-            left -= 1
-            stack.append((v, candidates))
-        return True
-
     for a, b in forced:
         v, x = index1[a], index2[b]
         if mapping[v] != x:
             if mapping[v] != -1 or not consistent(v, x):
                 return None
-            assign(v, x)
+            mapping[v], inverse[x] = x, v
 
-    if not dfs():
-        return None
+    order = _search_order(out1, in1, rank, [x != -1 for x in mapping])
+    untried = [None] * len(order)  # per depth, the images left to try
+    d = 0
+    while d < len(order):
+        v, w = order[d]
+        if untried[d] is None:
+            untried[d] = iter(
+                same_sig[sig1[v]] if w is None
+                else (in2 if w in out1[v] else out2)[mapping[w]])
+        x = next((x for x in untried[d] if consistent(v, x)), None)
+        if x is not None:
+            mapping[v], inverse[x] = x, v
+            d += 1
+        else:  # backtrack: unmap the node one level up
+            untried[d] = None
+            d -= 1
+            if d < 0:
+                return None
+            u = order[d][0]
+            inverse[mapping[u]], mapping[u] = -1, -1
     return {nodes1[v]: nodes2[x] for v, x in enumerate(mapping)}
+
+
+def _search_order(out, inn, rank, mapped):
+    """(node, its first mapped neighbour or None) for each node whose
+    flag in ``mapped`` is False, in the order the search maps them; the
+    flags are set on the way.  The neighbour's image supplies the node's
+    candidates; None starts a new component.  The frontier is a heap of
+    (-mapped neighbours, rank, node) whose superseded entries are skipped:
+    a count only grows, so each pair of neighbours pushes at most once."""
+    n = len(out)
+    nbrs = [sorted((out[v].keys() | inn[v].keys()) - {v}) for v in range(n)]
+    starts = iter(sorted(range(n), key=lambda v: (rank[v], v)))
+    count, frontier, order = [0] * n, [], []
+
+    def visit(v):
+        mapped[v] = True
+        for w in nbrs[v]:
+            count[w] += 1
+            if not mapped[w]:
+                heappush(frontier, (-count[w], rank[w], w))
+
+    for v in [v for v in range(n) if mapped[v]]:
+        visit(v)
+    for _ in range(mapped.count(False)):
+        while frontier and (mapped[frontier[0][2]]
+                            or count[frontier[0][2]] != -frontier[0][0]):
+            heappop(frontier)
+        if frontier:
+            v = frontier[0][2]
+            order.append((v, next(w for w in nbrs[v] if mapped[w])))
+        else:  # first node of a component
+            v = next(v for v in starts if not mapped[v])
+            order.append((v, None))
+        visit(v)
+    return order

@@ -2,7 +2,8 @@
 
 import itertools
 import math
-from collections import Counter
+from collections import Counter, defaultdict
+from heapq import heapify, heappop, heappush
 from operator import add, mul, sub, truediv
 
 import pytest
@@ -455,6 +456,117 @@ def relabel_realization(r, rng):
 @pytest.fixture
 def octa():
     return octahedron()
+
+
+def frontier_isomorphism(nodes1, edges1, nodes2, edges2, forced=()):
+    """``isomorphism.digraph_isomorphism`` as it was before it computed
+    its search order once: the frontier of unmapped nodes with a mapped
+    neighbour is a lazy heap, updated on every assign and unassign, and the
+    next node is its least valid entry.  The oracle that the fixed order
+    must return the same dict as, or None with."""
+    if len(nodes1) != len(nodes2) or len(edges1) != len(edges2):
+        return None
+    if (list(nodes1) == list(nodes2) and all(a == b for a, b in forced)
+            and Counter(edges1) == Counter(edges2)
+            and set(nodes1).issuperset(
+                itertools.chain(itertools.chain.from_iterable(edges1),
+                                (a for a, _ in forced)))):
+        return {v: v for v in nodes1}
+    index1, out1, in1, sig1 = isomorphism._adjacency(nodes1, edges1)
+    index2, out2, in2, sig2 = isomorphism._adjacency(nodes2, edges2)
+    if Counter(sig1) != Counter(sig2):
+        return None
+    n = len(nodes1)
+    same_sig = defaultdict(list)
+    for x in range(n):
+        same_sig[sig2[x]].append(x)
+    rank = [len(same_sig[sig1[v]]) for v in range(n)]
+    starts = sorted(range(n), key=lambda v: (rank[v], v))
+    nbrs1 = [sorted((set(out1[v]) | set(in1[v])) - {v}) for v in range(n)]
+    mapping, inverse = [-1] * n, [-1] * n
+    mapped_nbrs = [0] * n
+    # the frontier, unmapped nodes with a mapped neighbour, as a lazy heap
+    frontier = []  # (-mapped_nbrs[v], rank[v], v), stale entries included
+
+    def consistent(v, x):
+        # equal signatures also match the loops, which the checks below skip
+        if sig1[v] != sig2[x] or inverse[x] != -1:
+            return False
+        for a, b in ((out1[v], out2[x]), (in1[v], in2[x])):
+            if any(mapping[w] != -1 and b.get(mapping[w], 0) != m
+                   for w, m in a.items()):
+                return False
+            if any(inverse[y] != -1 and a.get(inverse[y], 0) != m
+                   for y, m in b.items()):
+                return False
+        return True
+
+    def assign(v, x):
+        mapping[v], inverse[x] = x, v
+        for w in nbrs1[v]:
+            mapped_nbrs[w] += 1
+            if mapping[w] == -1:
+                heappush(frontier, (-mapped_nbrs[w], rank[w], w))
+
+    def unassign(v):
+        inverse[mapping[v]], mapping[v] = -1, -1
+        for w in nbrs1[v]:
+            mapped_nbrs[w] -= 1
+            if mapping[w] == -1 and mapped_nbrs[w]:
+                heappush(frontier, (-mapped_nbrs[w], rank[w], w))
+        if mapped_nbrs[v]:
+            heappush(frontier, (-mapped_nbrs[v], rank[v], v))
+
+    def pick():
+        """The next node to map and the nodes it may map to: the frontier
+        node with the most mapped neighbours, then the least rank, then the
+        least index."""
+        if len(frontier) > 4 * n + 64:  # drop the stale entries
+            frontier[:] = [(-mapped_nbrs[v], rank[v], v) for v in range(n)
+                           if mapping[v] == -1 and mapped_nbrs[v]]
+            heapify(frontier)
+        while frontier:
+            count, _, v = frontier[0]
+            if mapping[v] == -1 and mapped_nbrs[v] == -count:
+                break
+            heappop(frontier)
+        else:  # first node of a component
+            v = next(v for v in starts if mapping[v] == -1)
+            return v, same_sig[sig1[v]]
+        w = next(w for w in nbrs1[v] if mapping[w] != -1)
+        return v, in2[mapping[w]] if w in out1[v] else out2[mapping[w]]
+
+    def dfs():
+        """Extend the mapping to every node, backtracking on dead ends."""
+        stack = []  # (node, its remaining candidates) per search level
+        left = mapping.count(-1)
+        while left:
+            v, candidates = pick()
+            candidates = iter(candidates)
+            while True:
+                x = next((x for x in candidates if consistent(v, x)), None)
+                if x is not None:
+                    break
+                if not stack:
+                    return False
+                v, candidates = stack.pop()
+                unassign(v)
+                left += 1
+            assign(v, x)
+            left -= 1
+            stack.append((v, candidates))
+        return True
+
+    for a, b in forced:
+        v, x = index1[a], index2[b]
+        if mapping[v] != x:
+            if mapping[v] != -1 or not consistent(v, x):
+                return None
+            assign(v, x)
+
+    if not dfs():
+        return None
+    return {nodes1[v]: nodes2[x] for v, x in enumerate(mapping)}
 
 
 @pytest.fixture

@@ -12,8 +12,10 @@ from circlesystems import cli, errors, jsonio, packing
 from circlesystems.cli import run_cli
 from circlesystems.equivalence import RealizationClass
 from circlesystems.generators import (
+    bigadget,
     canonical_octahedron_realization,
     flower,
+    gadget,
     octahedron,
     upper_bound_family,
 )
@@ -112,6 +114,34 @@ def test_usage_error_exit_code():
     code, _, _ = run(["geom", "outer-mate", "--r1", "1", "--r2", "1",
                       "--phi", "2.0"])
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["generate", "flower"], "flower needs --count"),
+    (["generate", "canonical"], "canonical needs --kind from "
+     "['three-crossing', 'touching-disjoint', 'touching-nested']"),
+    (["generate", "canonical", "--kind", "foo"], "canonical needs --kind from "
+     "['three-crossing', 'touching-disjoint', 'touching-nested']"),
+    (["generate", "augmented", "--kind", "foo"],
+     "augmented needs --kind gadget|bigadget"),
+    (["geom", "descartes"], "descartes needs --circles"),
+    (["geom", "inner-mate", "--r2", "0.5", "--phi", "1"],
+     "oracle 'inner-mate' needs --r1"),
+])
+def test_missing_option_exits_2_naming_it(argv, message):
+    assert run(argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("family, make", [("gadget", gadget),
+                                          ("bigadget", bigadget)])
+def test_generate_fragment_outputs_a_graph_with_its_ends(family, make):
+    code, out, err = run(["generate", family])
+    assert (code, err) == (0, "")
+    fragment, doc = make(), json.loads(out)
+    assert (jsonio.parse_graph(out).to_neighbor_lists()
+            == fragment.graph.to_neighbor_lists())
+    assert doc["endpoints"] == [0, 1]
+    assert doc["skeleton"] == fragment.skeleton
 
 
 def test_classify_command():

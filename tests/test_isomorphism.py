@@ -1,5 +1,6 @@
-"""The isomorphism search against a brute-force permutation oracle, and on
-the oriented duals and augmented octahedra that need its dynamic order."""
+"""The isomorphism search against a brute-force permutation oracle and
+against the dynamic-frontier search it replaced, and on the oriented duals
+and augmented octahedra that need its frontier order."""
 
 import hashlib
 import itertools
@@ -9,15 +10,18 @@ from collections import Counter, defaultdict
 import pytest
 
 from circlesystems.embedding import medial
-from circlesystems.equivalence import equivalent
+from circlesystems.equivalence import (
+    RealizationClass, equivalent, oriented_dual, smooth_degree_two,
+)
 from circlesystems.generators import (
-    BIGADGET, GADGET, augment_octahedron, flower, icosahedron, upper_bound_family,
+    BIGADGET, GADGET, augment_octahedron, canonical_octahedron_realization,
+    flower, icosahedron, upper_bound_family,
 )
 from circlesystems.isomorphism import (
     digraph_isomorphism, find_isomorphism, graphs_isomorphic,
 )
 
-from conftest import relabel_graph, relabel_realization
+from conftest import frontier_isomorphism, relabel_graph, relabel_realization
 
 
 def _image(edges, p, directed):
@@ -267,3 +271,78 @@ def test_ends_that_name_no_node_raise_as_in_the_search(edges, forced):
     if not forced:
         with pytest.raises(KeyError):
             find_isomorphism(3, edges, 3, list(edges))
+
+
+def _random_multi_digraph(rng):
+    """(node count, arcs, parts) of a random multi-digraph: one to three
+    parts, each a copy of one of two random ones or of a directed cycle,
+    so that loops, parallel arcs, several components and automorphisms are
+    all likely."""
+    pool = [_cycles(rng.randrange(2, 6))]
+    for _ in range(2):
+        k = rng.randrange(1, 6)
+        pool.append([(rng.randrange(k), rng.randrange(k))
+                     for _ in range(rng.randrange(k, 3 * k + 1))])
+    edges, n, parts = [], 0, rng.choice((1, 2, 3))
+    for _ in range(parts):
+        part = rng.choice(pool)
+        edges += [(n + t, n + h) for t, h in part]
+        n += 1 + max(max(e) for e in part)
+    return n, edges, parts
+
+
+def test_random_multi_digraphs_return_the_frontier_search_mapping():
+    rng = random.Random(28)
+    outcomes = Counter()
+    for _ in range(600):
+        n, edges1, parts = _random_multi_digraph(rng)
+        p = list(range(n))
+        rng.shuffle(p)
+        edges2 = [(p[t], p[h]) for t, h in edges1]
+        rng.shuffle(edges2)
+        if rng.random() < 0.4:  # move one arc's head; it may stay isomorphic
+            t, _ = edges2.pop(rng.randrange(len(edges2)))
+            edges2.append((t, rng.randrange(n)))
+        forced = [(a, p[a] if rng.random() < 0.7 else rng.randrange(n))
+                  for a in rng.sample(range(n), min(n, rng.choice((0, 0, 1, 2))))]
+        labels = [f"v{v}" for v in range(n)]
+        rng.shuffle(labels)
+        for name in (lambda v: v, labels.__getitem__):
+            args = ([name(v) for v in range(n)],
+                    [(name(t), name(h)) for t, h in edges1],
+                    [name(v) for v in range(n)],
+                    [(name(t), name(h)) for t, h in edges2],
+                    [(name(a), name(b)) for a, b in forced])
+            mapping = digraph_isomorphism(*args)
+            assert mapping == frontier_isomorphism(*args), args
+        outcomes[parts > 1, bool(forced), mapping is not None] += 1
+    assert len(outcomes) == 8, outcomes
+
+
+def _dual_search_args(r1, r2):
+    """The arguments that ``equivalent`` passes to the search, for the
+    oriented duals of ``r1`` and ``r2`` smoothed."""
+    d1, d2 = (oriented_dual(smooth_degree_two(r)) for r in (r1, r2))
+    return (list(d1.nodes) + [d1.outer], d1.edges,
+            list(d2.nodes) + [d2.outer], d2.edges, [(d1.outer, d2.outer)])
+
+
+@pytest.mark.parametrize("count", range(3, 9))
+def test_relabelled_flower_duals_return_the_frontier_search_mapping(count):
+    _, r = flower(count)
+    for seed in range(3):
+        args = _dual_search_args(r, relabel_realization(r, random.Random(seed)))
+        mapping = digraph_isomorphism(*args)
+        assert mapping is not None
+        assert mapping == frontier_isomorphism(*args)
+
+
+def test_relabelled_octahedra_duals_return_the_frontier_search_mapping():
+    canon = {k: canonical_octahedron_realization(k) for k in RealizationClass}
+    for seed, (k1, r1) in enumerate(canon.items()):
+        relabelled = relabel_realization(r1, random.Random(seed))
+        for k2, r2 in canon.items():
+            args = _dual_search_args(relabelled, r2)
+            mapping = digraph_isomorphism(*args)
+            assert (mapping is not None) == (k1 == k2)
+            assert mapping == frontier_isomorphism(*args)
