@@ -96,7 +96,7 @@ def main():
 
     header = (
         f"{'graph':<26}{'n':>4}{'circles':>9}{'bounds':>18}"
-        f"{'residual ok':>13}{'iso':>5}{'time':>9}"
+        f"{'verified':>13}{'iso':>5}{'time':>9}"
     )
     print(header)
     print("-" * len(header))

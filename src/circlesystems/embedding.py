@@ -185,12 +185,12 @@ class EmbeddedGraph:
             fid = len(faces)
             cycle = []
             d = d0
+            # next_in_face is a permutation (dart_rev is an involution and
+            # the rotations partition the darts), so every orbit closes at d0
             while dart_face[d] == -1:
                 dart_face[d] = fid
                 cycle.append(d)
                 d = self.next_in_face(d)
-            if d != d0:
-                raise MalformedRotation("face tracing did not close")
             faces.append(tuple(cycle))
         return faces, dart_face
 
@@ -372,32 +372,30 @@ def medial(g):
 
 
 def subdivide_edges(g, k):
-    """Replace every edge by a path with k internal degree-2 vertices."""
+    """Replace every edge by a path with k internal degree-2 vertices.
+
+    Built on the darts, as :func:`medial` and :func:`dual` are: the darts of
+    ``g`` keep their ids, tails and rotation places, and the path vertices
+    take the ids from ``g.n`` on, edge by edge, each path counted from the
+    tail of its edge's lower dart.  The old darts come first, so every face
+    keeps its id and its first dart, and the outer face stays outer.
+    """
     if k < 0:
         raise ValueError("k must be >= 0")
-    if k == 0:
-        return EmbeddedGraph(g.rotation, g.dart_tail, g.dart_rev, g.outer_face)
-    n = g.n
-    e_count = g.edge_count
-
-    def chain(eid):
-        return [n + eid * k + j for j in range(k)]
-
-    neighbor_lists = []
-    for u in range(n):
-        row = []
-        for d in g.rotation[u]:
-            eid = g.edge_of_dart[d]
-            nodes = chain(eid)
-            rep, _ = g.edge_darts[eid]
-            row.append(nodes[0] if d == rep else nodes[-1])
-        neighbor_lists.append(row)
-    for eid in range(e_count):
-        rep, _ = g.edge_darts[eid]
-        u, v = g.dart_tail[rep], g.dart_head[rep]
-        nodes = chain(eid)
-        path = [u] + nodes + [v]
-        for j, mid in enumerate(nodes):
-            neighbor_lists.append([path[j], path[j + 2]])
-            assert len(neighbor_lists) - 1 == mid
-    return build_embedding(neighbor_lists)
+    n, m = g.n, len(g.dart_tail)
+    rotation = list(g.rotation)
+    dart_tail = list(g.dart_tail)
+    dart_rev = g.dart_rev + [-1] * (2 * k * g.edge_count)
+    for e, (d, r) in enumerate(g.edge_darts):
+        # path vertex v = n + j owns darts m + 2j back towards d's tail and
+        # m + 2j + 1 on towards r's tail; consecutive darts pair up
+        chain = [d]
+        for j in range(e * k, e * k + k):
+            darts = [m + 2 * j, m + 2 * j + 1]
+            rotation.append(darts)
+            dart_tail += [n + j, n + j]
+            chain += darts
+        chain.append(r)
+        for a, b in zip(chain[::2], chain[1::2]):
+            dart_rev[a], dart_rev[b] = b, a
+    return EmbeddedGraph(rotation, dart_tail, dart_rev, g.outer_face)

@@ -195,48 +195,38 @@ class GadgetFragment:
     skeleton: dict
 
 
-def _loop_subgraph_rotation():
-    """Octahedron with one outer edge subdivided once.
-
-    Returns (rotation lists over local ids 0..6, merge vertex id 6); the
-    merge vertex has degree 2 and ends up identified with a skeleton vertex.
-    """
-    lists = octahedron().to_neighbor_lists()
-    # split the outer edge (0, 1) through a new vertex 6
-    lists[0] = [6 if w == 1 else w for w in lists[0]]
-    lists[1] = [6 if w == 0 else w for w in lists[1]]
-    lists.append([0, 1])
-    return lists, 6
-
-
-def _relabel(rows, fixed, offset):
-    """Neighbour lists ``rows`` over local ids, renumbered: local id v
-    becomes ``fixed[v]`` when listed, and the others take the ids from
-    ``offset`` on in local order.  A dict from new id to renumbered row."""
-    free = iter(range(offset, offset + len(rows)))
-    table = {v: fixed[v] if v in fixed else next(free) for v in range(len(rows))}
-    return {table[v]: [table[w] for w in row] for v, row in enumerate(rows)}
+def _splice(lists, rows, fixed, mirror=False):
+    """Append a copy of ``rows`` (neighbour lists over local ids) to
+    ``lists``: local id v becomes ``fixed[v]`` when listed, and the others
+    take the next free ids in local order.  Only the rows of the latter
+    are appended, each reversed when ``mirror``.  Returns the id table."""
+    free = iter(range(len(lists), len(lists) + len(rows)))
+    table = [fixed[v] if v in fixed else next(free) for v in range(len(rows))]
+    for v, row in enumerate(rows):
+        if v not in fixed:
+            row = [table[w] for w in row]
+            lists.append(row[::-1] if mirror else row)
+    return table
 
 
 def gadget() -> GadgetFragment:
     """Fragment whose skeleton is two triangles sharing the middle vertex,
     with a hanging subgraph merged into each upper corner."""
     # ids: 0 = endpoint 1, 1 = endpoint 2, 2 = middle, 3 = corner 1,
-    # 4 = corner 2, 5..10 = first loop, 11..16 = second loop
-    loop_rot, merge = _loop_subgraph_rotation()
-    left = _relabel(loop_rot, {merge: 3}, 5)
-    right = _relabel(loop_rot, {merge: 4}, 11)
+    # 4 = corner 2, 5..10 = first loop, 11..16 = second loop.  A loop is
+    # the octahedron with its outer edge (0, 1) split by a merge vertex 6
+    # of degree 2, identified with a corner.
+    loop = octahedron().to_neighbor_lists()
+    loop[0] = [6 if w == 1 else w for w in loop[0]]
+    loop[1] = [6 if w == 0 else w for w in loop[1]]
+    loop.append([0, 1])
 
-    lists = [[] for _ in range(17)]
-    for part in (left, right):
-        for v, row in part.items():
-            lists[v] = row
-    lists[0] = [2, 3]
-    lists[1] = [4, 2]
-    lists[2] = [1, 4, 3, 0]
+    lists = [[2, 3], [4, 2], [1, 4, 3, 0], [], []]
+    left = _splice(lists, loop, {6: 3})
+    right = _splice(lists, loop, {6: 4})
     # the loops keep their internal order; skeleton darts flank them
-    lists[3] = left[3] + [0, 2]
-    lists[4] = right[4] + [2, 1]
+    lists[3] = [left[0], left[1], 0, 2]
+    lists[4] = [right[0], right[1], 2, 1]
 
     graph = build_embedding(lists)
     return GadgetFragment(
@@ -246,43 +236,29 @@ def gadget() -> GadgetFragment:
     )
 
 
-def _biloop_rotation():
-    """Octahedron with one outer vertex split into an adjacent degree-3 pair.
-
-    Local ids 0..6; the split pair is (0, 6) and carries the new edge.
-    Every other vertex keeps degree 4.
-    """
-    base = octahedron().to_neighbor_lists()
-    # split vertex 0 (rotation [1, 3, 4, 2]) into 0 -> [1, 3, 6], 6 -> [4, 2, 0]
-    lists = [row[:] for row in base]
-    lists[0] = [1, 3, 6]
-    lists.append([4, 2, 0])
-    for v in (4, 2):
-        lists[v] = [6 if w == 0 else w for w in lists[v]]
-    return lists
-
-
 def bigadget() -> GadgetFragment:
     """Cut-vertex-free variant: each hanging subgraph is biconnected and
     attaches through a pair of adjacent degree-3 vertices."""
     # ids: 0 = endpoint 1, 1 = endpoint 2, 2 = middle; biloop 1 on 3..9 with
-    # attachment pair (3, 4); biloop 2 on 10..16 with pair (10, 11)
-    biloop = _biloop_rotation()
-    left = _relabel(biloop, {0: 3, 6: 4}, 5)
-    right = _relabel(biloop, {0: 10, 6: 11}, 12)
+    # attachment pair (3, 4); biloop 2 on 10..16 with pair (10, 11).  A
+    # biloop is the octahedron with its outer vertex 0 (rotation
+    # [1, 3, 4, 2]) split into the adjacent pair 0 -> [1, 3, 6] and
+    # 6 -> [4, 2, 0]; every other vertex keeps degree 4.
+    biloop = octahedron().to_neighbor_lists()
+    biloop[0] = [1, 3, 6]
+    biloop.append([4, 2, 0])
+    for v in (4, 2):
+        biloop[v] = [6 if w == 0 else w for w in biloop[v]]
 
-    lists = [[] for _ in range(17)]
-    for part in (left, right):
-        for v, row in part.items():
-            lists[v] = row
-    lists[0] = [2, 3]
-    lists[1] = [10, 2]
-    lists[2] = [1, 11, 4, 0]
+    lists = [[2, 3], [10, 2], [1, 11, 4, 0], [], []]
+    left = _splice(lists, biloop, {0: 3, 6: 4})
+    lists += [[], []]  # ids 10 and 11 hold the second attachment pair
+    right = _splice(lists, biloop, {0: 10, 6: 11})
     # the fresh darts go into the corners the biloop's outer face exposes
-    lists[3] = left[3] + [0]
-    lists[4] = left[4][:2] + [2] + left[4][2:]
-    lists[10] = right[10] + [1]
-    lists[11] = right[11][:2] + [2] + right[11][2:]
+    lists[3] = [left[1], left[3], 4, 0]
+    lists[4] = [left[4], left[2], 2, 3]
+    lists[10] = [right[1], right[3], 11, 1]
+    lists[11] = [right[4], right[2], 2, 10]
 
     graph = build_embedding(lists)
     return GadgetFragment(
@@ -328,55 +304,38 @@ def _attachment_blocks(pairs_per_edge):
 def augment_octahedron(kind: str, pairs_per_edge: int = 2) -> EmbeddedGraph:
     """Subdivide every octahedron edge and attach gadget fragments.
 
-    Each edge receives 4*pairs_per_edge internal vertices and twice that
-    many fragment endpoints; the resulting graph is 4-regular and planar.
-    With plain gadgets it has cut vertices; with bigadgets it is biconnected
-    but not 3-connected.
+    Each edge receives 4*pairs_per_edge internal vertices, and each
+    attachment block of ``_attachment_blocks`` identifies the two endpoints
+    of one spliced copy of the fragment with two of them; the resulting
+    graph is 4-regular and planar.  With plain gadgets it has cut vertices;
+    with bigadgets it is biconnected but not 3-connected.
     """
     if pairs_per_edge < 2:
         raise ValueError("pairs_per_edge must be >= 2")
     if kind not in (GADGET, BIGADGET):
         raise ValueError(f"unknown kind {kind!r}")
     fragment = gadget() if kind == GADGET else bigadget()
+    rows = fragment.graph.to_neighbor_lists()
 
     base = octahedron()
     slots = 4 * pairs_per_edge
     blocks = _attachment_blocks(pairs_per_edge)
-
-    frag_rot = fragment.graph.to_neighbor_lists()
-    v1, v2 = fragment.endpoints
-    interior = [v for v in range(fragment.graph.n) if v not in (v1, v2)]
-
-    # edge eid becomes the path base.n + eid * slots onward; every path
-    # vertex row is [previous, next] until its fragments are spliced in
+    # edge eid becomes the path base.n + eid * slots onward, each path row
+    # [previous, next]; a fragment splices in between two of them, mirrored
+    # on side R, and their rows gain its darts on that side
     lists = subdivide_edges(base, slots).to_neighbor_lists()
-
-    def add_fragment(za, zb, side):
-        """Splice one fragment between path vertices za < zb."""
-        table = {v1: za, v2: zb}
-        table.update((v, len(lists) + i) for i, v in enumerate(interior))
-        for v in interior:
-            row = [table[w] for w in frag_rot[v]]
-            lists.append(row if side == "L" else row[::-1])
-        ends = {}
-        for z, endpoint in ((za, v1), (zb, v2)):
-            a, b = (table[w] for w in frag_rot[endpoint])
-            ends[z] = (a, b) if side == "L" else (b, a)
-        return ends
-
-    for eid in range(len(base.edge_darts)):
+    for eid in range(base.edge_count):
         first = base.n + eid * slots
-        gadget_ends = {}
         for (sa, sb), side in blocks:
-            za, zb = first + sa - 1, first + sb - 1
-            ends = add_fragment(za, zb, side)
-            gadget_ends.update({z: (side, darts) for z, darts in ends.items()})
-        for z in range(first, first + slots):
-            prev_v, next_v = lists[z]
-            side, (g1, g2) = gadget_ends[z]
-            if side == "L":
-                lists[z] = [next_v, g1, g2, prev_v]
-            else:
-                lists[z] = [next_v, prev_v, g1, g2]
+            ends = (first + sa - 1, first + sb - 1)
+            table = _splice(lists, rows, dict(zip(fragment.endpoints, ends)),
+                            mirror=side == "R")
+            for z, v in zip(ends, fragment.endpoints):
+                prev_v, next_v = lists[z]
+                g1, g2 = (table[w] for w in rows[v])
+                if side == "L":
+                    lists[z] = [next_v, g1, g2, prev_v]
+                else:
+                    lists[z] = [next_v, prev_v, g2, g1]
 
     return build_embedding(lists)

@@ -377,6 +377,26 @@ def verify_outcome(r, g=None, tol=1e-8):
         return type(exc).__name__, str(exc)
 
 
+def subdivided_rows(g, k):
+    """Neighbour lists of ``g`` with every edge replaced by a path of k
+    vertices, numbered from ``g.n`` on edge by edge from the tail of the
+    edge's lower dart; the rows ``subdivide_edges`` must give."""
+    paths = [[g.dart_tail[d]] + [g.n + eid * k + j for j in range(k)]
+             + [g.dart_head[d]] for eid, (d, _) in enumerate(g.edge_darts)]
+    rows = []
+    for rot in g.rotation:
+        row = []
+        for d in rot:
+            eid = g.edge_of_dart[d]
+            lower = d == g.edge_darts[eid][0]
+            row.append(paths[eid][1] if lower else paths[eid][-2])
+        rows.append(row)
+    for path in paths:
+        for j in range(k):
+            rows.append([path[j], path[j + 2]])
+    return rows
+
+
 def _subst(row, old, new):
     return [new if w == old else w for w in row]
 

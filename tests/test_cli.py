@@ -20,7 +20,7 @@ from circlesystems.generators import (
     upper_bound_family,
 )
 from circlesystems.packing import pack
-from circlesystems.realization import realize
+from circlesystems.realization import Realization, realize
 from circlesystems.svgrender import RenderOptions, render_svg
 
 
@@ -288,6 +288,18 @@ def test_render_svg_refuses_a_packing_with_only_point_and_arc_layers():
     # a packing has no points or arcs, so nothing would be drawn
     with pytest.raises(ValueError, match="something to draw"):
         render_svg(pack(octahedron(), 1e-9), RenderOptions(show_circles=False))
+
+
+def test_render_svg_refuses_an_empty_realization():
+    with pytest.raises(errors.EmptyInput):
+        render_svg(Realization([], [], []))
+
+
+def test_parse_realization_refuses_a_repeated_circle_id():
+    data = json.loads(jsonio.serialize_realization(realize(octahedron())))
+    data["circles"][1]["id"] = 0
+    with pytest.raises(ValueError, match="^realization document: id 0 appears twice$"):
+        jsonio.parse_realization(data)
 
 
 def test_render_no_circles_on_a_packing_is_a_usage_error():

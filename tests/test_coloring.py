@@ -1,8 +1,8 @@
 import pytest
 
 from circlesystems.coloring import GRAY, WHITE, build_il, il_simplicity, two_color_faces
-from circlesystems.embedding import connectivity_level, medial
-from circlesystems.errors import NotBipartiteDual
+from circlesystems.embedding import build_embedding, connectivity_level, medial
+from circlesystems.errors import NotBipartiteDual, VertexNotOnTwoGrayFaces
 from circlesystems.generators import (
     cube,
     dodecahedron,
@@ -42,6 +42,27 @@ def test_adjacent_faces_differ(octa):
 def test_odd_degree_input_rejected():
     with pytest.raises(NotBipartiteDual):
         two_color_faces(cube())
+
+
+def _two_octahedra():
+    rows = octahedron().to_neighbor_lists()
+    return build_embedding(rows + [[w + 6 for w in row] for row in rows])
+
+
+def _three_triangles_at_a_vertex():
+    return build_embedding([[1, 2, 3, 4, 5, 6], [2, 0], [0, 1], [4, 0], [0, 3],
+                            [6, 0], [0, 5]])
+
+
+@pytest.mark.parametrize("make, step, error, message", [
+    (_two_octahedra, two_color_faces, NotBipartiteDual,
+     "face adjacency graph is disconnected"),
+    (_three_triangles_at_a_vertex, lambda g: build_il(g, two_color_faces(g)),
+     VertexNotOnTwoGrayFaces, "vertex 0 lies on 3 gray corners, expected 2"),
+], ids=["two-octahedra", "three-triangles-at-a-vertex"])
+def test_coloring_refuses(make, step, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        step(make())
 
 
 def test_coloring_deterministic(octa):

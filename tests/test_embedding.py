@@ -31,6 +31,7 @@ from conftest import (
     joined_octahedra,
     pinched_octahedra,
     relabel_graph,
+    subdivided_rows,
 )
 
 PLATONICS = [tetrahedron, cube, octahedron, dodecahedron, icosahedron]
@@ -288,6 +289,34 @@ def test_subdivide_degrees(octa):
     assert s.n == 18
     assert all(s.degree(v) == 4 for v in range(6))
     assert all(s.degree(v) == 2 for v in range(6, 18))
+
+
+@pytest.mark.parametrize(
+    "maker",
+    [lambda: prism(5).with_outer_face(1), octahedron, lambda: medial(cube())],
+    ids=["prism5-quad-outside", "octahedron", "medial-cube"],
+)
+@pytest.mark.parametrize("k", range(4))
+def test_subdivide_keeps_faces_and_outer_face(maker, k):
+    g = maker()
+    s = subdivide_edges(g, k)
+    assert s.outer_face == g.outer_face
+    m = len(g.dart_tail)
+    for f, cycle in enumerate(g.faces):
+        assert s.faces[f][0] == cycle[0]
+        # the path darts sit between the old ones, which keep their order
+        assert tuple(d for d in s.faces[f] if d < m) == cycle
+    assert s.to_neighbor_lists() == subdivided_rows(g, k)
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[1, 1], [0]], "adjacency between 0 and 1 is asymmetric"),
+    ([[0]], "odd number of loop darts at 0"),
+    ([[5]], "vertex 0 lists unknown neighbor 5"),
+])
+def test_build_embedding_refuses_malformed_rows(rows, message):
+    with pytest.raises(MalformedRotation, match=f"^{message}$"):
+        build_embedding(rows)
 
 
 @given(st.integers(min_value=0, max_value=5))

@@ -562,6 +562,12 @@ def test_descartes_detects_perturbation():
                         Circle(inner.cx, inner.cy, inner.r * 1.01))
 
 
+def test_descartes_refuses_two_enclosing_circles():
+    with pytest.raises(NotTangent, match="^more than one enclosing circle$"):
+        descartes_check(Circle(0, 0, 3), Circle(2, 0, 1), Circle(1.5, 0, 1.5),
+                        Circle(4, 0, 1))
+
+
 @pytest.mark.parametrize("r", [0.0, -1.0, math.nan, math.inf])
 def test_descartes_refuses_a_radius_that_is_not_positive_and_finite(r):
     s3 = math.sqrt(3.0)

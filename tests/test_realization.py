@@ -21,6 +21,7 @@ from circlesystems.generators import (
     cube,
     dodecahedron,
     flower,
+    gadget,
     icosahedron,
     octahedron,
     tetrahedron,
@@ -145,6 +146,21 @@ def test_extraction_and_point_kind_reject_tol_outside_zero_to_infinity(tol):
 def test_realize_rejects_not_three_connected():
     with pytest.raises(NotThreeConnected):
         realize(joined_octahedra())
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: gadget().graph, "input must be 4-regular"),
+    (lambda: build_embedding([[1, 3, 3, 1], [2, 0, 0, 2], [3, 1, 1, 3],
+                              [0, 2, 2, 0]]), "input must be simple"),
+], ids=["gadget-fragment", "doubled-4-cycle"])
+def test_realize_refuses_a_graph_that_is_not_a_simple_4_regular_one(make, message):
+    with pytest.raises(NotThreeConnected, match=f"^{message}$"):
+        realize(make())
+
+
+def test_touching_point_when_the_first_circle_contains_the_second():
+    (p,) = realization._touchings([Circle(0, 0, 2), Circle(1, 0, 1)], [(0, 1)])
+    assert (p.x, p.y, p.on, p.kind) == (2.0, 0.0, (0, 1), KIND_TOUCH)
 
 
 def test_realize_rejects_augmented_octahedron():
