@@ -13,10 +13,14 @@ geometry oracles: `gadget_arc_infeasibility(phi, 100)` for phi 0.5, 1.5
 and 2.5, and 2000 seeded `sample_arc_pair_config` + `nested_arc_inequality`
 draws per side; and the isomorphism search: `graphs_isomorphic` on the
 GADGET and BIGADGET augmented octahedra, and `find_isomorphism` of each
-ladder rung against a seeded relabelled copy, both graphs built untimed.
+ladder rung against a seeded relabelled copy, both graphs built untimed;
+and ``import``, the package imported afresh as perfbench's
+``import_package`` does it: ``circlesystems`` and its modules dropped from
+``sys.modules``, then imported again from the same directory.
 A search row is skipped when its graph has more than ``--max-n`` vertices.
 Per input it records the median seconds over ``--repeats`` runs of
-`realize` (or of `pack`, the generator, the oracle or the search), of
+`realize` (or of `pack`, the generator, the oracle, the search or the
+import), of
 `verify_realization(r, g)` and of `equivalent(r, r)`, the Newton
 directions `pack` solved (one untimed packing per input and process), and
 the status: "ok", "verify failed", "not equivalent to itself", "wrong
@@ -46,6 +50,7 @@ package must have the functions this script calls.
 
 import argparse
 import functools
+import importlib
 import json
 import pathlib
 import platform
@@ -151,6 +156,22 @@ def _arc_draws(side, count=2000):
         nested_arc_inequality(sample_arc_pair_config(rng, side))
 
 
+def _reimport():
+    """Drop ``circlesystems`` and its modules from ``sys.modules`` and
+    import them again, from the directory they were loaded from."""
+    package = sys.modules["circlesystems"].__file__
+    for name in [m for m in sys.modules
+                 if m == "circlesystems" or m.startswith("circlesystems.")]:
+        del sys.modules[name]
+    # the package imports every other module but these two
+    for name in ("circlesystems", "circlesystems.jsonio",
+                 "circlesystems.svgrender"):
+        importlib.import_module(name)
+    if sys.modules["circlesystems"].__file__ != package:
+        raise SystemExit(f"error: circlesystems re-imported from "
+                         f"{sys.modules['circlesystems'].__file__}, not {package}")
+
+
 def _edge_multiset(edges, name=lambda v: v):
     """Undirected edges with every vertex ``v`` renamed ``name(v)``."""
     return Counter(tuple(sorted((name(u), name(v)))) for u, v in edges)
@@ -215,6 +236,9 @@ def _inputs(max_n):
         search, right = _relabelled_search(g, g.n)
         yield f"iso-{name}", lambda repeats, search=search, right=right: _row(
             search, None, repeats, verdicts=False, right=right)
+    # last, so that no other row of a --label run mixes the two imports
+    yield "import", lambda repeats: _row(_reimport, None, repeats,
+                                         verdicts=False)
 
 
 def collect(max_n, repeats):
@@ -226,8 +250,9 @@ def collect(max_n, repeats):
 
 
 # a worker of --against: import the package from the tree's src/ (argv[1])
-# before this script (from argv[2]) puts its own src/ first on the path;
-# then time one call of each input named on stdin, answering with its row
+# before this script (from argv[2]) puts its own src/ first on the path,
+# and put the tree's src/ first again for the import row; then time one
+# call of each input named on stdin, answering with its row
 _WORKER = """
 import json, pathlib, sys
 src, scripts, max_n = sys.argv[1:]
@@ -238,6 +263,7 @@ if package != pathlib.Path(src, "circlesystems"):
     raise SystemExit(f"circlesystems imported from {package}")
 sys.path.insert(0, scripts)
 import bench
+sys.path.insert(0, src)
 inputs = dict(bench._inputs(int(max_n)))
 for name in sys.stdin:
     print(json.dumps(inputs[name.strip()](1)), flush=True)

@@ -19,7 +19,6 @@ import json
 import random
 import sys
 from contextlib import nullcontext
-from dataclasses import asdict
 
 from . import generators, geometry, jsonio
 from .embedding import medial
@@ -251,7 +250,7 @@ def _cmd_geom(args):
         doc = {"samples": args.samples, "holds": holds}
     elif oracle == "infeasibility":
         _require(args, "phi")
-        doc = asdict(geometry.gadget_arc_infeasibility(args.phi, args.grid))
+        doc = geometry.gadget_arc_infeasibility(args.phi, args.grid)._asdict()
     else:  # descartes
         if not args.circles:
             raise ValueError("descartes needs --circles")

@@ -10,7 +10,7 @@ around each gray face the incident edges follow the face's boundary order.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .embedding import EmbeddedGraph
 from .errors import NotBipartiteDual, VertexNotOnTwoGrayFaces
@@ -19,8 +19,7 @@ GRAY = "GRAY"
 WHITE = "WHITE"
 
 
-@dataclass(frozen=True)
-class TwoColoring:
+class TwoColoring(NamedTuple):
     """``colors`` maps face id -> GRAY/WHITE, the outer face white."""
 
     colors: tuple
@@ -56,8 +55,7 @@ def two_color_faces(g: EmbeddedGraph) -> TwoColoring:
     return TwoColoring(tuple(colors))
 
 
-@dataclass
-class ILGraph:
+class ILGraph(NamedTuple):
     """Intersection graph of gray faces with its inherited embedding.
 
     ``graph`` vertex i corresponds to gray face ``gray_faces[i]``; edge v
@@ -69,8 +67,7 @@ class ILGraph:
     vertex_gray_pair: list
 
 
-@dataclass(frozen=True)
-class SimplicityReport:
+class SimplicityReport(NamedTuple):
     simple: bool
     multi_pairs: tuple
     selfloop_faces: tuple

@@ -18,6 +18,14 @@ from itertools import combinations
 from .errors import Disconnected, MalformedRotation, NonPlanarEmbedding
 
 
+def _check_size(name, value):
+    """Refuse a size ``value`` that is not an int, or is a bool, naming
+    the argument ``name``: a float or a bool would reach ``range`` or list
+    arithmetic, which fail with a bare TypeError or take True for 1."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class EmbeddedGraph:
     """Immutable planar embedding with traced faces.
 
@@ -380,6 +388,7 @@ def subdivide_edges(g, k):
     tail of its edge's lower dart.  The old darts come first, so every face
     keeps its id and its first dart, and the outer face stays outer.
     """
+    _check_size("k", k)
     if k < 0:
         raise ValueError("k must be >= 0")
     n, m = g.n, len(g.dart_tail)

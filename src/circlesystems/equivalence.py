@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NoClassMatch
 from .isomorphism import digraph_isomorphism
@@ -34,8 +34,7 @@ class RealizationClass(enum.Enum):
     FOUR_TOUCHING_NESTED = "FOUR_TOUCHING_NESTED"
 
 
-@dataclass(frozen=True)
-class OrientedDual:
+class OrientedDual(NamedTuple):
     """Directed dual of a realization's arrangement.
 
     ``edges`` holds one (tail face, head face) pair per arc, edge k for

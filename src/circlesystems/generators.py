@@ -9,11 +9,12 @@ attaching gadgets along subdivided edges.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from . import realization as rz
-from .embedding import EmbeddedGraph, build_embedding, dual, subdivide_edges
+from .embedding import (EmbeddedGraph, _check_size, build_embedding, dual,
+                        subdivide_edges)
 from .equivalence import RealizationClass
 from .errors import DegenerateArc, DegenerateRadius
 from .packing import PACK_TOL, Circle, _circle_intersections, pack
@@ -140,6 +141,7 @@ def flower(c: int):
     lower bound exactly.  The radius is nudged upward while two points of
     a circle nearly coincide, as when three circles share a point.
     """
+    _check_size("c", c)
     if c < 3:
         raise ValueError("flower needs at least 3 circles")
     r = FLOWER_RADIUS
@@ -157,6 +159,7 @@ def flower(c: int):
 
 def prism(k: int) -> EmbeddedGraph:
     """k-gonal prism: two concentric k-cycles joined by spokes (3-regular)."""
+    _check_size("k", k)
     if k < 3:
         raise ValueError("prism needs k >= 3")
     lists = []
@@ -174,6 +177,7 @@ def upper_bound_family(c: int):
     the (c/2)-prism); the induced graph has n = 3c/2 vertices, so the circle
     count meets the upper bound exactly.
     """
+    _check_size("c", c)
     if c < 4 or c % 2 != 0:
         raise ValueError("upper_bound_family needs an even c >= 4")
     base = tetrahedron() if c == 4 else prism(c // 2)
@@ -185,8 +189,7 @@ def upper_bound_family(c: int):
 # -- gadget fragments ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GadgetFragment:
+class GadgetFragment(NamedTuple):
     """Attachable piece with exactly two degree-2 vertices, its
     ``endpoints``; ``skeleton`` maps role names to vertex ids."""
 
@@ -310,6 +313,7 @@ def augment_octahedron(kind: str, pairs_per_edge: int = 2) -> EmbeddedGraph:
     graph is 4-regular and planar.  With plain gadgets it has cut vertices;
     with bigadgets it is biconnected but not 3-connected.
     """
+    _check_size("pairs_per_edge", pairs_per_edge)
     if pairs_per_edge < 2:
         raise ValueError("pairs_per_edge must be >= 2")
     if kind not in (GADGET, BIGADGET):

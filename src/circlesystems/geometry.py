@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError, InvalidConfig, NotTangent
 from .packing import Circle, _tangency
@@ -89,8 +89,7 @@ def outer_phi_max(r1: float, r2: float) -> float:
 # -- nested arc-pair inequality --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ArcPairConfig:
+class ArcPairConfig(NamedTuple):
     """Two non-crossing tangent circle pairs hanging off one base circle.
 
     The outer pair touches the base at angles ``alpha`` and ``beta``, the
@@ -177,14 +176,12 @@ def nested_arc_inequality(cfg: ArcPairConfig) -> bool:
     """True when the inner pair's gap arc is strictly shorter than both
     flanking arcs of the outer pair; InvalidConfig when ``cfg`` is not a
     valid configuration."""
-    fault = _arc_pair_fault(
-        cfg.base_radius, cfg.alpha, cfg.beta, cfg.alpha_p, cfg.beta_p,
-        cfg.side, cfg.rho1, cfg.rho2, cfg.rho1_p, cfg.rho2_p,
-    )
+    fault = _arc_pair_fault(*cfg)
     if fault is not None:
         raise InvalidConfig(fault)
-    inner = cfg.beta_p - cfg.alpha_p
-    return inner < cfg.alpha_p - cfg.alpha and inner < cfg.beta - cfg.beta_p
+    _, alpha, beta, alpha_p, beta_p = cfg[:5]
+    inner = beta_p - alpha_p
+    return inner < alpha_p - alpha and inner < beta - beta_p
 
 
 def _check_side(side: str) -> None:
@@ -257,8 +254,7 @@ def sample_arc_pair_config(rng: random.Random, side: str) -> ArcPairConfig:
 # -- gadget attachment infeasibility ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class InfeasibilityReport:
+class InfeasibilityReport(NamedTuple):
     """``gadget_arc_infeasibility``'s count: ``tested`` partial
     placements, of which none is feasible, so ``feasible_found`` is False."""
 

@@ -70,8 +70,8 @@ def _by_id(entries, doc, build):
 
 
 def _circles_to_obj(circles):
-    return [{"id": i, "cx": c.cx, "cy": c.cy, "r": c.r}
-            for i, c in enumerate(circles)]
+    return [{"id": i, "cx": cx, "cy": cy, "r": r}
+            for i, (cx, cy, r) in enumerate(circles)]
 
 
 def _circles(data, doc):
@@ -147,17 +147,17 @@ def realization_to_obj(r: Realization):
         "version": VERSION,
         "circles": _circles_to_obj(r.circles),
         "points": [
-            {"id": i, "x": p.x, "y": p.y, "on": list(p.on), "kind": p.kind}
-            for i, p in enumerate(r.points)
+            {"id": i, "x": x, "y": y, "on": list(on), "kind": kind}
+            for i, (x, y, on, kind) in enumerate(r.points)
         ],
         "arcs": [
             {
-                "circle": a.circle,
-                "from_angle": a.from_angle,
-                "to_angle": a.to_angle,
-                "edge": a.edge,
+                "circle": circle,
+                "from_angle": from_angle,
+                "to_angle": to_angle,
+                "edge": edge,
             }
-            for a in r.arcs
+            for circle, from_angle, to_angle, edge in r.arcs
         ],
     }
 

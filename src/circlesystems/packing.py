@@ -38,9 +38,9 @@ from __future__ import annotations
 import math
 import sys
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
 from operator import add, itemgetter, mul, sub
+from typing import NamedTuple
 
 from .embedding import EmbeddedGraph
 from .errors import Disconnected, DomainError, NoConvergence, TooSmall
@@ -59,8 +59,7 @@ MAX_LOG_STEP = 5.0
 CG_RTOL = 0.1
 
 
-@dataclass(frozen=True)
-class Circle:
+class Circle(NamedTuple):
     cx: float
     cy: float
     r: float
@@ -77,11 +76,13 @@ def _check_tol(tol: float) -> None:
 def _tangency(a: Circle, b: Circle, tol: float):
     """How two circles touch within ``tol`` relative to ``a.r + b.r``:
     "external", "internal", or None when they are not tangent."""
-    d = math.hypot(a.cx - b.cx, a.cy - b.cy)
-    scale = a.r + b.r
+    ax, ay, ar = a
+    bx, by, br = b
+    d = math.hypot(ax - bx, ay - by)
+    scale = ar + br
     if abs(d - scale) <= tol * scale:
         return "external"
-    if abs(d - abs(a.r - b.r)) <= tol * scale:
+    if abs(d - abs(ar - br)) <= tol * scale:
         return "internal"
     return None
 
@@ -101,15 +102,17 @@ def _circle_intersections(a: Circle, b: Circle):
 def _tangency_point(a: Circle, b: Circle):
     """Touching point of two circles, external or internal, whichever
     tangency their center distance is closer to."""
-    dx, dy = b.cx - a.cx, b.cy - a.cy
+    ax, ay, ar = a
+    bx, by, br = b
+    dx, dy = bx - ax, by - ay
     d = math.hypot(dx, dy)
-    if abs(d - (a.r + b.r)) <= abs(abs(a.r - b.r) - d):
-        t = a.r / d  # external tangency: between the centers
-    elif a.r >= b.r:
-        t = a.r / d  # a contains b: past b's center
+    if abs(d - (ar + br)) <= abs(abs(ar - br) - d):
+        t = ar / d  # external tangency: between the centers
+    elif ar >= br:
+        t = ar / d  # a contains b: past b's center
     else:
-        t = -a.r / d  # b contains a: on the far side of a
-    return (a.cx + t * dx, a.cy + t * dy)
+        t = -ar / d  # b contains a: on the far side of a
+    return (ax + t * dx, ay + t * dy)
 
 
 # relative pad of a circle's box: far above the few roundings between a
@@ -173,8 +176,7 @@ def _circles_near(circles, tol: float):
     return near
 
 
-@dataclass(frozen=True)
-class Triangulation:
+class Triangulation(NamedTuple):
     """The apex triangulation of ``base``: an apex vertex, ``base.n + f``,
     in every face f, joined to each of its corners.  Triangle d is the
     corner of base dart d, ``corners[d]`` = (tail d, head d, apex of d's
@@ -188,8 +190,7 @@ class Triangulation:
     degrees: list
 
 
-@dataclass(frozen=True)
-class Packing:
+class Packing(NamedTuple):
     """Circles for the base vertices plus the certified tangency residual.
 
     ``iterations`` counts the Newton directions solved by the radius
@@ -581,8 +582,10 @@ def _residuals(circles, g):
     deepest overlap, over its non-edges."""
 
     def gap(a, b):
-        d = math.hypot(a.cx - b.cx, a.cy - b.cy)
-        return (d - (a.r + b.r)) / (a.r + b.r)
+        ax, ay, ar = a
+        bx, by, br = b
+        d = math.hypot(ax - bx, ay - by)
+        return (d - (ar + br)) / (ar + br)
 
     adjacent = set()
     tangency = overlap = 0.0

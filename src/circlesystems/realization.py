@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections import Counter
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .coloring import build_il, il_simplicity, two_color_faces
 from .embedding import EmbeddedGraph, connectivity_level
@@ -39,8 +39,7 @@ TWO_PI = 2.0 * math.pi
 READ_TOL = 1e-8  # default tolerance of point kinds, extraction, verifier
 
 
-@dataclass(frozen=True)
-class RealPoint:
+class RealPoint(NamedTuple):
     """Marked point of a realization; ``on`` names its two circles."""
 
     x: float
@@ -49,8 +48,7 @@ class RealPoint:
     kind: str
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     """Counterclockwise arc on ``circle`` from one point angle to the next,
     carrying graph edge ``edge``."""
 
@@ -64,15 +62,15 @@ class Arc:
         return (self.to_angle - self.from_angle) % TWO_PI
 
 
-@dataclass
-class Realization:
+class Realization(NamedTuple):
     circles: list
     points: list
     arcs: list
 
 
 def angle_on(circle: Circle, xy) -> float:
-    return math.atan2(xy[1] - circle.cy, xy[0] - circle.cx) % TWO_PI
+    cx, cy, _ = circle
+    return math.atan2(xy[1] - cy, xy[0] - cx) % TWO_PI
 
 
 def point_kind(a: Circle, b: Circle, tol: float = READ_TOL) -> str:
@@ -91,10 +89,10 @@ def _angular_order(circles, points):
     """Per circle, the (angle, point id) pairs of the points on it, sorted
     counterclockwise from angle 0; ties keep point id order."""
     order = [[] for _ in circles]
-    for pid, p in enumerate(points):
-        for ci in set(p.on):
+    for pid, (x, y, on, _) in enumerate(points):
+        for ci in set(on):
             if 0 <= ci < len(order):
-                order[ci].append((angle_on(circles[ci], (p.x, p.y)), pid))
+                order[ci].append((angle_on(circles[ci], (x, y)), pid))
     for pairs in order:
         pairs.sort()
     return order
@@ -131,11 +129,12 @@ def _arc_ends(order, arc, tol):
     circle's angular order nearest to the end angle, the first winning
     ties; None when an end is farther than ``tol`` from every point, or
     is not a finite angle."""
-    pairs = order[arc.circle]
+    ci, from_angle, to_angle, _ = arc
+    pairs = order[ci]
     if not pairs:
         return None
     ends = []
-    for angle in (arc.from_angle, arc.to_angle):
+    for angle in (from_angle, to_angle):
         found = _nearest(pairs, angle)
         if found is None or found[0] > tol:
             return None
@@ -176,16 +175,17 @@ def _check_circle_ids(r: Realization, slack):
     (one circle twice for a degree-2 point), when a point or an arc names a
     circle that ``r`` does not have, or when a point lies farther than
     ``slack`` times the radius off a circle it names."""
-    k = len(r.circles)
-    for pid, p in enumerate(r.points):
-        if len(p.on) != 2 or not all(0 <= ci < k for ci in p.on):
+    circles = r.circles
+    k = len(circles)
+    for pid, (x, y, on, _) in enumerate(r.points):
+        if len(on) != 2 or not all(0 <= ci < k for ci in on):
             raise MalformedRealization(
-                f"point {pid} names circles {p.on}; a point names two of "
+                f"point {pid} names circles {on}; a point names two of "
                 f"the {k} circles"
             )
-        for ci in p.on:
-            c = r.circles[ci]
-            if abs(math.hypot(p.x - c.cx, p.y - c.cy) - c.r) > slack * c.r:
+        for ci in on:
+            cx, cy, cr = circles[ci]
+            if abs(math.hypot(x - cx, y - cy) - cr) > slack * cr:
                 raise MalformedRealization(f"point {pid} is not on circle {ci}")
     for i, a in enumerate(r.arcs):
         if not 0 <= a.circle < k:
@@ -256,8 +256,7 @@ def _read(r: Realization, tol):
     return order, ends
 
 
-@dataclass(frozen=True)
-class BoundsResult:
+class BoundsResult(NamedTuple):
     """Circle-count bounds for an n-vertex 4-regular planar graph."""
 
     n: int
@@ -375,12 +374,13 @@ def _extract(r: Realization, order, ends, tol) -> EmbeddedGraph:
 
     # one dart per arc end; 2k and 2k+1 are the ccw and cw traversals
     germs = [[] for _ in r.points]
-    for k, (arc, (p_from, p_to)) in enumerate(zip(r.arcs, ends)):
-        c = r.circles[arc.circle]
+    for k, ((ci, from_angle, to_angle, _), (p_from, p_to)) in enumerate(
+            zip(r.arcs, ends)):
+        _, _, cr = r.circles[ci]
         # departing ccw from the from-end: tangent angle + pi/2, curving left
-        germs[p_from].append((arc.from_angle + math.pi / 2.0, 1.0 / c.r, 2 * k))
+        germs[p_from].append((from_angle + math.pi / 2.0, 1.0 / cr, 2 * k))
         # departing cw from the to-end: tangent angle - pi/2, curving right
-        germs[p_to].append((arc.to_angle - math.pi / 2.0, -1.0 / c.r, 2 * k + 1))
+        germs[p_to].append((to_angle - math.pi / 2.0, -1.0 / cr, 2 * k + 1))
 
     dart_tail = [0] * (2 * len(r.arcs))
     rotation = []
@@ -419,17 +419,18 @@ def outer_face_of(r: Realization, g: EmbeddedGraph) -> int:
         total = 0.0
         for d in cycle:
             arc = r.arcs[d >> 1]
-            c = r.circles[arc.circle]
+            ci, from_angle, to_angle, _ = arc
+            cx, cy, cr = r.circles[ci]
             if d & 1:  # clockwise
-                start, end, sweep = arc.to_angle, arc.from_angle, -arc.extent
+                start, end, sweep = to_angle, from_angle, -arc.extent
             else:
-                start, end, sweep = arc.from_angle, arc.to_angle, arc.extent
-            sx = c.cx + c.r * math.cos(start)
-            sy = c.cy + c.r * math.sin(start)
-            ex = c.cx + c.r * math.cos(end)
-            ey = c.cy + c.r * math.sin(end)
-            total += 0.5 * (c.cx * (ey - sy) - c.cy * (ex - sx))
-            total += 0.5 * c.r * c.r * sweep
+                start, end, sweep = from_angle, to_angle, arc.extent
+            sx = cx + cr * math.cos(start)
+            sy = cy + cr * math.sin(start)
+            ex = cx + cr * math.cos(end)
+            ey = cy + cr * math.sin(end)
+            total += 0.5 * (cx * (ey - sy) - cy * (ex - sx))
+            total += 0.5 * cr * cr * sweep
         areas.append(total)
     return max(range(len(areas)), key=lambda f: areas[f])
 
@@ -437,9 +438,12 @@ def outer_face_of(r: Realization, g: EmbeddedGraph) -> int:
 # -- verification --------------------------------------------------------------
 
 
-@dataclass
-class VerifyReport:
-    violations: list = field(default_factory=list)
+class VerifyReport(NamedTuple):
+    """``violations`` holds (rule, detail) pairs; ``add`` appends one.  It
+    has no default: a NamedTuple default is one object that every record
+    built without the field would share."""
+
+    violations: list
     circle_count: int = 0
     point_count: int = 0
 
@@ -474,28 +478,27 @@ def verify_realization(r: Realization, g: EmbeddedGraph | None = None,
     ``tol`` of each other.
     """
     _check_tol(tol)
-    report = VerifyReport(
-        circle_count=len(r.circles), point_count=len(r.points)
-    )
+    report = VerifyReport([], len(r.circles), len(r.points))
 
     circles = r.circles
     near = _circles_near(circles, tol)
-    for pid, p in enumerate(r.points):
-        hits = sorted(
-            ci for ci in near(p.x, p.y)
-            if abs(math.hypot(p.x - circles[ci].cx, p.y - circles[ci].cy)
-                   - circles[ci].r) <= tol * circles[ci].r
-        )
-        if len(hits) != 2 or len(p.on) != 2 or set(hits) != set(p.on):
+    for pid, (x, y, on, kind) in enumerate(r.points):
+        hits = []
+        for ci in near(x, y):
+            cx, cy, cr = circles[ci]
+            if abs(math.hypot(x - cx, y - cy) - cr) <= tol * cr:
+                hits.append(ci)
+        hits.sort()
+        if len(hits) != 2 or len(on) != 2 or set(hits) != set(on):
             report.add(
                 "point-on-two-circles",
-                f"point {pid} lies on circles {hits}, declared {p.on}",
+                f"point {pid} lies on circles {hits}, declared {on}",
             )
             continue
-        if p.kind != point_kind(r.circles[p.on[0]], r.circles[p.on[1]], tol):
+        if kind != point_kind(circles[on[0]], circles[on[1]], tol):
             report.add(
                 "point-kind",
-                f"point {pid} declared {p.kind}, circles say otherwise",
+                f"point {pid} declared {kind}, circles say otherwise",
             )
 
     order = _angular_order(r.circles, r.points)
@@ -506,10 +509,10 @@ def verify_realization(r: Realization, g: EmbeddedGraph | None = None,
                 "three-points-per-circle",
                 f"circle {ci} carries {len(pairs)} points",
             )
-    for pid, p in enumerate(r.points):
+    for pid, (_, _, on, _) in enumerate(r.points):
         # the point rule reports a point that does not name two circles
-        if len(p.on) == 2 and p.on[0] != p.on[1]:
-            key = tuple(sorted(p.on))
+        if len(on) == 2 and on[0] != on[1]:
+            key = tuple(sorted(on))
             pair_points.setdefault(key, []).append(pid)
     for key, pts in pair_points.items():
         if len(pts) > 2:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .errors import EmptyInput, NotRenderable
 from .packing import Packing
@@ -24,8 +24,7 @@ ARC_PALETTE = ("#c62828", "#1565c0", "#2e7d32", "#ef6c00", "#6a1b9a",
                "#00838f", "#9e9d24", "#4e342e")
 
 
-@dataclass(frozen=True)
-class RenderOptions:
+class RenderOptions(NamedTuple):
     """Viewport size in pixels and the layers to draw; stroke widths and
     the point radius are the module constants above, in pixels."""
 
@@ -93,12 +92,13 @@ def render_svg(obj, opts: RenderOptions = RenderOptions()) -> str:
                 f'r="{_fmt(r)}" {paint}/>')
 
     def arc(i, a):
-        c = circles[a.circle]
-        x0, y0 = tr.point(c.cx + c.r * math.cos(a.from_angle),
-                          c.cy + c.r * math.sin(a.from_angle))
-        x1, y1 = tr.point(c.cx + c.r * math.cos(a.to_angle),
-                          c.cy + c.r * math.sin(a.to_angle))
-        r = _fmt(tr.length(c.r))
+        ci, from_angle, to_angle, _ = a
+        cx, cy, cr = circles[ci]
+        x0, y0 = tr.point(cx + cr * math.cos(from_angle),
+                          cy + cr * math.sin(from_angle))
+        x1, y1 = tr.point(cx + cr * math.cos(to_angle),
+                          cy + cr * math.sin(to_angle))
+        r = _fmt(tr.length(cr))
         large = 1 if a.extent > math.pi else 0
         # math-ccw becomes sweep=0 after the y flip
         return (f'<path class="arc" d="M {_fmt(x0)} {_fmt(y0)} A {r} {r} 0 '

@@ -6,7 +6,11 @@ from itertools import combinations
 import pytest
 
 from circlesystems import generators
-from circlesystems.embedding import build_embedding, connectivity_level
+from circlesystems.embedding import (
+    build_embedding,
+    connectivity_level,
+    subdivide_edges,
+)
 from circlesystems.equivalence import (
     RealizationClass,
     oriented_dual,
@@ -275,6 +279,22 @@ def test_augmented_more_pairs():
 def test_augmented_rejects_small_pairs():
     with pytest.raises(ValueError):
         augment_octahedron(GADGET, 1)
+
+
+@pytest.mark.parametrize("make, name", [
+    (flower, "c"),
+    (upper_bound_family, "c"),
+    (prism, "k"),
+    (lambda k: subdivide_edges(octahedron(), k), "k"),
+    (lambda pairs: augment_octahedron(GADGET, pairs), "pairs_per_edge"),
+])
+@pytest.mark.parametrize("size", [3.5, 6.0, True])
+def test_generators_refuse_a_size_that_is_not_an_int(make, name, size):
+    # a float size failed inside range() with a bare TypeError, and
+    # subdivide_edges took True for one subdivision
+    with pytest.raises(ValueError,
+                       match=rf"^{name} must be an integer, got {size!r}$"):
+        make(size)
 
 
 @pytest.mark.parametrize("kind", (GADGET, BIGADGET))

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import math
 import random
@@ -232,7 +231,7 @@ def test_sampled_pairs_pass_the_tangency_test_the_sampler_skips(side):
         assert mate(1.0, cfg.rho1, cfg.beta - cfg.alpha) == cfg.rho2
         inner = mate(1.0, cfg.rho1_p, cfg.beta_p - cfg.alpha_p)
         assert abs(inner - cfg.rho2_p) <= 1e-13 * max(1.0, cfg.rho2_p)
-        assert _arc_pair_fault(*dataclasses.astuple(cfg)) is None
+        assert _arc_pair_fault(*cfg) is None
 
 
 @pytest.mark.parametrize("side, calls", [
@@ -275,8 +274,8 @@ def test_mate_radii_are_sized_only_past_the_alpha_pair(monkeypatch, side, calls)
 @pytest.mark.parametrize("field", ["rho2", "rho2_p"])
 @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf])
 def test_a_pair_radius_that_is_not_finite_is_not_tangent(side, field, radius):
-    cfg = dataclasses.replace(sample_arc_pair_config(random.Random(3), side),
-                              **{field: radius})
+    cfg = sample_arc_pair_config(random.Random(3), side)._replace(
+        **{field: radius})
     with pytest.raises(InvalidConfig,
                        match=r"^pair radii .* are not mutually tangent$"):
         nested_arc_inequality(cfg)
@@ -313,8 +312,8 @@ def _touching(cfg, outer, inner, delta):
     at = cfg.alpha + turn if outer == "alpha" else cfg.beta - turn
     span = cfg.beta_p - cfg.alpha_p
     if inner == "alpha_p":
-        return dataclasses.replace(cfg, alpha_p=at, beta_p=at + span)
-    return dataclasses.replace(cfg, alpha_p=at - span, beta_p=at)
+        return cfg._replace(alpha_p=at, beta_p=at + span)
+    return cfg._replace(alpha_p=at - span, beta_p=at)
 
 
 @st.composite
