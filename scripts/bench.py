@@ -11,7 +11,8 @@ The ladder is the iterated medials of the icosahedron, n=60 up to
 `upper_bound_family(4..80)`, generated with their realizations; and the
 geometry oracles: `gadget_arc_infeasibility(phi, 100)` for phi 0.5, 1.5
 and 2.5, and 2000 seeded `sample_arc_pair_config` + `nested_arc_inequality`
-draws per side; and the isomorphism search: `graphs_isomorphic` on the
+draws per side; the part-(c) graphs: `augment_octahedron(kind)` for GADGET
+and BIGADGET; and the isomorphism search: `graphs_isomorphic` on the
 GADGET and BIGADGET augmented octahedra, and `find_isomorphism` of each
 ladder rung against a seeded relabelled copy, both graphs built untimed;
 and ``import``, the package imported afresh as perfbench's
@@ -30,9 +31,11 @@ A column that does not apply to an input, or that an exception left
 unmeasured, is null.
 
 The record goes to ``BENCH_<label>.json`` in ``--outdir`` (the root of this
-checkout by default, created if missing), after the diff against the newest
-other ``BENCH_*.json`` there is printed.  The package is imported from ``src/``
-of this checkout.
+checkout by default, created if missing), after the diff against the
+``BENCH_*.json`` there that git history added last is printed; a checkout
+gives every record one mtime, so the mtime cannot tell.  Without a git
+history of such a record the script says so and prints no diff.  The
+package is imported from ``src/`` of this checkout.
 
 ``--against REV`` compares this checkout with commit REV instead, and
 writes no file.  REV is exported with ``git archive`` into a temporary
@@ -227,6 +230,9 @@ def _inputs(max_n):
     for side in (INTERIOR, EXTERIOR):
         yield f"arc-samples-{side.lower()}", lambda repeats, side=side: _row(
             lambda: _arc_draws(side), None, repeats, verdicts=False)
+    for kind in (GADGET, BIGADGET):
+        yield f"augment-{kind.lower()}", lambda repeats, kind=kind: _row(
+            lambda: augment_octahedron(kind), None, repeats, verdicts=False)
     gadgets = [augment_octahedron(kind) for kind in (GADGET, BIGADGET)]
     if gadgets[0].n <= max_n:
         yield "iso-gadget-bigadget", lambda repeats: _row(
@@ -367,6 +373,25 @@ def diff(old, new):
     return lines
 
 
+def _last_record(outdir, out):
+    """The ``BENCH_*.json`` directly in ``outdir``, other than ``out``, that
+    git history added last, or None when git knows of no such record."""
+    try:
+        log = subprocess.run(
+            ["git", "log", "--diff-filter=A", "--format=", "--name-only",
+             "--relative", "--", "BENCH_*.json"],
+            cwd=outdir, capture_output=True, text=True)
+    except OSError:  # no git
+        return None
+    if log.returncode:  # not in a git repository
+        return None
+    for name in log.stdout.split():
+        path = outdir / name
+        if "/" not in name and path != out and path.exists():
+            return path
+    return None
+
+
 def main():
     ap = argparse.ArgumentParser()
     mode = ap.add_mutually_exclusive_group(required=True)
@@ -393,9 +418,11 @@ def main():
     }
     args.outdir.mkdir(parents=True, exist_ok=True)
     out = args.outdir / f"BENCH_{args.label}.json"
-    others = [p for p in args.outdir.glob("BENCH_*.json") if p != out]
-    if others:
-        last = max(others, key=lambda p: p.stat().st_mtime)
+    last = _last_record(args.outdir, out)
+    if last is None:
+        print(f"\nno BENCH_*.json record in the git history of "
+              f"{args.outdir}: no diff")
+    else:
         print(f"\ndiff against {last.name}")
         print("\n".join(diff(json.loads(last.read_text()), record)))
     out.write_text(json.dumps(record, indent=1) + "\n")

@@ -45,14 +45,14 @@ class EmbeddedGraph:
         "outer_face",
         "edge_of_dart",
         "edge_darts",
+        "_component_count",
     )
 
     def __init__(self, rotation, dart_tail, dart_rev, outer_face=None):
         m = len(dart_tail)
         if len(dart_rev) != m:
             raise MalformedRotation("reversal involution size mismatch")
-        for d in range(m):
-            r = dart_rev[d]
+        for d, r in enumerate(dart_rev):
             if r == d or not (0 <= r < m) or dart_rev[r] != d:
                 raise MalformedRotation("reversal is not a fixed-point-free involution")
         if not rotation:
@@ -61,36 +61,33 @@ class EmbeddedGraph:
         self.rotation = [list(r) for r in rotation]
         self.dart_tail = list(dart_tail)
         self.dart_rev = list(dart_rev)
-        self.dart_head = [dart_tail[dart_rev[d]] for d in range(m)]
-        self.dart_pos = [0] * m
-        seen = [False] * m
+        self.dart_head = [dart_tail[r] for r in dart_rev]
+        pos = self.dart_pos = [-1] * m
+        succ = [0] * m  # the next dart around its tail, sigma_next
         for v, rot in enumerate(self.rotation):
             if not rot:
                 raise MalformedRotation(f"vertex {v} has no incident darts")
+            prev = rot[-1]
             for i, d in enumerate(rot):
-                if seen[d] or dart_tail[d] != v:
+                if pos[d] != -1 or dart_tail[d] != v:
                     raise MalformedRotation("rotation lists do not partition the darts")
-                seen[d] = True
-                self.dart_pos[d] = i
-        if not all(seen):
+                pos[d] = i
+                succ[prev] = d
+                prev = d
+        if -1 in pos:
             raise MalformedRotation("some darts missing from the rotation lists")
 
-        self.faces, self.dart_face = self._trace_faces()
+        self.faces, self.dart_face = _trace_faces([succ[r] for r in self.dart_rev])
         self._check_euler()
 
-        self.edge_of_dart = [-1] * m
-        self.edge_darts = []
-        for d in range(m):
-            if d < self.dart_rev[d]:
-                eid = len(self.edge_darts)
-                self.edge_darts.append((d, self.dart_rev[d]))
-                self.edge_of_dart[d] = eid
-                self.edge_of_dart[self.dart_rev[d]] = eid
+        self.edge_darts = [(d, r) for d, r in enumerate(self.dart_rev) if d < r]
+        self.edge_of_dart = [0] * m
+        for e, (d, r) in enumerate(self.edge_darts):
+            self.edge_of_dart[d] = self.edge_of_dart[r] = e
 
-        if outer_face is None:
-            outer_face = max(
-                range(len(self.faces)), key=lambda f: (len(self.faces[f]), -f)
-            )
+        if outer_face is None:  # the longest face, the first of them on a tie
+            lengths = [len(cycle) for cycle in self.faces]
+            outer_face = lengths.index(max(lengths))
         if not 0 <= outer_face < len(self.faces):
             raise MalformedRotation(f"outer face id {outer_face} out of range")
         self.outer_face = outer_face
@@ -183,33 +180,36 @@ class EmbeddedGraph:
 
     # -- internals ----------------------------------------------------------
 
-    def _trace_faces(self):
-        m = len(self.dart_tail)
-        dart_face = [-1] * m
-        faces = []
-        for d0 in range(m):
-            if dart_face[d0] != -1:
-                continue
-            fid = len(faces)
-            cycle = []
-            d = d0
-            # next_in_face is a permutation (dart_rev is an involution and
-            # the rotations partition the darts), so every orbit closes at d0
-            while dart_face[d] == -1:
-                dart_face[d] = fid
-                cycle.append(d)
-                d = self.next_in_face(d)
-            faces.append(tuple(cycle))
-        return faces, dart_face
-
     def _check_euler(self):
         # V - E + F = 2 - 2 genus <= 2 on every component, so the totals
         # reach 2 per component only when every component is plane
         v, e, f = self.n, len(self.dart_tail) // 2, len(self.faces)
-        c = len(self.connected_components())
+        c = self._component_count = len(self.connected_components())
         if v - e + f != 2 * c:
             raise NonPlanarEmbedding(f"V-E+F = {v}-{e}+{f} = {v - e + f}, "
                                      f"not 2 on each of {c} components")
+
+
+def _trace_faces(next_in_face):
+    """(faces, dart_face): the orbits of the permutation ``next_in_face``
+    of the darts, each from its lowest dart, and the face of every dart."""
+    m = len(next_in_face)
+    dart_face = [-1] * m
+    faces = []
+    for d0 in range(m):
+        if dart_face[d0] != -1:
+            continue
+        fid = len(faces)
+        cycle = []
+        d = d0
+        # next_in_face is a permutation (dart_rev is an involution and the
+        # rotations partition the darts), so every orbit closes at d0
+        while dart_face[d] == -1:
+            dart_face[d] = fid
+            cycle.append(d)
+            d = next_in_face[d]
+        faces.append(tuple(cycle))
+    return faces, dart_face
 
 
 def build_embedding(neighbor_lists, outer_face=None):
@@ -301,7 +301,7 @@ def connectivity_level(g):
     Recording each vertex under every pair of faces around it makes this
     O(sum of deg^2).
     """
-    if len(g.connected_components()) != 1:
+    if g._component_count != 1:
         return 0
     if g.n <= 2:
         return g.n - 1  # a lone vertex counts as 0, an edge bundle as 1
@@ -338,7 +338,7 @@ def connectivity_level(g):
 
 def dual(g):
     """Dual embedding: one vertex per face, one edge crossing each edge."""
-    if len(g.connected_components()) != 1:
+    if g._component_count != 1:
         raise Disconnected("dual requires a connected graph")
     # dual dart ids coincide with primal dart ids; dual dart d sits at the
     # face containing d and points to the face containing reverse(d)

@@ -342,4 +342,11 @@ def augment_octahedron(kind: str, pairs_per_edge: int = 2) -> EmbeddedGraph:
                 else:
                     lists[z] = [next_v, prev_v, g2, g1]
 
-    return build_embedding(lists)
+    # the graph is 4-regular and simple, so dart i of v is 4v + i, the id
+    # build_embedding would give it, and its reverse is the dart of w that
+    # lists v; a row that breaks this fails the constructor's checks
+    return EmbeddedGraph(
+        [range(4 * v, 4 * v + 4) for v in range(len(lists))],
+        [v for v in range(len(lists)) for _ in range(4)],
+        [4 * w + lists[w].index(v) for v, row in enumerate(lists) for w in row],
+    )

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 import sys
+from bisect import bisect_right
 from collections import deque
 from itertools import combinations
 from operator import add, itemgetter, mul, sub
@@ -535,11 +536,12 @@ def pack(g: EmbeddedGraph, tol: float = PACK_TOL) -> Packing:
     within the rounding floor of its sum, backtracking on steps that do
     not lower the largest error (``_newton_radii``); the circles are then
     laid out once and the result is certified: the tangency residual over
-    the edges and the overlap residual over the non-edges must both be at
-    most ``tol``, otherwise NoConvergence names the Newton step count, the
-    final angle-sum error and both residuals.  ``tol`` is used by this
-    certificate only; one that is not finite or is negative raises
-    DomainError.
+    the edges and the overlap residual over the non-edges, whose
+    candidates a sweep over the circles' x-extents finds (``_residuals``),
+    must both be at most ``tol``, otherwise NoConvergence names the Newton
+    step count, the final angle-sum error and both residuals.  ``tol`` is
+    used by this certificate only; one that is not finite or is negative
+    raises DomainError.
 
     The input must be connected and embedded, with parallel edges allowed
     but no loop (DomainError); face boundaries must be simple cycles (no
@@ -550,7 +552,7 @@ def pack(g: EmbeddedGraph, tol: float = PACK_TOL) -> Packing:
     _check_tol(tol)
     if g.n < 3:
         raise TooSmall("packing needs at least 3 vertices")
-    if len(g.connected_components()) != 1:
+    if g._component_count != 1:
         raise Disconnected("packing needs a connected graph")
     for u, v in g.edges():
         if u == v:
@@ -579,7 +581,21 @@ def _residuals(circles, g):
     """(tangency, overlap) from the signed relative gap
     s = (d - (r_a + r_b)) / (r_a + r_b) of two circles at center distance
     d: the largest |s| over the edges of ``g``, and the largest -s, the
-    deepest overlap, over its non-edges."""
+    deepest overlap, over its non-edges.  Both are infinite when a center
+    is not finite or a radius is not a finite positive number.
+
+    The non-edges are found by a sweep ("sweep and prune": Cohen, Lin,
+    Manocha and Ponamgi, I-COLLIDE, 1995): with the circles sorted by the
+    left edge of their x-extent, padded by ``_BOX_MARGIN``, each circle is
+    paired with the later ones whose left edge is not past its own right
+    edge.  Rounding is monotone, so a pair whose padded extents are apart
+    is apart in x by more than r_a + r_b, its gap is positive and it cannot
+    raise the overlap: the result equals the scan over all pairs.
+    """
+    isfinite = math.isfinite
+    for cx, cy, r in circles:
+        if not (isfinite(cx) and isfinite(cy) and 0.0 < r < math.inf):
+            return math.inf, math.inf
 
     def gap(a, b):
         ax, ay, ar = a
@@ -594,9 +610,14 @@ def _residuals(circles, g):
         s = abs(gap(circles[u], circles[v]))
         if s > tangency:
             tangency = s
-    for u, a in enumerate(circles):
-        for v in range(u + 1, len(circles)):
-            if (u, v) not in adjacent:
+    pad = 1.0 + _BOX_MARGIN
+    spans = sorted((cx - r * pad, cx + r * pad, u)
+                   for u, (cx, _, r) in enumerate(circles))
+    lefts = [left for left, _, _ in spans]
+    for i, (_, right, u) in enumerate(spans):
+        a = circles[u]
+        for _, _, v in spans[i + 1:bisect_right(lefts, right, i + 1)]:
+            if ((u, v) if u < v else (v, u)) not in adjacent:
                 s = -gap(a, circles[v])
                 if s > overlap:
                     overlap = s

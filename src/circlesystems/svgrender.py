@@ -70,6 +70,9 @@ class _Transform:
 
 def render_svg(obj, opts: RenderOptions = RenderOptions()) -> str:
     """Render a Realization or Packing to an SVG document string."""
+    for name, side in (("width", opts.width), ("height", opts.height)):
+        if isinstance(side, bool):  # would be written as True or False
+            raise ValueError(f"render {name} must be a number, got {side!r}")
     if not all(0 < side <= sys.float_info.max
                for side in (opts.width, opts.height)):
         raise ValueError("render dimensions must be positive and within "

@@ -341,6 +341,27 @@ def scan_hits(circles, x, y, tol):
             if abs(math.hypot(x - c.cx, y - c.cy) - c.r) <= tol * c.r]
 
 
+def all_pairs_residuals(circles, g):
+    """``packing._residuals`` for finite circles by a scan over every pair:
+    the largest |s| over the edges of ``g`` and the largest -s over its
+    non-edges, s the signed relative gap.  The oracle for the sweep."""
+
+    def gap(a, b):
+        d = math.hypot(a.cx - b.cx, a.cy - b.cy)
+        return (d - (a.r + b.r)) / (a.r + b.r)
+
+    adjacent = set()
+    tangency = overlap = 0.0
+    for u, v in g.edges():
+        adjacent.add((u, v) if u < v else (v, u))
+        tangency = max(tangency, abs(gap(circles[u], circles[v])))
+    for u, a in enumerate(circles):
+        for v in range(u + 1, len(circles)):
+            if (u, v) not in adjacent:
+                overlap = max(overlap, -gap(a, circles[v]))
+    return tangency, overlap
+
+
 def scan_arc_ends(order, arc, tol):
     """``realization._arc_ends`` by a linear scan of the arc's circle: at
     each end the point nearest to the end angle, the first winning ties;

@@ -290,6 +290,16 @@ def test_render_svg_refuses_a_packing_with_only_point_and_arc_layers():
         render_svg(pack(octahedron(), 1e-9), RenderOptions(show_circles=False))
 
 
+@pytest.mark.parametrize("opts, message", [
+    (RenderOptions(width=True, height=2.5), "render width must be a number, got True"),
+    (RenderOptions(height=False), "render height must be a number, got False"),
+])
+def test_render_svg_refuses_a_bool_size(opts, message):
+    # True passed the size check as 1 and was written as width="True"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        render_svg(pack(octahedron(), 1e-9), opts)
+
+
 def test_render_svg_refuses_an_empty_realization():
     with pytest.raises(errors.EmptyInput):
         render_svg(Realization([], [], []))

@@ -319,6 +319,46 @@ def test_build_embedding_refuses_malformed_rows(rows, message):
         build_embedding(rows)
 
 
+@pytest.mark.parametrize("rotation, tails, revs, outer, message", [
+    ([[0, 1]], [0, 0], [1], None, "reversal involution size mismatch"),
+    ([[0, 1]], [0, 0], [0, 1], None,
+     "reversal is not a fixed-point-free involution"),
+    ([[0], [1]], [0, 1], [1, 2], None,
+     "reversal is not a fixed-point-free involution"),
+    ([[0, 1, 2], [3]], [0, 0, 0, 1], [1, 0, 3, 3], None,
+     "reversal is not a fixed-point-free involution"),
+    ([], [], [], None, "graph has no vertices"),
+    ([[0, 1], []], [0, 0], [1, 0], None, "vertex 1 has no incident darts"),
+    ([[0, 1], [1]], [0, 1], [1, 0], None,
+     "rotation lists do not partition the darts"),
+    ([[0, 0], [1]], [0, 1], [1, 0], None,
+     "rotation lists do not partition the darts"),
+    ([[0, 1], [2]], [0, 0, 1, 1], [1, 0, 3, 2], None,
+     "some darts missing from the rotation lists"),
+    ([[0], [1]], [0, 1], [1, 0], 1, "outer face id 1 out of range"),
+    ([[0], [1]], [0, 1], [1, 0], -1, "outer face id -1 out of range"),
+])
+def test_constructor_refuses_malformed_darts(rotation, tails, revs, outer,
+                                              message):
+    with pytest.raises(MalformedRotation, match=f"^{message}$"):
+        EmbeddedGraph(rotation, tails, revs, outer)
+
+
+def test_repr_counts_vertices_edges_and_faces(octa):
+    assert repr(octa) == "EmbeddedGraph(n=6, edges=12, faces=8)"
+
+
+def test_equality_with_another_type_is_not_implemented(octa):
+    assert octa.__eq__(octa.to_neighbor_lists()) is NotImplemented
+    assert octa != octa.to_neighbor_lists()
+    assert octa == octahedron()
+
+
+def test_subdivide_refuses_a_negative_count(octa):
+    with pytest.raises(ValueError, match="^k must be >= 0$"):
+        subdivide_edges(octa, -1)
+
+
 @given(st.integers(min_value=0, max_value=5))
 def test_subdivide_vertex_count_formula(k):
     g = tetrahedron()

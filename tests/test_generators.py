@@ -276,6 +276,19 @@ def test_augmented_more_pairs():
     assert connectivity_level(g) == 1
 
 
+@pytest.mark.parametrize("kind", (GADGET, BIGADGET))
+@pytest.mark.parametrize("pairs", (2, 3, 4))
+def test_augmented_darts_are_those_build_embedding_gives(kind, pairs):
+    # augment_octahedron numbers and pairs its darts itself; pairing them
+    # from the neighbour lists must give the same graph, dart for dart
+    g = augment_octahedron(kind, pairs)
+    h = build_embedding(g.to_neighbor_lists())
+    assert g.rotation == h.rotation
+    assert g.dart_rev == h.dart_rev
+    assert g.faces == h.faces
+    assert g.outer_face == h.outer_face
+
+
 def test_augmented_rejects_small_pairs():
     with pytest.raises(ValueError):
         augment_octahedron(GADGET, 1)

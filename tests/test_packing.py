@@ -3,6 +3,7 @@ import math
 import random
 import sys
 from operator import sub
+from typing import NamedTuple
 
 import pytest
 
@@ -17,6 +18,7 @@ from circlesystems.generators import cube, icosahedron, octahedron, prism, tetra
 from circlesystems.realization import realize, verify_realization
 
 from conftest import (
+    all_pairs_residuals,
     apex_embedding,
     gauss_seidel_radii,
     jacobi_conjugate_gradients,
@@ -177,6 +179,109 @@ def test_residuals_equal_the_unsigned_gap_forms():
                 for u, a in enumerate(circles) for v, b in enumerate(circles)
                 if u < v and frozenset((u, v)) not in adjacent])
             assert packing._residuals(circles, g) == (tangency, overlap)
+
+
+def _random_circles(rng, count, kinds):
+    """``count`` seeded circles with radius ratios up to 1e6, each of a
+    kind drawn from ``kinds``: 0 free, 1 a copy of an earlier circle, 2
+    nested in one, 3 tangent to one at a random angle, 4 tangent to the
+    last one on its right, or overlapping it there by a hair, where the
+    sweep's extents just meet, 5 touching one from inside along x."""
+    circles = []
+    while len(circles) < count:
+        kind = rng.choice(kinds) if circles else 0
+        a = rng.choice(circles) if circles else None
+        r = 10.0 ** rng.uniform(-3.0, 3.0)
+        if kind == 0:
+            circles.append(Circle(rng.uniform(-1e3, 1e3), rng.uniform(-1e3, 1e3), r))
+        elif kind == 1:
+            circles.append(a)
+        elif kind == 2:
+            r = a.r * rng.uniform(0.01, 1.0)
+            shift = (a.r - r) * rng.uniform(-1.0, 1.0)
+            circles.append(Circle(a.cx + shift, a.cy, r))
+        elif kind == 3:
+            t = rng.uniform(0.0, 2.0 * math.pi)
+            circles.append(Circle(a.cx + (a.r + r) * math.cos(t),
+                                  a.cy + (a.r + r) * math.sin(t), r))
+        elif kind == 4:
+            last = circles[-1]
+            hair = rng.choice((0.0, 1e-12, 1e-9))
+            circles.append(Circle(last.cx + (last.r + r) * (1.0 - hair), last.cy, r))
+        else:
+            r = a.r * rng.uniform(0.01, 1.0)
+            side = rng.choice((-1.0, 1.0))
+            circles.append(Circle(a.cx + side * (a.r - r), a.cy, r))
+    return circles
+
+
+class _Edges(NamedTuple):
+    """The edge list that ``_residuals`` reads off a graph."""
+
+    pairs: list
+
+    def edges(self):
+        return self.pairs
+
+
+def test_residuals_sweep_equals_the_all_pairs_scan_on_random_circles():
+    # every other set is a row of circles along x, each touching the last
+    # or overlapping it by a hair, so that its overlap is a hair's, which a
+    # pair the sweep missed would show
+    rng = random.Random(31)
+    overlapping = 0
+    for i, count in enumerate([0, 1, 2, 3] + [rng.randrange(4, 201)
+                                              for _ in range(60)]):
+        kinds = (0, 1, 2, 3, 4, 5) if i % 2 else (4,)
+        circles = _random_circles(rng, count, kinds)
+        pairs = [tuple(rng.sample(range(count), 2))
+                 for _ in range(count if count > 1 else 0)]
+        g = _Edges(pairs)
+        tangency, overlap = packing._residuals(circles, g)
+        assert (tangency, overlap) == all_pairs_residuals(circles, g), count
+        overlapping += overlap > 0.0
+    assert overlapping > 40
+
+
+@pytest.mark.parametrize("make", [
+    *[lambda depth=depth: _gray_face_graph(_icosahedron_medial(depth))
+      for depth in range(1, 5)],
+    *[lambda k=k: prism(k) for k in range(3, 41)],
+], ids=[f"gray-icosahedron-n{30 * 2 ** d}" for d in range(4)]
+    + [f"prism{k}" for k in range(3, 41)])
+def test_residuals_sweep_equals_the_all_pairs_scan_on_packings(make):
+    g = make()
+    circles = pack(g).circles
+    assert packing._residuals(circles, g) == all_pairs_residuals(circles, g)
+
+
+_NOT_A_CIRCLE = [(0, math.nan), (1, math.nan), (2, math.nan), (0, math.inf),
+                 (1, -math.inf), (2, math.inf), (2, 0.0), (2, -1.0)]
+
+
+def _spoiled(field, value):
+    """The packing of the tetrahedron with one field of circle 1 set to
+    ``value``."""
+    p = pack(tetrahedron())
+    circles = list(p.circles)
+    circles[1] = Circle(*[value if i == field else x
+                          for i, x in enumerate(circles[1])])
+    return p._replace(circles=tuple(circles))
+
+
+@pytest.mark.parametrize("field, value", _NOT_A_CIRCLE)
+def test_residuals_are_infinite_for_a_circle_not_finite_or_not_positive(field, value):
+    # a NaN gap passed both comparisons, so a NaN center certified as
+    # (2.55e-15, 0.0); a NaN sort key would break the sweep's order, and
+    # the sweep skips only pairs whose radii sum to more than 0
+    assert packing._residuals(_spoiled(field, value).circles,
+                              tetrahedron()) == (math.inf, math.inf)
+
+
+@pytest.mark.parametrize("field, value", _NOT_A_CIRCLE)
+def test_packing_residual_is_infinite_for_a_circle_not_finite_or_not_positive(
+        field, value):
+    assert packing_residual(_spoiled(field, value), tetrahedron()) == math.inf
 
 
 def test_dropping_apexes_preserves_base_tangencies(octa):
