@@ -69,7 +69,7 @@ class EmbeddedGraph:
                 raise MalformedRotation(f"vertex {v} has no incident darts")
             prev = rot[-1]
             for i, d in enumerate(rot):
-                if pos[d] != -1 or dart_tail[d] != v:
+                if not 0 <= d < m or pos[d] != -1 or dart_tail[d] != v:
                     raise MalformedRotation("rotation lists do not partition the darts")
                 pos[d] = i
                 succ[prev] = d

@@ -76,12 +76,13 @@ def smooth_degree_two(r: Realization) -> Realization:
     Such points sit in the interior of a single circle's boundary; circles
     are unchanged and surviving points keep their coordinates.  Merged arcs
     get fresh edge ids.  Raises MalformedRealization when a point or an arc
-    names a missing circle or a point is off a circle it names, and
-    DegenerateArc when the arcs do not partition the circles: an arc
+    names a missing circle or a point is off a circle it names,
+    DegenerateArc when the arcs do not partition the circles (an arc
     dropped, repeated, or not joining consecutive points within
-    extraction's tolerance.  ``equivalent`` and ``classify_octahedron``
-    smooth through the same code but keep the arc ends it builds for the
-    dual (``_smoothed_dual``).
+    extraction's tolerance), and ValueError when every point of a circle
+    names it twice.  ``equivalent`` and ``classify_octahedron`` smooth
+    through the same code, raising the same, but keep the arc ends it
+    builds for the dual (``_smoothed_dual``).
     """
     return _smooth(r)[0]
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import math
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import deque
 from itertools import combinations
 from operator import add, itemgetter, mul, sub
@@ -116,65 +116,9 @@ def _tangency_point(a: Circle, b: Circle):
     return (ax + t * dx, ay + t * dy)
 
 
-# relative pad of a circle's box: far above the few roundings between a
-# point on the circle within tol and the box's edges
+# relative pad of a circle's extent: far above the few roundings between a
+# point on the circle within tol and the extent's edges
 _BOX_MARGIN = 2.0 ** -20
-
-
-def _circles_near(circles, tol: float):
-    """``near(x, y)``: the ids of the circles that a point (x, y) may lie
-    on within ``tol``, in no set order.  The list holds every circle with
-    abs(hypot(x - cx, y - cy) - r) <= tol * r, and in general few others.
-
-    Circles are bucketed by the binary exponent e of their radius
-    (r < 2**e).  Each class has one dict grid whose cell side, about
-    2**(e+1) * (1 + tol), is wider than any of its circles' boxes widened
-    by ``tol``, so a circle sits in at most 2 x 2 cells and a point looks up
-    one cell per class.  Floating-point rounding is monotone, so a point
-    inside a box never lands in a cell outside the box's cells.  Circles
-    that no grid holds (radius outside (2**-1000, 2**1000), center not
-    finite, a box beyond float range) are returned for every point, and a
-    point with a coordinate that is not finite gets every circle.
-    """
-    spill = []
-    classes = {}  # e -> (cell side, {cell: circle ids})
-    for ci, c in enumerate(circles):
-        if not 2.0 ** -1000 < c.r < 2.0 ** 1000:
-            spill.append(ci)
-            continue
-        e = math.frexp(c.r)[1]
-        if e not in classes:
-            side = (1.0 + tol) * (1.0 + 2.0 * _BOX_MARGIN) * math.ldexp(1.0, e + 1)
-            classes[e] = (side, {})
-        side, cells = classes[e]
-        h = c.r * (1.0 + tol) * (1.0 + _BOX_MARGIN)
-        try:
-            i0, i1 = math.floor((c.cx - h) / side), math.floor((c.cx + h) / side)
-            j0, j1 = math.floor((c.cy - h) / side), math.floor((c.cy + h) / side)
-        except (OverflowError, ValueError):  # infinite or NaN
-            spill.append(ci)
-            continue
-        for i in range(i0, i1 + 1):
-            for j in range(j0, j1 + 1):
-                cells.setdefault((i, j), []).append(ci)
-    grids = list(classes.values())
-    everyone = range(len(circles))
-    floor, isfinite = math.floor, math.isfinite
-
-    def near(x, y):
-        if not (isfinite(x) and isfinite(y)):
-            return everyone
-        found = list(spill)
-        for side, cells in grids:
-            try:
-                ids = cells.get((floor(x / side), floor(y / side)))
-            except OverflowError:  # beyond every cell of this class
-                continue
-            if ids:
-                found += ids
-        return found
-
-    return near
 
 
 class Triangulation(NamedTuple):
@@ -622,6 +566,41 @@ def _residuals(circles, g):
                 if s > overlap:
                     overlap = s
     return tangency, overlap
+
+
+def _points_on_circles(circles, points, tol: float):
+    """For each point, x and y first, the ascending ids of the circles it
+    lies on within ``tol``, abs(hypot(x - cx, y - cy) - r) <= tol * r:
+    exactly the ones a scan over every circle finds.
+
+    A sweep, as in ``_residuals``, finds the candidates: with the points
+    sorted by x, each circle takes those within h = r(1 + tol), padded by
+    ``_BOX_MARGIN`` and rounded once, of its center in x (two bisects) and
+    in y.  Rounding is monotone, so a point farther out is off the circle,
+    also at subnormal radii, where the pad adds nothing.  A circle with a
+    center that is not finite, and a point with a coordinate that is not
+    finite, are tested against everything: hypot is infinite when one of
+    its arguments is, even if the other is NaN.
+    """
+    isfinite, hypot = math.isfinite, math.hypot
+    placed, odd = [], []
+    for pid, (x, y, *_) in enumerate(points):
+        (placed if isfinite(x) and isfinite(y) else odd).append((x, y, pid))
+    placed.sort()
+    xs = [x for x, _, _ in placed]
+    reach = (1.0 + tol) * (1.0 + _BOX_MARGIN)
+    hits = [[] for _ in points]
+    for ci, (cx, cy, r) in enumerate(circles):
+        if isfinite(cx) and isfinite(cy):
+            h = r * reach
+            lo, hi = bisect_left(xs, cx - h), bisect_right(xs, cx + h)
+            near = [p for p in placed[lo:hi] if abs(p[1] - cy) <= h] + odd
+        else:
+            near = placed + odd
+        for x, y, pid in near:
+            if abs(hypot(x - cx, y - cy) - r) <= tol * r:
+                hits[pid].append(ci)
+    return hits
 
 
 def packing_residual(p: Packing, g: EmbeddedGraph) -> float:

@@ -28,8 +28,8 @@ from .errors import (
 )
 from .isomorphism import find_isomorphism
 from .packing import (
-    PACK_TOL, Circle, _check_tol, _circles_near, _tangency, _tangency_point,
-    pack,
+    PACK_TOL, Circle, _check_tol, _points_on_circles, _tangency,
+    _tangency_point, pack,
 )
 
 KIND_TOUCH = "TOUCH"
@@ -465,30 +465,24 @@ def verify_realization(r: Realization, g: EmbeddedGraph | None = None,
     (optionally) the abstract graph matching ``g``.  A ``tol`` that is not
     finite or is negative raises DomainError.
 
-    Each rule takes near-linear time.  A point is tested only against the
-    circles that a radius-class grid (``packing._circles_near``) puts near
-    it, and arc ends are matched by bisection on each circle's angular
-    order.  The graph match reads the abstract graph straight off the arc
-    ends that the partition rule already matched: arc k joins its (from,
-    to) points, which is edge k of ``extract_with_arcs(r)``, so no
-    embedding is built.  The match is linear when point v is vertex v of
-    ``g``, as `realize` and the generators number them: the isomorphism
-    search then accepts the identity without searching.  Like extraction,
-    the match raises DegenerateArc when two points of a circle lie within
-    ``tol`` of each other.
+    Each rule takes near-linear time on circles spread out in x: a point
+    is tested only against the circles a sweep over x puts near it
+    (``packing._points_on_circles``), and arc ends are matched by
+    bisection on each circle's angular order.  The graph match reads the
+    abstract graph straight off the arc ends that the partition rule
+    already matched: arc k joins its (from, to) points, which is edge k of
+    ``extract_with_arcs(r)``, so no embedding is built.  The match is
+    linear when point v is vertex v of ``g``, as `realize` and the
+    generators number them: the isomorphism search then accepts the
+    identity without searching.  Like extraction, it raises DegenerateArc
+    when two points of a circle lie within ``tol`` of each other.
     """
     _check_tol(tol)
     report = VerifyReport([], len(r.circles), len(r.points))
 
     circles = r.circles
-    near = _circles_near(circles, tol)
-    for pid, (x, y, on, kind) in enumerate(r.points):
-        hits = []
-        for ci in near(x, y):
-            cx, cy, cr = circles[ci]
-            if abs(math.hypot(x - cx, y - cy) - cr) <= tol * cr:
-                hits.append(ci)
-        hits.sort()
+    on_circles = _points_on_circles(circles, r.points, tol)
+    for pid, ((_, _, on, kind), hits) in enumerate(zip(r.points, on_circles)):
         if len(hits) != 2 or len(on) != 2 or set(hits) != set(on):
             report.add(
                 "point-on-two-circles",

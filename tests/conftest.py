@@ -336,7 +336,8 @@ def out_degree_counts(d):
 
 def scan_hits(circles, x, y, tol):
     """Ids of the circles that (x, y) lies on within ``tol``, ascending, by
-    testing every circle: the oracle for ``packing._circles_near``."""
+    testing every circle: the oracle for the sweep of
+    ``packing._points_on_circles``."""
     return [ci for ci, c in enumerate(circles)
             if abs(math.hypot(x - c.cx, y - c.cy) - c.r) <= tol * c.r]
 
@@ -383,8 +384,9 @@ def scan_verify(monkeypatch, r, g=None, tol=1e-8):
     and every arc end matched by ``scan_arc_ends``: the report, or the type
     and text of the error it raised."""
     with monkeypatch.context() as m:
-        m.setattr(realization, "_circles_near",
-                  lambda circles, tol: lambda x, y: range(len(circles)))
+        m.setattr(realization, "_points_on_circles",
+                  lambda circles, points, tol: [scan_hits(circles, p.x, p.y, tol)
+                                                for p in points])
         m.setattr(realization, "_arc_ends", scan_arc_ends)
         return verify_outcome(r, g, tol)
 

@@ -1,6 +1,6 @@
 """The near-linear steps of ``verify_realization`` against the linear scans
-they replace: the radius-class grid of the point rule, arc ends matched by
-bisection, and the report built from both, with and without a graph."""
+they replace: the sweep of the point rule, arc ends matched by bisection,
+and the report built from both, with and without a graph."""
 
 import math
 import random
@@ -20,7 +20,7 @@ from circlesystems.generators import (
     tetrahedron,
     upper_bound_family,
 )
-from circlesystems.packing import _BOX_MARGIN, Circle, _circles_near
+from circlesystems.packing import _BOX_MARGIN, Circle, _points_on_circles
 from circlesystems.realization import (
     KIND_CROSS,
     TWO_PI,
@@ -46,17 +46,16 @@ TOLS = [0.0, 1e-12, 1e-8, 1.0, 1e300]
 # -- the point rule ------------------------------------------------------------
 
 
-def _cell_side(r, tol):
-    """Cell side of the grid class of radius ``r``, as the index builds it."""
-    e = math.frexp(r)[1]
-    return (1.0 + tol) * (1.0 + 2.0 * _BOX_MARGIN) * math.ldexp(1.0, e + 1)
+def _scan_all(circles, points, tol):
+    return [scan_hits(circles, x, y, tol) for x, y in points]
 
 
 @st.composite
 def _circles_and_points(draw):
     """Circles with radii spread over up to six decades, some repeated, and
-    points on them within ``tol``, just off that, on cell boundaries and at
-    random; with the tol they were placed for."""
+    points on them within ``tol``, just off that, on the edges of a circle's
+    padded extent and a hair outside them, and at random; with the tol they
+    were placed for."""
     tol = draw(st.sampled_from(TOLS))
     spread = draw(st.sampled_from([0.0, 2.0, 6.0]))
     n = draw(st.integers(1, 12))
@@ -72,7 +71,7 @@ def _circles_and_points(draw):
     points = []
     for _ in range(draw(st.integers(1, 12))):
         c = draw(st.sampled_from(circles))
-        where = draw(st.sampled_from(["on", "edge", "cell", "random"]))
+        where = draw(st.sampled_from(["on", "edge", "extent", "random"]))
         theta = draw(st.floats(0.0, TWO_PI))
         if where == "on":
             d = c.r * (1.0 + draw(st.floats(-1.0, 1.0)) * min(tol, 1.0))
@@ -82,13 +81,18 @@ def _circles_and_points(draw):
         else:
             d = c.r * draw(st.floats(0.0, 3.0))
         x, y = c.cx + d * math.cos(theta), c.cy + d * math.sin(theta)
-        if where == "cell":  # snap x or y onto a cell boundary of some class
-            side = _cell_side(draw(st.sampled_from(circles)).r, tol)
-            if math.isfinite(side):
-                k = math.floor(x / side) + draw(st.sampled_from([0, 1]))
-                x = k * side
-                if draw(st.booleans()):
-                    x = math.nextafter(x, -math.inf)
+        if where == "extent":  # x or y on an extent edge of some circle
+            other = draw(st.sampled_from(circles))
+            # the half-width as the sweep rounds it, to either side
+            h = (other.r * ((1.0 + tol) * (1.0 + _BOX_MARGIN))
+                 * draw(st.sampled_from([-1.0, 1.0])))
+            outside = math.copysign(math.inf, h)
+            if draw(st.booleans()):
+                x = other.cx + h
+                points.append((math.nextafter(x, outside), y))
+            else:
+                y = other.cy + h
+                points.append((x, math.nextafter(y, outside)))
         points.append((x, y))
     return circles, points, tol
 
@@ -97,24 +101,18 @@ def _circles_and_points(draw):
 @given(case=_circles_and_points())
 def test_grid_finds_exactly_the_circles_the_scan_finds(case):
     circles, points, tol = case
-    near = _circles_near(circles, tol)
-    for x, y in points:
-        found = list(near(x, y))
-        assert len(found) == len(set(found))
-        hits = sorted(ci for ci in found
-                      if abs(math.hypot(x - circles[ci].cx, y - circles[ci].cy)
-                             - circles[ci].r) <= tol * circles[ci].r)
-        assert hits == scan_hits(circles, x, y, tol), (x, y)
+    assert (_points_on_circles(circles, points, tol)
+            == _scan_all(circles, points, tol))
 
 
 def test_grid_keeps_points_that_round_onto_a_circle_from_outside_its_box():
-    # the circle's box starts at x = 0, a cell boundary; a point a hair left
-    # of it is on the circle once hypot rounds, and lies in the cell before
+    # the circle's unpadded x-extent starts at 0; a point a hair left of it
+    # is on the circle once hypot rounds, and the pad keeps it a candidate
     c = Circle(0.75, -0.75, 0.75)
     for tol in (0.0, 1e-12):
         for x, y in ((-1e-17, -0.75), (0.75, 1e-17), (-1e-300, -0.75)):
             assert scan_hits([c], x, y, tol) == [0]
-            assert list(_circles_near([c], tol)(x, y)) == [0]
+            assert _points_on_circles([c], [(x, y)], tol) == [[0]]
 
 
 def test_grid_holds_circles_it_cannot_bucket():
@@ -125,24 +123,38 @@ def test_grid_holds_circles_it_cannot_bucket():
     probes = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1e308, 0.0), (math.inf, 0.0),
               (math.nan, 1.0), (-math.inf, math.inf), (1e-310, 0.0)]
     for tol in TOLS:
-        near = _circles_near(odd, tol)
-        for x, y in probes:
-            found = list(near(x, y))
-            hits = sorted(ci for ci in found
-                          if abs(math.hypot(x - odd[ci].cx, y - odd[ci].cy)
-                                 - odd[ci].r) <= tol * odd[ci].r)
-            assert hits == scan_hits(odd, x, y, tol), (x, y, tol)
+        assert _points_on_circles(odd, probes, tol) == _scan_all(odd, probes, tol), tol
+
+
+def test_sweep_extent_holds_circles_too_small_for_a_relative_pad():
+    # at radius 3 * 2**-1074 and tol 0.5, r(1 + tol) rounds to 4 * 2**-1074
+    # and no relative pad lifts it, yet a point at 5 * 2**-1074 is on the
+    # circle: the extent must be the one product r * (1 + tol)(1 + pad)
+    unit = math.ulp(0.0)
+    circles = [Circle(0.0, 0.0, k * unit) for k in range(1, 9)]
+    points = [(k * unit, 0.0) for k in range(12)]
+    for tol in TOLS + [0.5, 1.5]:
+        assert (_points_on_circles(circles, points, tol)
+                == _scan_all(circles, points, tol))
+    assert scan_hits(circles, 5 * unit, 0.0, 0.5)[0] == 2
+
+
+def test_sweep_tests_circles_off_the_plane_against_every_point():
+    # tol * r overflows, and hypot(-inf, nan) is inf: the scan puts every
+    # finite point on this circle, though no extent can hold them
+    circles = [Circle(math.inf, math.nan, 1e300), Circle(math.nan, -math.inf, 1e300)]
+    points = [(0.0, 0.0), (-3.0, 1e308), (5.0, -2.0)]
+    assert _points_on_circles(circles, points, 1e300) == [[0, 1]] * 3
+    assert _scan_all(circles, points, 1e300) == [[0, 1]] * 3
 
 
 def test_grid_visits_each_circle_once_whatever_the_tol():
-    # a cell side that does not grow with tol would register a circle in
-    # ever more cells; every circle must come back at most once per point
+    # a reach that grows with tol must still list every circle once per
+    # point, each point's ids ascending
     circles = [Circle(3.0 * i, 0.0, 2.0 ** (i % 7 - 3)) for i in range(40)]
+    points = [(3.0 * i + 0.5, 0.25) for i in range(40)]
     for tol in (1e3, 1e300):
-        near = _circles_near(circles, tol)
-        for i in range(40):
-            found = list(near(3.0 * i + 0.5, 0.25))
-            assert sorted(found) == list(range(40))
+        assert _points_on_circles(circles, points, tol) == [list(range(40))] * 40
 
 
 # -- arc ends ------------------------------------------------------------------

@@ -337,6 +337,11 @@ def test_build_embedding_refuses_malformed_rows(rows, message):
      "some darts missing from the rotation lists"),
     ([[0], [1]], [0, 1], [1, 0], 1, "outer face id 1 out of range"),
     ([[0], [1]], [0, 1], [1, 0], -1, "outer face id -1 out of range"),
+    # dart ids outside range(2): -1 would index from the end
+    ([[0], [-1]], [0, 1], [1, 0], None,
+     "rotation lists do not partition the darts"),
+    ([[0], [5]], [0, 1], [1, 0], None,
+     "rotation lists do not partition the darts"),
 ])
 def test_constructor_refuses_malformed_darts(rotation, tails, revs, outer,
                                               message):

@@ -212,6 +212,15 @@ def test_smooth_removes_subdivision_point():
     assert abs(total_extent - sum(a.extent for a in r.arcs)) < 1e-9
 
 
+def test_smoothing_refuses_a_circle_whose_points_all_have_degree_two():
+    points = [RealPoint(math.cos(t), math.sin(t), (0, 0), "TOUCH")
+              for t in (0.0, 2.0, 4.0)]
+    r = realization._assemble([Circle(0.0, 0.0, 1.0)], points)[0]
+    for call in (smooth_degree_two, lambda r: equivalent(r, r)):
+        with pytest.raises(ValueError, match="^circle 0 would lose all its points$"):
+            call(r)
+
+
 def test_smoothed_split_still_equivalent():
     r = canonical_octahedron_realization(RealizationClass.FOUR_TOUCHING_DISJOINT)
     assert equivalent(r, _with_split_arc(r))

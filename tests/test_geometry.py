@@ -11,6 +11,7 @@ from circlesystems.geometry import (
     CONFIG_TOL,
     EXTERIOR,
     INTERIOR,
+    SAMPLE_TRIES,
     ArcPairConfig,
     _arc_pair_fault,
     descartes_check,
@@ -182,6 +183,28 @@ def test_arc_inequality_on_samples():
             inner = cfg.beta_p - cfg.alpha_p
             assert (cfg.alpha_p - cfg.alpha) - inner > 1e-12
             assert (cfg.beta - cfg.beta_p) - inner > 1e-12
+
+
+class _MiddleDraws:
+    """An rng whose every draw is 0.5, counting its draws."""
+
+    def __init__(self):
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return 0.5
+
+
+@pytest.mark.parametrize("side", [INTERIOR, EXTERIOR])
+def test_sampler_gives_up_after_its_tries(side):
+    # with every draw in the middle the alpha and alpha' circles cross on
+    # both sides, so each candidate is refused after its six draws
+    rng = _MiddleDraws()
+    with pytest.raises(InvalidConfig,
+                       match=f"^no valid configuration after {SAMPLE_TRIES} tries$"):
+        sample_arc_pair_config(rng, side)
+    assert rng.draws == 6 * SAMPLE_TRIES
 
 
 def test_arc_inequality_symmetric_config():

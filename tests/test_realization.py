@@ -13,6 +13,7 @@ from circlesystems.errors import (
     DegenerateArc,
     DomainError,
     MalformedRealization,
+    NoInnermostFace,
     NotThreeConnected,
     TooSmall,
 )
@@ -277,6 +278,12 @@ def test_bounds_ordering_and_exactness(n):
 def test_innermost_face_arc(kind):
     r = canonical_octahedron_realization(kind)
     assert innermost_face_arc_check(r) is True
+
+
+def test_innermost_face_arc_needs_one_face_apart_from_the_outer_face():
+    # flower(4) is no octahedron: five faces share no point with its outer one
+    with pytest.raises(NoInnermostFace, match=r"found \[3, 4, 5, 7, 13\]$"):
+        innermost_face_arc_check(flower(4)[1])
 
 
 def test_extract_rejects_coincident_points(octa):
