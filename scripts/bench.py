@@ -33,7 +33,9 @@ unmeasured, is null.
 The record goes to ``BENCH_<label>.json`` in ``--outdir`` (the root of this
 checkout by default, created if missing), after the diff against the
 ``BENCH_*.json`` there that git history added last is printed; a checkout
-gives every record one mtime, so the mtime cannot tell.  Without a git
+gives every record one mtime, so the mtime cannot tell.  The diff's
+header says that the two records were timed at different times, perhaps
+on a shared machine, and points to ``--against``.  Without a git
 history of such a record the script says so and prints no diff.  The
 package is imported from ``src/`` of this checkout.
 
@@ -424,6 +426,8 @@ def main():
               f"{args.outdir}: no diff")
     else:
         print(f"\ndiff against {last.name}")
+        print("(runs made at different times, maybe on a shared machine; "
+              "--against REV times both trees call by call)")
         print("\n".join(diff(json.loads(last.read_text()), record)))
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"\nwrote {out}")

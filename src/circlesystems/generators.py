@@ -13,8 +13,7 @@ from itertools import combinations
 from typing import NamedTuple
 
 from . import realization as rz
-from .embedding import (EmbeddedGraph, _check_size, build_embedding, dual,
-                        subdivide_edges)
+from .embedding import EmbeddedGraph, _check_size, build_embedding, dual
 from .equivalence import RealizationClass
 from .errors import DegenerateArc, DegenerateRadius
 from .packing import PACK_TOL, Circle, _circle_intersections, pack
@@ -212,9 +211,8 @@ def _splice(lists, rows, fixed, mirror=False):
     return table
 
 
-def gadget() -> GadgetFragment:
-    """Fragment whose skeleton is two triangles sharing the middle vertex,
-    with a hanging subgraph merged into each upper corner."""
+def _gadget_rows():
+    """The neighbour rows ``gadget()`` embeds."""
     # ids: 0 = endpoint 1, 1 = endpoint 2, 2 = middle, 3 = corner 1,
     # 4 = corner 2, 5..10 = first loop, 11..16 = second loop.  A loop is
     # the octahedron with its outer edge (0, 1) split by a merge vertex 6
@@ -230,18 +228,18 @@ def gadget() -> GadgetFragment:
     # the loops keep their internal order; skeleton darts flank them
     lists[3] = [left[0], left[1], 0, 2]
     lists[4] = [right[0], right[1], 2, 1]
-
-    graph = build_embedding(lists)
-    return GadgetFragment(
-        graph=graph,
-        endpoints=(0, 1),
-        skeleton={"v1": 0, "v2": 1, "w": 2, "w1": 3, "w2": 4},
-    )
+    return lists
 
 
-def bigadget() -> GadgetFragment:
-    """Cut-vertex-free variant: each hanging subgraph is biconnected and
-    attaches through a pair of adjacent degree-3 vertices."""
+def gadget() -> GadgetFragment:
+    """Fragment whose skeleton is two triangles sharing the middle vertex,
+    with a hanging subgraph merged into each upper corner."""
+    return GadgetFragment(build_embedding(_gadget_rows()), (0, 1),
+                          {"v1": 0, "v2": 1, "w": 2, "w1": 3, "w2": 4})
+
+
+def _bigadget_rows():
+    """The neighbour rows ``bigadget()`` embeds."""
     # ids: 0 = endpoint 1, 1 = endpoint 2, 2 = middle; biloop 1 on 3..9 with
     # attachment pair (3, 4); biloop 2 on 10..16 with pair (10, 11).  A
     # biloop is the octahedron with its outer vertex 0 (rotation
@@ -262,21 +260,15 @@ def bigadget() -> GadgetFragment:
     lists[4] = [left[4], left[2], 2, 3]
     lists[10] = [right[1], right[3], 11, 1]
     lists[11] = [right[4], right[2], 2, 10]
+    return lists
 
-    graph = build_embedding(lists)
+
+def bigadget() -> GadgetFragment:
+    """Cut-vertex-free variant: each hanging subgraph is biconnected and
+    attaches through a pair of adjacent degree-3 vertices."""
     return GadgetFragment(
-        graph=graph,
-        endpoints=(0, 1),
-        skeleton={
-            "v1": 0,
-            "v2": 1,
-            "w": 2,
-            "w1": 3,
-            "w1p": 4,
-            "w2": 10,
-            "w2p": 11,
-        },
-    )
+        build_embedding(_bigadget_rows()), (0, 1),
+        {"v1": 0, "v2": 1, "w": 2, "w1": 3, "w1p": 4, "w2": 10, "w2p": 11})
 
 
 GADGET = "GADGET"
@@ -318,23 +310,30 @@ def augment_octahedron(kind: str, pairs_per_edge: int = 2) -> EmbeddedGraph:
         raise ValueError("pairs_per_edge must be >= 2")
     if kind not in (GADGET, BIGADGET):
         raise ValueError(f"unknown kind {kind!r}")
-    fragment = gadget() if kind == GADGET else bigadget()
-    rows = fragment.graph.to_neighbor_lists()
+    # both fragments have their endpoints at ids 0 and 1
+    rows = _gadget_rows() if kind == GADGET else _bigadget_rows()
 
     base = octahedron()
     slots = 4 * pairs_per_edge
     blocks = _attachment_blocks(pairs_per_edge)
-    # edge eid becomes the path base.n + eid * slots onward, each path row
+    # edge eid becomes the path base.n + eid * slots onward, from the tail
+    # of its lower dart, as subdivide_edges numbers it; each path row is
     # [previous, next]; a fragment splices in between two of them, mirrored
     # on side R, and their rows gain its darts on that side
-    lists = subdivide_edges(base, slots).to_neighbor_lists()
+    lists = [[base.n + base.edge_of_dart[d] * slots
+              + (0 if d < base.dart_rev[d] else slots - 1) for d in rot]
+             for rot in base.rotation]
+    for eid, (d, r) in enumerate(base.edge_darts):
+        first = base.n + eid * slots
+        path = [base.dart_tail[d], *range(first, first + slots), base.dart_tail[r]]
+        lists += [[path[j], path[j + 2]] for j in range(slots)]
     for eid in range(base.edge_count):
         first = base.n + eid * slots
         for (sa, sb), side in blocks:
             ends = (first + sa - 1, first + sb - 1)
-            table = _splice(lists, rows, dict(zip(fragment.endpoints, ends)),
+            table = _splice(lists, rows, dict(enumerate(ends)),
                             mirror=side == "R")
-            for z, v in zip(ends, fragment.endpoints):
+            for v, z in enumerate(ends):
                 prev_v, next_v = lists[z]
                 g1, g2 = (table[w] for w in rows[v])
                 if side == "L":

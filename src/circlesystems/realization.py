@@ -98,10 +98,29 @@ def _angular_order(circles, points):
     return order
 
 
-def _nearest(pairs, angle):
-    """(gap, index) of the entry of ``pairs``, (angle, point id) sorted,
-    whose angle has the least ``_angle_gap`` to ``angle``, the first of
-    equal gaps; None when no gap is a number.
+def _exact_ends(pairs):
+    """Each angle of ``pairs``, (angle, point id) sorted, mapped to its
+    point when ``_nearest``'s tie guard holds both neighbours off: an arc
+    end equal to the angle is at gap 0 from that point and no other.
+    Empty unless every angle lies in [0, 2 pi], where the circular order
+    is the sorted one (a NaN can leave ``pairs`` unsorted)."""
+    at = {}
+    for (b, _), (a, p), (c, _) in zip(pairs[-1:] + pairs[:-1], pairs,
+                                      pairs[1:] + pairs[:1]):
+        if not 0.0 <= a <= TWO_PI:
+            return {}
+        q = a % TWO_PI
+        w = (abs(a) + 16.0) * 2.0 ** -50
+        if (q - b) % TWO_PI > w and (c - q) % TWO_PI > w:
+            at[a] = p
+    return at
+
+
+def _nearest(pairs, angle, tol):
+    """Point id of the entry of ``pairs``, (angle, point id) sorted, whose
+    angle has the least ``_angle_gap`` to the arc end ``angle``, the first
+    of equal gaps; None when that gap exceeds ``tol`` or no gap is a
+    number.  Ends that ``_exact_ends`` does not hold come here.
 
     A bisection finds the entries on either side of ``angle``.  A computed
     gap is off the true circular distance by less than (|angle| + 16) *
@@ -118,28 +137,12 @@ def _nearest(pairs, angle):
     w = min(gl, gr) + (abs(angle) + 16.0) * 2.0 ** -50
     if ((q - pairs[(i - 2) % k][0]) % TWO_PI > w
             and (pairs[(i + 1) % k][0] - q) % TWO_PI > w):
-        return min((gl, left), (gr, right))
-    gaps = [(gap, j) for j, (a, _) in enumerate(pairs)
-            if (gap := _angle_gap(a, angle)) == gap]
-    return min(gaps) if gaps else None
-
-
-def _arc_ends(order, arc, tol):
-    """(from, to) point ids of an arc: at each end, the point of its
-    circle's angular order nearest to the end angle, the first winning
-    ties; None when an end is farther than ``tol`` from every point, or
-    is not a finite angle."""
-    ci, from_angle, to_angle, _ = arc
-    pairs = order[ci]
-    if not pairs:
-        return None
-    ends = []
-    for angle in (from_angle, to_angle):
-        found = _nearest(pairs, angle)
-        if found is None or found[0] > tol:
-            return None
-        ends.append(pairs[found[1]][1])
-    return tuple(ends)
+        found = min((gl, left), (gr, right))
+    else:
+        gaps = [(gap, j) for j, (a, _) in enumerate(pairs)
+                if (gap := _angle_gap(a, angle)) == gap]
+        found = min(gaps) if gaps else None
+    return None if found is None or found[0] > tol else pairs[found[1]][1]
 
 
 def _assemble(circles, points):
@@ -223,9 +226,18 @@ def _arc_partition_faults(order, arcs, tol):
                 f"circle {ci} has {len(on_circle)} arcs for {len(pairs)} points"
             )
             continue
-        succ = {p: q for (_, p), (_, q) in zip(pairs, pairs[1:] + pairs[:1])}
+        pids = [p for _, p in pairs]
+        succ = dict(zip(pids, pids[1:] + pids[:1]))
+        at = _exact_ends(pairs)
         for i in on_circle:
-            ends[i] = _arc_ends(order, arcs[i], tol)
+            _, a, b, _ = arcs[i]
+            e = (at[a] if a in at else _nearest(pairs, a, tol),
+                 at[b] if b in at else _nearest(pairs, b, tol))
+            ends[i] = None if None in e else e
+        # k distinct ends, each a point and its successor: no fault
+        joined = {ends[i] for i in on_circle}
+        if len(joined) == len(on_circle) and joined == succ.items():
+            continue
         starts = Counter(ends[i][0] for i in on_circle if ends[i] is not None)
         for i in on_circle:
             e = ends[i]
@@ -365,6 +377,38 @@ def _check_apart(order, tol):
                     )
 
 
+def _rotation(keyed):
+    """The darts of ``keyed``, the (tangent mod 2 pi, curvature, dart)
+    triples of one point, which it sorts, in rotation order at the point:
+    the sorted order when the tangents lie 1e-6 apart or more, also across
+    angle 0.  Otherwise tangents within 1e-6 of the first of their group
+    join it, the last group continues the first one across angle 0, and
+    curvature orders each group."""
+    keyed.sort()
+    if not keyed or keyed[0][0] + TWO_PI - keyed[-1][0] >= 1e-6:
+        prev = -math.inf
+        for tau, _, _ in keyed:
+            if not tau - prev >= 1e-6:
+                break
+            prev = tau
+        else:
+            return [d for _, _, d in keyed]
+    groups = []
+    for tau, kappa, d in keyed:
+        if groups and abs(tau - first) < 1e-6:
+            group.append((kappa, d))
+        else:
+            first, group = tau, [(kappa, d)]
+            groups.append(group)
+    if len(groups) > 1 and keyed[0][0] + TWO_PI - keyed[-1][0] < 1e-6:
+        groups[0] += groups.pop()
+    row = []
+    for group in groups:
+        group.sort()
+        row += [d for _, d in group]
+    return row
+
+
 def _extract(r: Realization, order, ends, tol) -> EmbeddedGraph:
     """``extract_with_arcs`` of ``r`` from its angular order and ``ends``,
     the (from, to) point ids of every arc in arc order, which partition
@@ -378,59 +422,36 @@ def _extract(r: Realization, order, ends, tol) -> EmbeddedGraph:
             zip(r.arcs, ends)):
         _, _, cr = r.circles[ci]
         # departing ccw from the from-end: tangent angle + pi/2, curving left
-        germs[p_from].append((from_angle + math.pi / 2.0, 1.0 / cr, 2 * k))
+        germs[p_from].append(((from_angle + math.pi / 2.0) % TWO_PI, 1.0 / cr, 2 * k))
         # departing cw from the to-end: tangent angle - pi/2, curving right
-        germs[p_to].append((to_angle - math.pi / 2.0, -1.0 / cr, 2 * k + 1))
+        germs[p_to].append(((to_angle - math.pi / 2.0) % TWO_PI, -1.0 / cr, 2 * k + 1))
 
-    dart_tail = [0] * (2 * len(r.arcs))
-    rotation = []
-    for pid, lst in enumerate(germs):
-        keyed = sorted(
-            ((tau % TWO_PI, kappa, d) for (tau, kappa, d) in lst),
-        )
-        # group near-equal tangents so curvature decides the order
-        merged = []
-        for tau, kappa, d in keyed:
-            if merged and abs(tau - merged[-1][0]) < 1e-6:
-                merged[-1][1].append((kappa, d))
-            else:
-                merged.append((tau, [(kappa, d)]))
-        if len(merged) > 1 and keyed[0][0] + TWO_PI - keyed[-1][0] < 1e-6:
-            # the last group continues the first one across angle 0
-            merged[0][1].extend(merged.pop()[1])
-        row = []
-        for _, group in merged:
-            group.sort()
-            row.extend(d for _, d in group)
-        rotation.append(row)
-        for d in row:
-            dart_tail[d] = pid
-
+    # dart 2k leaves the from-end of arc k, dart 2k + 1 its to-end
+    dart_tail = [p for pair in ends for p in pair]
     dart_rev = [d ^ 1 for d in range(2 * len(r.arcs))]
-    return EmbeddedGraph(rotation, dart_tail, dart_rev)
+    return EmbeddedGraph([_rotation(keyed) for keyed in germs], dart_tail, dart_rev)
 
 
 def outer_face_of(r: Realization, g: EmbeddedGraph) -> int:
     """The face of ``g = extract_with_arcs(r)`` of greatest signed area.
     With the face-on-the-right convention, bounded faces come out negative
     and the outer face positive."""
+    # per dart, the chord term and the sector term of the area under it; a
+    # clockwise dart's terms are the counterclockwise ones negated, exactly
+    terms = []
+    for ci, from_angle, to_angle, _ in r.arcs:
+        cx, cy, cr = r.circles[ci]
+        sx, sy = cx + cr * math.cos(from_angle), cy + cr * math.sin(from_angle)
+        ex, ey = cx + cr * math.cos(to_angle), cy + cr * math.sin(to_angle)
+        chord = 0.5 * (cx * (ey - sy) - cy * (ex - sx))
+        sector = 0.5 * cr * cr * ((to_angle - from_angle) % TWO_PI)
+        terms += [(chord, sector), (-chord, -sector)]
     areas = []
     for cycle in g.faces:
         total = 0.0
         for d in cycle:
-            arc = r.arcs[d >> 1]
-            ci, from_angle, to_angle, _ = arc
-            cx, cy, cr = r.circles[ci]
-            if d & 1:  # clockwise
-                start, end, sweep = to_angle, from_angle, -arc.extent
-            else:
-                start, end, sweep = from_angle, to_angle, arc.extent
-            sx = cx + cr * math.cos(start)
-            sy = cy + cr * math.sin(start)
-            ex = cx + cr * math.cos(end)
-            ey = cy + cr * math.sin(end)
-            total += 0.5 * (cx * (ey - sy) - cy * (ex - sx))
-            total += 0.5 * cr * cr * sweep
+            chord, sector = terms[d]
+            total = total + chord + sector
         areas.append(total)
     return max(range(len(areas)), key=lambda f: areas[f])
 
@@ -467,8 +488,9 @@ def verify_realization(r: Realization, g: EmbeddedGraph | None = None,
 
     Each rule takes near-linear time on circles spread out in x: a point
     is tested only against the circles a sweep over x puts near it
-    (``packing._points_on_circles``), and arc ends are matched by
-    bisection on each circle's angular order.  The graph match reads the
+    (``packing._points_on_circles``), and an arc end is looked up by its
+    exact angle, with bisection on its circle's angular order as the
+    fallback (``_exact_ends``, ``_nearest``).  The graph match reads the
     abstract graph straight off the arc ends that the partition rule
     already matched: arc k joins its (from, to) points, which is edge k of
     ``extract_with_arcs(r)``, so no embedding is built.  The match is

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from bisect import bisect_left
 from collections import Counter, defaultdict
 from heapq import heapify, heappop, heappush
 from operator import add, mul, sub, truediv
@@ -363,32 +364,180 @@ def all_pairs_residuals(circles, g):
     return tangency, overlap
 
 
+def scan_end(pairs, angle, tol):
+    """The point id of the entry of ``pairs`` nearest to ``angle`` by a
+    linear scan, the first winning ties; None when it is farther than
+    ``tol``."""
+    a, pid = min(pairs, key=lambda e: _angle_gap(e[0], angle))
+    return None if _angle_gap(a, angle) > tol else pid
+
+
 def scan_arc_ends(order, arc, tol):
-    """``realization._arc_ends`` by a linear scan of the arc's circle: at
-    each end the point nearest to the end angle, the first winning ties;
-    None when an end is farther than ``tol`` from every point."""
+    """Both ends of ``arc`` by ``scan_end`` on its circle's angular order:
+    the (from, to) point ids, or None when an end is farther than ``tol``
+    from every point."""
     pairs = order[arc.circle]
     if not pairs:
         return None
-    ends = []
-    for angle in (arc.from_angle, arc.to_angle):
-        a, pid = min(pairs, key=lambda e: _angle_gap(e[0], angle))
-        if _angle_gap(a, angle) > tol:
-            return None
-        ends.append(pid)
-    return tuple(ends)
+    ends = [scan_end(pairs, angle, tol) for angle in (arc.from_angle, arc.to_angle)]
+    return None if None in ends else tuple(ends)
 
 
 def scan_verify(monkeypatch, r, g=None, tol=1e-8):
     """``verify_realization`` with every point tested against every circle
-    and every arc end matched by ``scan_arc_ends``: the report, or the type
-    and text of the error it raised."""
+    and every arc end matched by ``scan_end``: the report, or the type and
+    text of the error it raised."""
     with monkeypatch.context() as m:
         m.setattr(realization, "_points_on_circles",
                   lambda circles, points, tol: [scan_hits(circles, p.x, p.y, tol)
                                                 for p in points])
-        m.setattr(realization, "_arc_ends", scan_arc_ends)
+        m.setattr(realization, "_exact_ends", lambda pairs: {})
+        m.setattr(realization, "_nearest", scan_end)
         return verify_outcome(r, g, tol)
+
+
+# -- the read of a system as it was before ends were looked up by exact
+# angle, rotations taken from one sort and the outer face from one pass
+# over the arcs: the oracles for ``realization._arc_partition_faults``,
+# ``_extract`` and ``outer_face_of``
+
+
+def bisected_nearest(pairs, angle):
+    """(gap, index) of the entry of ``pairs``, (angle, point id) sorted,
+    whose angle has the least ``_angle_gap`` to ``angle``, the first of
+    equal gaps; None when no gap is a number.  A bisection, with the scan
+    for crowded angles."""
+    k = len(pairs)
+    q = angle % realization.TWO_PI
+    i = bisect_left(pairs, (q,))
+    left, right = (i - 1) % k, i % k
+    gl = _angle_gap(pairs[left][0], angle)
+    gr = _angle_gap(pairs[right][0], angle)
+    w = min(gl, gr) + (abs(angle) + 16.0) * 2.0 ** -50
+    if ((q - pairs[(i - 2) % k][0]) % realization.TWO_PI > w
+            and (pairs[(i + 1) % k][0] - q) % realization.TWO_PI > w):
+        return min((gl, left), (gr, right))
+    gaps = [(gap, j) for j, (a, _) in enumerate(pairs)
+            if (gap := _angle_gap(a, angle)) == gap]
+    return min(gaps) if gaps else None
+
+
+def bisection_arc_ends(order, arc, tol):
+    """(from, to) point ids of an arc: at each end, the point of its
+    circle's angular order that ``bisected_nearest`` finds; None when an
+    end is farther than ``tol`` from every point, or is not a finite
+    angle."""
+    ci, from_angle, to_angle, _ = arc
+    pairs = order[ci]
+    if not pairs:
+        return None
+    ends = []
+    for angle in (from_angle, to_angle):
+        found = bisected_nearest(pairs, angle)
+        if found is None or found[0] > tol:
+            return None
+        ends.append(pairs[found[1]][1])
+    return tuple(ends)
+
+
+def bisection_partition_faults(order, arcs, tol):
+    """``realization._arc_partition_faults`` with every arc's ends matched
+    by ``bisection_arc_ends``."""
+    by_circle = [[] for _ in order]
+    faults = []
+    for i, a in enumerate(arcs):
+        if 0 <= a.circle < len(order):
+            by_circle[a.circle].append(i)
+        else:
+            faults.append(f"arc {a} names a missing circle; there are "
+                          f"{len(order)} circles")
+    ends = [None] * len(arcs)
+    for ci, pairs in enumerate(order):
+        if not pairs:
+            continue
+        on_circle = by_circle[ci]
+        if len(on_circle) != len(pairs):
+            faults.append(
+                f"circle {ci} has {len(on_circle)} arcs for {len(pairs)} points"
+            )
+            continue
+        succ = {p: q for (_, p), (_, q) in zip(pairs, pairs[1:] + pairs[:1])}
+        for i in on_circle:
+            ends[i] = bisection_arc_ends(order, arcs[i], tol)
+        starts = Counter(ends[i][0] for i in on_circle if ends[i] is not None)
+        for i in on_circle:
+            e = ends[i]
+            if e is None or starts[e[0]] > 1 or succ[e[0]] != e[1]:
+                faults.append(
+                    f"arc {arcs[i]} does not join consecutive points of circle {ci}"
+                )
+    return faults, ends
+
+
+def grouped_row(keyed):
+    """The rotation row of one point from its (tangent mod 2 pi, curvature,
+    dart) triples, sorted: tangents within 1e-6 of the first of their
+    group join it, the last group continues the first one across angle 0,
+    and curvature orders each group."""
+    merged = []
+    for tau, kappa, d in keyed:
+        if merged and abs(tau - merged[-1][0]) < 1e-6:
+            merged[-1][1].append((kappa, d))
+        else:
+            merged.append((tau, [(kappa, d)]))
+    if (len(merged) > 1
+            and keyed[0][0] + realization.TWO_PI - keyed[-1][0] < 1e-6):
+        merged[0][1].extend(merged.pop()[1])
+    row = []
+    for _, group in merged:
+        group.sort()
+        row.extend(d for _, d in group)
+    return row
+
+
+def grouping_extract(r, order, ends, tol):
+    """``realization._extract`` with the rotation at every point made by
+    ``grouped_row``, whatever its tangents."""
+    realization._check_apart(order, tol)
+    germs = [[] for _ in r.points]
+    for k, ((ci, from_angle, to_angle, _), (p_from, p_to)) in enumerate(
+            zip(r.arcs, ends)):
+        _, _, cr = r.circles[ci]
+        germs[p_from].append((from_angle + math.pi / 2.0, 1.0 / cr, 2 * k))
+        germs[p_to].append((to_angle - math.pi / 2.0, -1.0 / cr, 2 * k + 1))
+    dart_tail = [0] * (2 * len(r.arcs))
+    rotation = []
+    for pid, lst in enumerate(germs):
+        row = grouped_row(sorted((tau % realization.TWO_PI, kappa, d)
+                                 for tau, kappa, d in lst))
+        rotation.append(row)
+        for d in row:
+            dart_tail[d] = pid
+    return EmbeddedGraph(rotation, dart_tail, [d ^ 1 for d in range(2 * len(r.arcs))])
+
+
+def per_dart_outer_face(r, g):
+    """``realization.outer_face_of`` with both ends of an arc placed on
+    its circle again for each of its darts."""
+    areas = []
+    for cycle in g.faces:
+        total = 0.0
+        for d in cycle:
+            arc = r.arcs[d >> 1]
+            ci, from_angle, to_angle, _ = arc
+            cx, cy, cr = r.circles[ci]
+            if d & 1:  # clockwise
+                start, end, sweep = to_angle, from_angle, -arc.extent
+            else:
+                start, end, sweep = from_angle, to_angle, arc.extent
+            sx = cx + cr * math.cos(start)
+            sy = cy + cr * math.sin(start)
+            ex = cx + cr * math.cos(end)
+            ey = cy + cr * math.sin(end)
+            total += 0.5 * (cx * (ey - sy) - cy * (ex - sx))
+            total += 0.5 * cr * cr * sweep
+        areas.append(total)
+    return max(range(len(areas)), key=lambda f: areas[f])
 
 
 def verify_outcome(r, g=None, tol=1e-8):
@@ -418,6 +567,35 @@ def subdivided_rows(g, k):
         for j in range(k):
             rows.append([path[j], path[j + 2]])
     return rows
+
+
+def embedded_augment_rows(kind, pairs_per_edge):
+    """``generators.augment_octahedron``'s neighbour rows as they were built
+    through embeddings: the subdivided octahedron's rows from
+    ``subdivide_edges`` and the fragment's from ``gadget()`` or
+    ``bigadget()``, with each fragment spliced in between two path
+    vertices."""
+    from circlesystems import generators
+    from circlesystems.embedding import subdivide_edges
+
+    fragment = (generators.gadget() if kind == generators.GADGET
+                else generators.bigadget())
+    rows = fragment.graph.to_neighbor_lists()
+    base = octahedron()
+    slots = 4 * pairs_per_edge
+    lists = subdivide_edges(base, slots).to_neighbor_lists()
+    for eid in range(base.edge_count):
+        first = base.n + eid * slots
+        for (sa, sb), side in generators._attachment_blocks(pairs_per_edge):
+            ends = (first + sa - 1, first + sb - 1)
+            table = generators._splice(lists, rows, dict(zip(fragment.endpoints, ends)),
+                                       mirror=side == "R")
+            for z, v in zip(ends, fragment.endpoints):
+                prev_v, next_v = lists[z]
+                g1, g2 = (table[w] for w in rows[v])
+                lists[z] = ([next_v, g1, g2, prev_v] if side == "L"
+                            else [next_v, prev_v, g2, g1])
+    return lists
 
 
 def _subst(row, old, new):

@@ -1,6 +1,7 @@
 """The near-linear steps of ``verify_realization`` against the linear scans
-they replace: the sweep of the point rule, arc ends matched by bisection,
-and the report built from both, with and without a graph."""
+they replace: the sweep of the point rule, arc ends matched by exact
+angle with bisection as the fallback, and the report built from both,
+with and without a graph."""
 
 import math
 import random
@@ -27,12 +28,14 @@ from circlesystems.realization import (
     Arc,
     RealPoint,
     Realization,
-    _arc_ends,
+    _arc_partition_faults,
+    _exact_ends,
     realize,
     verify_realization,
 )
 
 from conftest import (
+    bisection_arc_ends,
     relabel_graph,
     scan_arc_ends,
     scan_hits,
@@ -190,11 +193,20 @@ def _order_and_arc(draw):
     return [pairs], arc
 
 
+def _ends(order, arc, tol):
+    """Both ends of ``arc`` as ``_arc_partition_faults`` matches them: by
+    ``_exact_ends`` where an end equals an isolated point angle, by
+    ``_nearest`` otherwise.  The arc is given once per point of its
+    circle, so that the partition check matches its ends."""
+    return _arc_partition_faults(order, [arc] * len(order[arc.circle]), tol)[1][0]
+
+
 @settings(max_examples=600, deadline=None)
 @given(case=_order_and_arc(), tol=st.sampled_from(TOLS + [math.inf]))
 def test_arc_ends_match_the_scan(case, tol):
     order, arc = case
-    assert _arc_ends(order, arc, tol) == scan_arc_ends(order, arc, tol)
+    assert _ends(order, arc, tol) == scan_arc_ends(order, arc, tol)
+    assert _ends(order, arc, tol) == bisection_arc_ends(order, arc, tol)
 
 
 @pytest.mark.parametrize("tol", TOLS + [math.inf])
@@ -205,16 +217,19 @@ def test_arc_ends_with_runs_of_equal_angles(tol):
         for start in (0.0, -0.0, 1.0, TWO_PI, -1e-17, 1e-17, 1.0 - 1e-16,
                       4.0 + TWO_PI, -TWO_PI, 7.0, math.pi):
             arc = Arc(0, start, start + 1.0, 0)
-            assert _arc_ends(order, arc, tol) == scan_arc_ends(order, arc, tol)
+            assert _ends(order, arc, tol) == scan_arc_ends(order, arc, tol)
 
 
 def test_arc_ends_that_are_not_angles_match_no_point():
     order = [[(0.5, 0), (2.0, 1), (4.0, 2)], [(math.nan, 3), (1.0, 4)]]
     for end in (math.nan, math.inf, -math.inf):
-        assert _arc_ends(order, Arc(0, end, 2.0, 0), math.inf) is None
-        assert _arc_ends(order, Arc(0, 0.5, end, 0), 1.0) is None
-    # a point at a NaN angle is matched by nothing
-    assert _arc_ends(order, Arc(1, 1.0, 1.0, 0), 10.0) == (4, 4)
+        assert _ends(order, Arc(0, end, 2.0, 0), math.inf) is None
+        assert _ends(order, Arc(0, 0.5, end, 0), 1.0) is None
+    # a point at a NaN angle is matched by nothing, not even by the NaN
+    # object itself, which a dict finds by identity
+    assert _ends(order, Arc(1, 1.0, 1.0, 0), 10.0) == (4, 4)
+    assert _ends(order, Arc(1, math.nan, 1.0, 0), math.inf) is None
+    assert _exact_ends(order[1]) == {}
 
 
 # -- the report ----------------------------------------------------------------

@@ -43,6 +43,8 @@ from circlesystems.realization import (
     verify_realization,
 )
 
+from conftest import embedded_augment_rows
+
 
 def test_octahedron_is_medial_of_tetrahedron(octa):
     from circlesystems.embedding import medial
@@ -287,6 +289,20 @@ def test_augmented_darts_are_those_build_embedding_gives(kind, pairs):
     assert g.dart_rev == h.dart_rev
     assert g.faces == h.faces
     assert g.outer_face == h.outer_face
+
+
+@pytest.mark.parametrize("kind", (GADGET, BIGADGET))
+@pytest.mark.parametrize("pairs", (2, 3))
+def test_augmented_rows_are_those_the_embeddings_gave(kind, pairs):
+    # the path rows are written directly and the fragment's rows taken
+    # before it is embedded; building both embeddings gives the same rows
+    g = augment_octahedron(kind, pairs)
+    assert g.to_neighbor_lists() == embedded_augment_rows(kind, pairs)
+
+
+def test_fragment_rows_are_those_of_its_embedding():
+    assert generators._gadget_rows() == gadget().graph.to_neighbor_lists()
+    assert generators._bigadget_rows() == bigadget().graph.to_neighbor_lists()
 
 
 def test_augmented_rejects_small_pairs():
