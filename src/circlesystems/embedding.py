@@ -408,3 +408,15 @@ def subdivide_edges(g, k):
         for a, b in zip(chain[::2], chain[1::2]):
             dart_rev[a], dart_rev[b] = b, a
     return EmbeddedGraph(rotation, dart_tail, dart_rev, g.outer_face)
+
+
+def subdivided_rows(g, k):
+    """The neighbour lists of ``subdivide_edges(g, k)``, without building
+    it: each path row is [previous, next] along its edge."""
+    paths = [[g.dart_tail[d], *range(g.n + e * k, g.n + e * k + k), g.dart_tail[r]]
+             for e, (d, r) in enumerate(g.edge_darts)]
+    rows = [[paths[g.edge_of_dart[d]][1 if d < g.dart_rev[d] else -2] for d in rot]
+            for rot in g.rotation]
+    for path in paths:
+        rows += [[path[j], path[j + 2]] for j in range(k)]
+    return rows

@@ -13,7 +13,8 @@ from itertools import combinations
 from typing import NamedTuple
 
 from . import realization as rz
-from .embedding import EmbeddedGraph, _check_size, build_embedding, dual
+from .embedding import (EmbeddedGraph, _check_size, build_embedding, dual,
+                        subdivided_rows)
 from .equivalence import RealizationClass
 from .errors import DegenerateArc, DegenerateRadius
 from .packing import PACK_TOL, Circle, _circle_intersections, pack
@@ -231,10 +232,14 @@ def _gadget_rows():
     return lists
 
 
+# both fragments have their endpoints at these ids
+_ENDPOINTS = (0, 1)
+
+
 def gadget() -> GadgetFragment:
     """Fragment whose skeleton is two triangles sharing the middle vertex,
     with a hanging subgraph merged into each upper corner."""
-    return GadgetFragment(build_embedding(_gadget_rows()), (0, 1),
+    return GadgetFragment(build_embedding(_gadget_rows()), _ENDPOINTS,
                           {"v1": 0, "v2": 1, "w": 2, "w1": 3, "w2": 4})
 
 
@@ -267,7 +272,7 @@ def bigadget() -> GadgetFragment:
     """Cut-vertex-free variant: each hanging subgraph is biconnected and
     attaches through a pair of adjacent degree-3 vertices."""
     return GadgetFragment(
-        build_embedding(_bigadget_rows()), (0, 1),
+        build_embedding(_bigadget_rows()), _ENDPOINTS,
         {"v1": 0, "v2": 1, "w": 2, "w1": 3, "w1p": 4, "w2": 10, "w2p": 11})
 
 
@@ -310,30 +315,22 @@ def augment_octahedron(kind: str, pairs_per_edge: int = 2) -> EmbeddedGraph:
         raise ValueError("pairs_per_edge must be >= 2")
     if kind not in (GADGET, BIGADGET):
         raise ValueError(f"unknown kind {kind!r}")
-    # both fragments have their endpoints at ids 0 and 1
     rows = _gadget_rows() if kind == GADGET else _bigadget_rows()
 
     base = octahedron()
     slots = 4 * pairs_per_edge
     blocks = _attachment_blocks(pairs_per_edge)
-    # edge eid becomes the path base.n + eid * slots onward, from the tail
-    # of its lower dart, as subdivide_edges numbers it; each path row is
-    # [previous, next]; a fragment splices in between two of them, mirrored
-    # on side R, and their rows gain its darts on that side
-    lists = [[base.n + base.edge_of_dart[d] * slots
-              + (0 if d < base.dart_rev[d] else slots - 1) for d in rot]
-             for rot in base.rotation]
-    for eid, (d, r) in enumerate(base.edge_darts):
-        first = base.n + eid * slots
-        path = [base.dart_tail[d], *range(first, first + slots), base.dart_tail[r]]
-        lists += [[path[j], path[j + 2]] for j in range(slots)]
+    # edge eid becomes the path base.n + eid * slots onward, as
+    # subdivide_edges numbers it; a fragment splices in between two path
+    # vertices, mirrored on side R, and their rows gain its darts on that side
+    lists = subdivided_rows(base, slots)
     for eid in range(base.edge_count):
         first = base.n + eid * slots
         for (sa, sb), side in blocks:
             ends = (first + sa - 1, first + sb - 1)
-            table = _splice(lists, rows, dict(enumerate(ends)),
+            table = _splice(lists, rows, dict(zip(_ENDPOINTS, ends)),
                             mirror=side == "R")
-            for v, z in enumerate(ends):
+            for v, z in zip(_ENDPOINTS, ends):
                 prev_v, next_v = lists[z]
                 g1, g2 = (table[w] for w in rows[v])
                 if side == "L":

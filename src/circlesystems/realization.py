@@ -380,19 +380,10 @@ def _check_apart(order, tol):
 def _rotation(keyed):
     """The darts of ``keyed``, the (tangent mod 2 pi, curvature, dart)
     triples of one point, which it sorts, in rotation order at the point:
-    the sorted order when the tangents lie 1e-6 apart or more, also across
-    angle 0.  Otherwise tangents within 1e-6 of the first of their group
-    join it, the last group continues the first one across angle 0, and
-    curvature orders each group."""
+    tangents within 1e-6 of the first of their group join it, the last
+    group continues the first one across angle 0, and curvature orders
+    each group."""
     keyed.sort()
-    if not keyed or keyed[0][0] + TWO_PI - keyed[-1][0] >= 1e-6:
-        prev = -math.inf
-        for tau, _, _ in keyed:
-            if not tau - prev >= 1e-6:
-                break
-            prev = tau
-        else:
-            return [d for _, _, d in keyed]
     groups = []
     for tau, kappa, d in keyed:
         if groups and abs(tau - first) < 1e-6:
@@ -439,12 +430,12 @@ def outer_face_of(r: Realization, g: EmbeddedGraph) -> int:
     # per dart, the chord term and the sector term of the area under it; a
     # clockwise dart's terms are the counterclockwise ones negated, exactly
     terms = []
-    for ci, from_angle, to_angle, _ in r.arcs:
-        cx, cy, cr = r.circles[ci]
-        sx, sy = cx + cr * math.cos(from_angle), cy + cr * math.sin(from_angle)
-        ex, ey = cx + cr * math.cos(to_angle), cy + cr * math.sin(to_angle)
+    for a in r.arcs:
+        cx, cy, cr = r.circles[a.circle]
+        sx, sy = cx + cr * math.cos(a.from_angle), cy + cr * math.sin(a.from_angle)
+        ex, ey = cx + cr * math.cos(a.to_angle), cy + cr * math.sin(a.to_angle)
         chord = 0.5 * (cx * (ey - sy) - cy * (ex - sx))
-        sector = 0.5 * cr * cr * ((to_angle - from_angle) % TWO_PI)
+        sector = 0.5 * cr * cr * a.extent
         terms += [(chord, sector), (-chord, -sector)]
     areas = []
     for cycle in g.faces:

@@ -549,26 +549,6 @@ def verify_outcome(r, g=None, tol=1e-8):
         return type(exc).__name__, str(exc)
 
 
-def subdivided_rows(g, k):
-    """Neighbour lists of ``g`` with every edge replaced by a path of k
-    vertices, numbered from ``g.n`` on edge by edge from the tail of the
-    edge's lower dart; the rows ``subdivide_edges`` must give."""
-    paths = [[g.dart_tail[d]] + [g.n + eid * k + j for j in range(k)]
-             + [g.dart_head[d]] for eid, (d, _) in enumerate(g.edge_darts)]
-    rows = []
-    for rot in g.rotation:
-        row = []
-        for d in rot:
-            eid = g.edge_of_dart[d]
-            lower = d == g.edge_darts[eid][0]
-            row.append(paths[eid][1] if lower else paths[eid][-2])
-        rows.append(row)
-    for path in paths:
-        for j in range(k):
-            rows.append([path[j], path[j + 2]])
-    return rows
-
-
 def embedded_augment_rows(kind, pairs_per_edge):
     """``generators.augment_octahedron``'s neighbour rows as they were built
     through embeddings: the subdivided octahedron's rows from

@@ -10,6 +10,7 @@ from circlesystems.embedding import (
     dual,
     medial,
     subdivide_edges,
+    subdivided_rows,
 )
 from circlesystems.errors import Disconnected, MalformedRotation, NonPlanarEmbedding
 from circlesystems.generators import (
@@ -31,7 +32,6 @@ from conftest import (
     joined_octahedra,
     pinched_octahedra,
     relabel_graph,
-    subdivided_rows,
 )
 
 PLATONICS = [tetrahedron, cube, octahedron, dodecahedron, icosahedron]
