@@ -1,56 +1,42 @@
 #!/usr/bin/env python3
-"""Time the pipeline on the size ladder and diff against the last record.
+"""Time the pipeline on the size ladder, call by call in fresh subprocesses.
 
-Usage: python scripts/bench.py --label NAME [--max-n 3840] [--repeats 3]
-                               [--outdir DIR]
-       python scripts/bench.py --against REV [--max-n 3840] [--repeats 3]
+Usage: python scripts/bench.py [--label NAME] [--against REV] [--max-n 3840]
+                               [--repeats 3] [--outdir DIR]
 
-The ladder is the iterated medials of the icosahedron, n=60 up to
-``--max-n`` (at most 3840), each realized by `realize`; the prisms with 40,
-70 and 80 sides, packed by `pack`; `flower(3..8)` and
-`upper_bound_family(4..80)`, generated with their realizations; and the
-geometry oracles: `gadget_arc_infeasibility(phi, 100)` for phi 0.5, 1.5
-and 2.5, and 2000 seeded `sample_arc_pair_config` + `nested_arc_inequality`
-draws per side; the part-(c) graphs: `augment_octahedron(kind)` for GADGET
-and BIGADGET; and the isomorphism search: `graphs_isomorphic` on the
-GADGET and BIGADGET augmented octahedra, and `find_isomorphism` of each
-ladder rung against a seeded relabelled copy, both graphs built untimed;
-and ``import``, the package imported afresh as perfbench's
-``import_package`` does it: ``circlesystems`` and its modules dropped from
-``sys.modules``, then imported again from the same directory.
-A search row is skipped when its graph has more than ``--max-n`` vertices.
-Per input it records the median seconds over ``--repeats`` runs of
-`realize` (or of `pack`, the generator, the oracle, the search or the
-import), of
-`verify_realization(r, g)` and of `equivalent(r, r)`, the Newton
-directions `pack` solved (one untimed packing per input and process), and
-the status: "ok", "verify failed", "not equivalent to itself", "wrong
-answer" (the octahedra found isomorphic, or a mapping that does not carry
-edges onto edges), or the class of the exception that stopped the input.
-A column that does not apply to an input, or that an exception left
-unmeasured, is null.
+The inputs: the icosahedron medials n=60 up to ``--max-n`` (at most 3840),
+realized by `realize`; the prisms with 40, 70 and 80 sides, packed by
+`pack`; `flower(3..8)` and `upper_bound_family(4..80)` with their
+realizations; `gadget_arc_infeasibility(phi, 100)` for phi 0.5, 1.5 and
+2.5, and 2000 seeded `sample_arc_pair_config` + `nested_arc_inequality`
+draws per side; `augment_octahedron` of GADGET and BIGADGET; the
+isomorphism search, `graphs_isomorphic` on those two octahedra and
+`find_isomorphism` of each rung against a seeded relabelled copy (graphs
+built untimed, a row skipped when its graph exceeds ``--max-n``); and
+``import``, the package imported afresh as perfbench's ``import_package``
+does it, its modules dropped from ``sys.modules`` first.
 
-The record goes to ``BENCH_<label>.json`` in ``--outdir`` (the root of this
-checkout by default, created if missing), after the diff against the
-``BENCH_*.json`` there that git history added last is printed; a checkout
-gives every record one mtime, so the mtime cannot tell.  The diff's
-header says that the two records were timed at different times, perhaps
-on a shared machine, and points to ``--against``.  Without a git
-history of such a record the script says so and prints no diff.  The
-package is imported from ``src/`` of this checkout.
+Each input gets a fresh worker importing the package from ``src/`` of this
+checkout, and with ``--against REV`` a second one importing it from commit
+REV, exported with ``git archive`` (its package must have the functions
+this script calls).  After one untimed call each, they time single calls
+in alternation, the side that goes first alternating too, for at least
+``MIN_PAIRS`` calls per side and until each side has timed ``--repeats``
+times ``AGAINST_SECONDS`` (at most 100 calls).  Timing two trees call by
+call keeps a shared machine's drift out of their ratio.  A call times
+`realize` (or the generator, `pack`, oracle, search or import),
+`verify_realization(r, g)` and `equivalent(r, r)`, and reports the Newton
+directions `pack` solved (one untimed packing per worker) and the status:
+"ok", "verify failed", "not equivalent to itself", "wrong answer", or the
+class of the exception that stopped the call.  A column that does not
+apply, or that an exception left unmeasured, is null.
 
-``--against REV`` compares this checkout with commit REV instead, and
-writes no file.  REV is exported with ``git archive`` into a temporary
-directory.  Each input gets two fresh subprocesses, one importing the
-package from each tree.  After one untimed call in each, they time single
-calls in alternation, the side that goes first alternating too, for at
-least ``MIN_PAIRS`` (10) pairs, the fewest a ratio can rest on, and until
-each side has timed ``--repeats`` times ``AGAINST_SECONDS`` (at most 100
-pairs).  Per input and column the script prints both medians and the
-ratio this checkout / REV: the median of the per-pair ratios and their
-min-max.  Timing the two trees call by call, not one after the other,
-keeps the drift in a shared machine's speed out of the ratio.  REV's
-package must have the functions this script calls.
+Per input and side the script prints and keeps the number of calls, each
+time column's median, and the directions and status (their distinct
+values when calls disagree).  ``--label NAME`` writes them to
+``BENCH_NAME.json`` in ``--outdir`` (default: the root of this checkout);
+with ``--against``, REV's entry goes under ``against``, and the median,
+min and max of the per-pair ratios this checkout / REV under ``ratio``.
 """
 
 import argparse
@@ -97,26 +83,22 @@ from circlesystems.packing import pack
 from circlesystems.realization import realize, verify_realization
 
 TOL = 1e-9
-AGAINST_SECONDS = 0.3  # per repeat, input and side of --against
-MIN_PAIRS = 10  # per input of --against
+AGAINST_SECONDS = 0.3  # per repeat, input and side
+MIN_PAIRS = 10  # calls per input and side
 COLUMNS = ("realize_s", "verify_s", "equivalent_s", "directions", "status")
 
 
-def _median_time(fn, repeats):
-    """(median seconds, last result) of ``repeats`` calls of ``fn``."""
-    times = []
-    for _ in range(repeats):
-        t0 = time.perf_counter()
-        result = fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.median(times), result
+def _timed(fn):
+    """(seconds, result) of one call of ``fn``."""
+    t0 = time.perf_counter()
+    result = fn()
+    return time.perf_counter() - t0, result
 
 
 def _directions(graph):
     """A function that returns the Newton directions of ``pack(graph())``,
-    read off the failure message when the packing is not certified.  It
-    packs on its first call only: ``--against`` times each input up to
-    100 times in one process."""
+    read off the failure message when the packing is not certified, and
+    packed on the first call only."""
     @functools.cache
     def count():
         try:
@@ -127,8 +109,8 @@ def _directions(graph):
     return count
 
 
-def _row(make, directions, repeats, verdicts=True, right=None):
-    """One record: ``make()`` returns (graph, realization), or a packing
+def _row(make, directions, verdicts=True, right=None):
+    """One call's row: ``make()`` returns (graph, realization), or a packing
     when ``verdicts`` is False; ``directions`` is a ``_directions``
     function of the graph whose packing counts them, or None; ``right``,
     if given, tells whether ``make()``'s result is the right answer."""
@@ -136,14 +118,12 @@ def _row(make, directions, repeats, verdicts=True, right=None):
     if directions is not None:
         row["directions"] = directions()
     try:
-        row["realize_s"], made = _median_time(make, repeats)
+        row["realize_s"], made = _timed(make)
         row["status"] = "ok" if right is None or right(made) else "wrong answer"
         if verdicts:
             g, r = made
-            row["verify_s"], report = _median_time(
-                lambda: verify_realization(r, g), repeats)
-            row["equivalent_s"], same = _median_time(
-                lambda: equivalent(r, r), repeats)
+            row["verify_s"], report = _timed(lambda: verify_realization(r, g))
+            row["equivalent_s"], same = _timed(lambda: equivalent(r, r))
             if not report.passed:
                 row["status"] = "verify failed"
             elif not same:
@@ -206,61 +186,49 @@ def _ladder(max_n):
 
 
 def _inputs(max_n):
-    """(name, timed) of every input in record order; ``timed(repeats)``
-    measures the input and returns its row."""
+    """(name, timed) of every input in record order; ``timed()`` makes one
+    call of the input and returns its row."""
     for name, g in _ladder(max_n):
         count = _directions(lambda g=g: build_il(g, two_color_faces(g)).graph)
-        yield name, lambda repeats, g=g, count=count: _row(
-            lambda: (g, realize(g, TOL)), count, repeats)
+        yield name, lambda g=g, count=count: _row(
+            lambda: (g, realize(g, TOL)), count)
     for k in (40, 70, 80):
         p = prism(k)
         count = _directions(lambda p=p: p)
-        yield f"prism{k}", lambda repeats, p=p, count=count: _row(
-            lambda: pack(p, TOL), count, repeats, verdicts=False)
+        yield f"prism{k}", lambda p=p, count=count: _row(
+            lambda: pack(p, TOL), count, verdicts=False)
     for c in range(3, 9):
-        yield f"flower{c}", lambda repeats, c=c: _row(
-            lambda: flower(c), None, repeats)
+        yield f"flower{c}", lambda c=c: _row(lambda: flower(c), None)
     for c in range(4, 81, 2):
         base = tetrahedron() if c == 4 else prism(c // 2)
         count = _directions(lambda base=base: base)
-        yield f"upper-bound-family{c}", lambda repeats, c=c, count=count: _row(
-            lambda: upper_bound_family(c), count, repeats)
+        yield f"upper-bound-family{c}", lambda c=c, count=count: _row(
+            lambda: upper_bound_family(c), count)
     for phi in (0.5, 1.5, 2.5):
-        yield f"gadget-phi{phi}", lambda repeats, phi=phi: _row(
-            lambda: gadget_arc_infeasibility(phi, 100), None, repeats,
-            verdicts=False)
+        yield f"gadget-phi{phi}", lambda phi=phi: _row(
+            lambda: gadget_arc_infeasibility(phi, 100), None, verdicts=False)
     for side in (INTERIOR, EXTERIOR):
-        yield f"arc-samples-{side.lower()}", lambda repeats, side=side: _row(
-            lambda: _arc_draws(side), None, repeats, verdicts=False)
+        yield f"arc-samples-{side.lower()}", lambda side=side: _row(
+            lambda: _arc_draws(side), None, verdicts=False)
     for kind in (GADGET, BIGADGET):
-        yield f"augment-{kind.lower()}", lambda repeats, kind=kind: _row(
-            lambda: augment_octahedron(kind), None, repeats, verdicts=False)
+        yield f"augment-{kind.lower()}", lambda kind=kind: _row(
+            lambda: augment_octahedron(kind), None, verdicts=False)
     gadgets = [augment_octahedron(kind) for kind in (GADGET, BIGADGET)]
     if gadgets[0].n <= max_n:
-        yield "iso-gadget-bigadget", lambda repeats: _row(
-            lambda: graphs_isomorphic(*gadgets), None, repeats,
-            verdicts=False, right=lambda same: not same)
+        yield "iso-gadget-bigadget", lambda: _row(
+            lambda: graphs_isomorphic(*gadgets), None, verdicts=False,
+            right=lambda same: not same)
     for name, g in _ladder(max_n):
         search, right = _relabelled_search(g, g.n)
-        yield f"iso-{name}", lambda repeats, search=search, right=right: _row(
-            search, None, repeats, verdicts=False, right=right)
-    # last, so that no other row of a --label run mixes the two imports
-    yield "import", lambda repeats: _row(_reimport, None, repeats,
-                                         verdicts=False)
+        yield f"iso-{name}", lambda search=search, right=right: _row(
+            search, None, verdicts=False, right=right)
+    yield "import", lambda: _row(_reimport, None, verdicts=False)
 
 
-def collect(max_n, repeats):
-    rows = {}
-    for name, timed in _inputs(max_n):
-        rows[name] = timed(repeats)
-        print(name, rows[name], flush=True)
-    return rows
-
-
-# a worker of --against: import the package from the tree's src/ (argv[1])
-# before this script (from argv[2]) puts its own src/ first on the path,
-# and put the tree's src/ first again for the import row; then time one
-# call of each input named on stdin, answering with its row
+# a worker: import the package from the tree's src/ (argv[1]) before this
+# script (from argv[2]) puts its own src/ first on the path, and put the
+# tree's src/ first again for the import row; then answer each input name
+# on stdin with the row of one call
 _WORKER = """
 import json, pathlib, sys
 src, scripts, max_n = sys.argv[1:]
@@ -274,13 +242,14 @@ import bench
 sys.path.insert(0, src)
 inputs = dict(bench._inputs(int(max_n)))
 for name in sys.stdin:
-    print(json.dumps(inputs[name.strip()](1)), flush=True)
+    print(json.dumps(inputs[name.strip()]()), flush=True)
 """
 
 
-def _time_pairs(srcs, name, max_n, repeats):
-    """Rows of input ``name`` from two fresh workers importing the package
-    from ``srcs``, timed as the module docstring says for ``--against``."""
+def _time_calls(srcs, name, max_n, repeats):
+    """Rows of input ``name``, one list per tree in ``srcs``, each from a
+    fresh worker importing the package from that tree and timed as the
+    module docstring says."""
     workers = [subprocess.Popen(
         [sys.executable, "-c", _WORKER, str(src), str(ROOT / "scripts"),
          str(max_n)], stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
@@ -294,14 +263,16 @@ def _time_pairs(srcs, name, max_n, repeats):
                 raise SystemExit(f"error: a worker stopped on {name}")
             return json.loads(line)
 
-        call(0), call(1)
-        rows = ([], [])
-        spent = [0.0, 0.0]
+        sides = list(range(len(workers)))
+        rows = [[] for _ in sides]
+        spent = [0.0 for _ in sides]
+        for side in sides:
+            call(side)
         # an input whose every call fails has no time to spend
         while len(rows[0]) < MIN_PAIRS or (
                 0.0 < min(spent) < AGAINST_SECONDS * repeats
                 and len(rows[0]) < 100):
-            for side in ((0, 1) if len(rows[0]) % 2 == 0 else (1, 0)):
+            for side in sides[::-1 if len(rows[0]) % 2 else 1]:
                 row = call(side)
                 rows[side].append(row)
                 spent[side] += sum(row[col] or 0.0 for col in COLUMNS[:3])
@@ -312,123 +283,99 @@ def _time_pairs(srcs, name, max_n, repeats):
             w.wait()
 
 
-def _ratio_cells(mine, theirs):
-    """Per time column measured on both sides: both medians, and the
-    median and min-max of the per-pair ratios mine / theirs."""
-    cells = []
+def _summary(rows):
+    """One side's entry for an input: its number of calls, the median of
+    each time column over the calls that measured it (null if none did),
+    and the value of each other column, or its distinct values when the
+    calls disagree."""
+    entry = {"calls": len(rows)}
     for col in COLUMNS[:3]:
-        pairs = [(m[col], t[col]) for m, t in zip(mine, theirs)
-                 if m[col] and t[col]]
-        if not pairs:
-            continue
-        ratios = [m / t for m, t in pairs]
-        cells.append(
-            f"{col} {statistics.median(t for _, t in pairs):.4f} -> "
-            f"{statistics.median(m for m, _ in pairs):.4f} "
-            f"x{statistics.median(ratios):.3f} "
-            f"[{min(ratios):.3f}, {max(ratios):.3f}]")
+        times = [row[col] for row in rows if row[col] is not None]
+        entry[col] = statistics.median(times) if times else None
     for col in COLUMNS[3:]:
-        seen = [", ".join(sorted({str(row[col]) for row in rows}))
-                for rows in (theirs, mine)]
-        cells.append(f"{col} {seen[0]}" if seen[0] == seen[1]
-                     else f"{col} {seen[0]} -> {seen[1]}")
-    return cells
+        seen = sorted({row[col] for row in rows}, key=str)
+        entry[col] = seen[0] if len(seen) == 1 else seen
+    return entry
 
 
-def against(rev, max_n, repeats):
-    """Print, input by input, this checkout's times against commit ``rev``."""
-    with tempfile.TemporaryDirectory() as tmp:
-        archive = subprocess.run(["git", "archive", "--format=tar", rev],
-                                 cwd=ROOT, stdout=subprocess.PIPE)
-        if archive.returncode:
-            raise SystemExit(f"error: git archive {rev} failed")
-        subprocess.run(["tar", "-x", "-C", tmp], input=archive.stdout,
-                       check=True)
-        srcs = (ROOT / "src", pathlib.Path(tmp, "src"))
-        print(f"this checkout against {rev}: {rev} median -> this median, "
-              f"x ratio [min, max] over at least {MIN_PAIRS} alternating pairs",
-              flush=True)
-        for name, _ in _inputs(max_n):
-            rows = _time_pairs(srcs, name, max_n, repeats)
-            print(f"{name} ({len(rows[0])} pairs): "
-                  + "; ".join(_ratio_cells(*rows)), flush=True)
+def _ratios(mine, theirs):
+    """Per time column measured in some pair of calls: the median, min and
+    max of the per-pair ratios mine / theirs."""
+    ratios = {col: [m[col] / t[col] for m, t in zip(mine, theirs)
+                    if m[col] and t[col]] for col in COLUMNS[:3]}
+    return {col: {"median": statistics.median(q), "min": min(q), "max": max(q)}
+            for col, q in ratios.items() if q}
 
 
-def _cell(old, new):
-    if old == new:
-        return str(new)
-    if isinstance(old, float) and isinstance(new, float) and old > 0:
-        return f"{old:.4f} -> {new:.4f} ({(new - old) / old:+.1%})"
-    return f"{old} -> {new}"
+def _cells(entry):
+    """The printed cells of an input's entry: this checkout's medians, or,
+    with REV's entry beside it, REV's median -> this median and the ratio."""
+    theirs = entry.get("against")
+    if theirs is None:
+        return [f"{col} {entry[col]:.4f}" if col in COLUMNS[:3]
+                else f"{col} {entry[col]}"
+                for col in COLUMNS if entry[col] is not None]
+    cells = [f"{col} {theirs[col]:.4f} -> {entry[col]:.4f} x{q['median']:.3f} "
+             f"[{q['min']:.3f}, {q['max']:.3f}]"
+             for col, q in entry["ratio"].items()]
+    return cells + [f"{col} {theirs[col]}" if theirs[col] == entry[col]
+                    else f"{col} {theirs[col]} -> {entry[col]}"
+                    for col in COLUMNS[3:]]
 
 
-def diff(old, new):
-    """Lines comparing two records input by input."""
-    lines = []
-    for name, row in new["inputs"].items():
-        before = old["inputs"].get(name)
-        if before is None:
-            lines.append(f"{name}: new input")
-            continue
-        cells = [f"{col} {_cell(before.get(col), row[col])}" for col in COLUMNS]
-        lines.append(f"{name}: " + "; ".join(cells))
-    return lines
-
-
-def _last_record(outdir, out):
-    """The ``BENCH_*.json`` directly in ``outdir``, other than ``out``, that
-    git history added last, or None when git knows of no such record."""
-    try:
-        log = subprocess.run(
-            ["git", "log", "--diff-filter=A", "--format=", "--name-only",
-             "--relative", "--", "BENCH_*.json"],
-            cwd=outdir, capture_output=True, text=True)
-    except OSError:  # no git
-        return None
-    if log.returncode:  # not in a git repository
-        return None
-    for name in log.stdout.split():
-        path = outdir / name
-        if "/" not in name and path != out and path.exists():
-            return path
-    return None
+def _export(rev, into):
+    """Extract commit ``rev`` of this repository into ``into``; return the
+    commit's full hash."""
+    commit = subprocess.run(["git", "rev-parse", "--verify", rev + "^{commit}"],
+                            cwd=ROOT, stdout=subprocess.PIPE, text=True)
+    commit = commit.stdout.strip()
+    if not commit:
+        raise SystemExit(f"error: {rev} names no commit")
+    archive = subprocess.run(["git", "archive", "--format=tar", commit],
+                             cwd=ROOT, stdout=subprocess.PIPE, check=True)
+    subprocess.run(["tar", "-x", "-C", into], input=archive.stdout, check=True)
+    return commit
 
 
 def main():
     ap = argparse.ArgumentParser()
-    mode = ap.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--label")
-    mode.add_argument("--against", metavar="REV")
+    ap.add_argument("--label")
+    ap.add_argument("--against", metavar="REV")
     ap.add_argument("--max-n", type=int, default=3840)
     ap.add_argument("--repeats", type=int, default=3)
     ap.add_argument("--outdir", type=pathlib.Path, default=ROOT)
     args = ap.parse_args()
+    if args.label is None and args.against is None:
+        ap.error("give --label NAME, --against REV or both")
+    if args.label is not None and not re.fullmatch(r"[\w.-]+", args.label):
+        ap.error("--label may hold letters, digits, '_', '.' and '-' only")
     if args.repeats < 1:
         ap.error("--repeats must be at least 1")
-    if args.against is not None:
-        against(args.against, args.max_n, args.repeats)
-        return 0
-    if not re.fullmatch(r"[\w.-]+", args.label):
-        ap.error("--label may hold letters, digits, '_', '.' and '-' only")
 
-    record = {
-        "label": args.label,
-        "python": platform.python_version(),
-        "machine": platform.machine(),
-        "repeats": args.repeats,
-        "inputs": collect(args.max_n, args.repeats),
-    }
+    with tempfile.TemporaryDirectory() as tmp:
+        srcs = [ROOT / "src"]
+        commit = None
+        if args.against is not None:
+            commit = _export(args.against, tmp)
+            srcs.append(pathlib.Path(tmp, "src"))
+            print(f"this checkout against {commit}: its median -> this "
+                  f"median, x ratio [min, max] over the alternating pairs",
+                  flush=True)
+        inputs = {}
+        for name, _ in _inputs(args.max_n):
+            rows = _time_calls(srcs, name, args.max_n, args.repeats)
+            inputs[name] = entry = _summary(rows[0])
+            if len(rows) == 2:
+                entry.update(against=_summary(rows[1]), ratio=_ratios(*rows))
+            print(f"{name} ({entry['calls']} calls): "
+                  + "; ".join(_cells(entry)), flush=True)
+    if args.label is None:
+        return 0
+    record = {"label": args.label, "python": platform.python_version(),
+              "machine": platform.machine(), "repeats": args.repeats,
+              "against": commit, "inputs": inputs}
     args.outdir.mkdir(parents=True, exist_ok=True)
     out = args.outdir / f"BENCH_{args.label}.json"
-    last = _last_record(args.outdir, out)
-    if last is None:
-        print(f"\nno BENCH_*.json record in the git history of "
-              f"{args.outdir}: no diff")
-    else:
-        print(f"\ndiff against {last.name}")
-        print("(runs made at different times, maybe on a shared machine; "
-              "--against REV times both trees call by call)")
-        print("\n".join(diff(json.loads(last.read_text()), record)))
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"\nwrote {out}")
     return 0

@@ -56,15 +56,12 @@ def outer_mate_radius(r1: float, r2: float, phi: float) -> float:
     that r2/r1 neither underflows nor overflows and no product of two radii
     is formed.  A radius beyond the float range raises DomainError.
     """
-    if not (0.0 < r1 <= 1.7976931348623157e308
-            and 0.0 < r2 <= 1.7976931348623157e308):
-        raise DomainError("radii must be positive and finite")
+    bound = outer_phi_max(r1, r2)  # refuses the radii first
     if not phi > 0.0:
         raise DomainError(f"need phi > 0, got {phi!r}")
     h = math.sin(0.5 * phi)
     s = h * (math.sqrt(r1) / math.sqrt(r2))
     q = h * h + s * s
-    bound = outer_phi_max(r1, r2)
     if q >= 1.0 or phi >= bound:
         raise DomainError(
             f"phi={phi!r} at or beyond the degeneration angle {bound!r}"

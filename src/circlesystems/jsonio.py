@@ -28,14 +28,14 @@ def dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"), allow_nan=False)
 
 
-def _document(data, types, name):
+def _document(data, kind, name):
     """The JSON object ``data`` (parsed first if it is text), checked to be
-    of one of the document ``types``."""
+    a document of type ``kind``."""
     if isinstance(data, str):
         data = json.loads(data)
-    kind = data.get("type") if isinstance(data, dict) else None
-    if kind not in types:
-        raise ValueError(f"expected a {name} document, got {kind!r}")
+    found = data.get("type") if isinstance(data, dict) else None
+    if found != kind:
+        raise ValueError(f"expected a {name} document, got {found!r}")
     return data
 
 
@@ -102,7 +102,7 @@ def serialize_graph(g: EmbeddedGraph) -> str:
 
 
 def parse_graph(data) -> EmbeddedGraph:
-    data = _document(data, ("graph",), "graph")
+    data = _document(data, "graph", "graph")
     rotation = [_ints(row, "graph", "rotation")
                 for row in _field(data, "rotation", "graph", list)]
     if _field(data, "n", "graph", int) != len(rotation):
@@ -130,7 +130,7 @@ def serialize_packing(p: Packing) -> str:
 
 
 def parse_packing(data) -> Packing:
-    data = _document(data, ("packing",), "packing")
+    data = _document(data, "packing", "packing")
     return Packing(
         circles=tuple(_circles(data, "packing")),
         residual=_field(data, "residual", "packing"),
@@ -168,7 +168,7 @@ def serialize_realization(r: Realization) -> str:
 
 def parse_realization(data) -> Realization:
     doc = "realization"
-    data = _document(data, (doc,), doc)
+    data = _document(data, doc, doc)
     circles = _circles(data, doc)
 
     def point(entry):
@@ -204,7 +204,7 @@ def serialize_dual(d: OrientedDual) -> str:
 
 
 def parse_dual(data) -> OrientedDual:
-    data = _document(data, ("oriented_dual",), "dual")
+    data = _document(data, "oriented_dual", "dual")
     edges = _field(data, "edges", "dual", list)
     if not all(len(_ints(e, "dual", "edges")) == 2 for e in edges):
         raise ValueError("dual document: 'edges' must be [tail, head] pairs")

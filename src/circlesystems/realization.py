@@ -188,7 +188,8 @@ def _check_circle_ids(r: Realization, slack):
             )
         for ci in on:
             cx, cy, cr = circles[ci]
-            if abs(math.hypot(x - cx, y - cy) - cr) > slack * cr:
+            # asked as "on", so that a NaN radius or coordinate is off
+            if not abs(math.hypot(x - cx, y - cy) - cr) <= slack * cr:
                 raise MalformedRealization(f"point {pid} is not on circle {ci}")
     for i, a in enumerate(r.arcs):
         if not 0 <= a.circle < k:

@@ -127,6 +127,11 @@ def test_usage_error_exit_code():
     (["geom", "descartes"], "descartes needs --circles"),
     (["geom", "inner-mate", "--r2", "0.5", "--phi", "1"],
      "oracle 'inner-mate' needs --r1"),
+    # sizes the generators refuse
+    (["generate", "flower", "--count", "2"], "flower needs at least 3 circles"),
+    (["generate", "upper-bound", "--count", "5"],
+     "upper_bound_family needs an even c >= 4"),
+    (["generate", "augmented", "--pairs", "1"], "pairs_per_edge must be >= 2"),
 ])
 def test_missing_option_exits_2_naming_it(argv, message):
     assert run(argv) == (2, "", f"error: {message}\n")
@@ -399,6 +404,24 @@ def test_realization_roundtrip():
     assert back.points == r.points
     assert back.arcs == r.arcs
     assert jsonio.serialize_realization(back) == text
+
+
+@pytest.mark.parametrize("parse, name", [
+    (jsonio.parse_graph, "graph"),
+    (jsonio.parse_packing, "packing"),
+    (jsonio.parse_realization, "realization"),
+    (jsonio.parse_dual, "dual"),
+])
+@pytest.mark.parametrize("doc, got", [
+    ({"version": 1}, "None"),
+    ({"type": ["graph"]}, "['graph']"),
+    ({"type": "other"}, "'other'"),
+    ([], "None"),
+])
+def test_document_of_another_type_is_refused(parse, name, doc, got):
+    with pytest.raises(ValueError) as info:
+        parse(doc)
+    assert str(info.value) == f"expected a {name} document, got {got}"
 
 
 def test_packing_roundtrip():

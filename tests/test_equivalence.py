@@ -394,6 +394,28 @@ def test_readers_refuse_alike(name, make, mutate, error):
             reader(bad)
 
 
+def _radius_nan(r):
+    return Realization([r.circles[0]._replace(r=math.nan)] + r.circles[1:],
+                       list(r.points), list(r.arcs))
+
+
+def _x_nan(r):
+    return Realization(list(r.circles), [r.points[0]._replace(x=math.nan)]
+                       + r.points[1:], list(r.arcs))
+
+
+@pytest.mark.parametrize("mutate", [_radius_nan, _x_nan])
+def test_nan_radius_or_coordinate_is_malformed(mutate):
+    # a NaN distance passes no "is the point off its circle" comparison,
+    # so the read must ask whether the point is on it
+    r = canonical_octahedron_realization(RealizationClass.THREE_CROSSING)
+    bad = mutate(r)
+    for reader in (extract_with_arcs, smooth_degree_two, oriented_dual,
+                   lambda s: equivalent(s, r), classify_octahedron):
+        with pytest.raises(MalformedRealization, match="point 0 is not on"):
+            reader(bad)
+
+
 @pytest.mark.parametrize("name, make", VERDICT_SYSTEMS,
                          ids=[name for name, _ in VERDICT_SYSTEMS])
 def test_smoothed_dual_is_the_dual_of_the_smoothing(name, make):

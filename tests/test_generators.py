@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -16,6 +17,7 @@ from circlesystems.equivalence import (
     oriented_dual,
     smooth_degree_two,
 )
+from circlesystems.errors import DegenerateArc, DegenerateRadius
 from circlesystems.generators import (
     BIGADGET,
     GADGET,
@@ -303,6 +305,31 @@ def test_augmented_rows_are_those_the_embeddings_gave(kind, pairs):
 def test_fragment_rows_are_those_of_its_embedding():
     assert generators._gadget_rows() == gadget().graph.to_neighbor_lists()
     assert generators._bigadget_rows() == bigadget().graph.to_neighbor_lists()
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: flower(2), "flower needs at least 3 circles"),
+    (lambda: prism(2), "prism needs k >= 3"),
+    (lambda: upper_bound_family(2), "upper_bound_family needs an even c >= 4"),
+    (lambda: upper_bound_family(5), "upper_bound_family needs an even c >= 4"),
+    (lambda: augment_octahedron("TRIGADGET"), "unknown kind 'TRIGADGET'"),
+    (lambda: canonical_octahedron_realization("bogus"), "unknown kind 'bogus'"),
+], ids=["flower2", "prism2", "upper-bound2", "upper-bound5", "trigadget",
+        "bogus-class"])
+def test_generators_refuse_small_sizes_and_unknown_kinds(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+def test_flower_gives_up_after_its_radius_nudges(monkeypatch):
+    # every assembly meets two coinciding points of a circle
+    def degenerate(circles, points):
+        raise DegenerateArc("two points of a circle coincide")
+
+    monkeypatch.setattr(generators, "_assembled_graph", degenerate)
+    with pytest.raises(DegenerateRadius,
+                       match="^could not avoid triple concurrences$"):
+        flower(5)
 
 
 def test_augmented_rejects_small_pairs():
