@@ -21,14 +21,16 @@ checkout, and with ``--against REV`` a second one importing it from commit
 REV, exported with ``git archive`` (its package must have the functions
 this script calls).  After one untimed call each, they time single calls
 in alternation, the side that goes first alternating too, for at least
-``MIN_PAIRS`` calls per side and until each side has timed ``--repeats``
-times ``AGAINST_SECONDS`` (at most 100 calls).  Timing two trees call by
-call keeps a shared machine's drift out of their ratio.  A call times
-`realize` (or the generator, `pack`, oracle, search or import),
-`verify_realization(r, g)` and `equivalent(r, r)`, and reports the Newton
-directions `pack` solved (one untimed packing per worker) and the status:
-"ok", "verify failed", "not equivalent to itself", "wrong answer", or the
-class of the exception that stopped the call.  A column that does not
+``MIN_PAIRS`` calls per side, the fewest a median or ratio can rest on,
+and until each side has timed ``--repeats`` times ``AGAINST_SECONDS`` (at
+most 100 calls).  Timing two trees call by call keeps a shared machine's
+drift out of their ratio.  A call times `realize` (or the generator,
+`pack`, oracle, search or import), `verify_realization(r, g)` and
+`equivalent(r, r)`, and reports the Newton directions `pack` solved (one
+untimed packing per worker) and the status: "ok", "verify failed", "not
+equivalent to itself", "wrong answer" (the octahedra found isomorphic, or
+a mapping that does not carry edges onto edges), or the class of the
+exception that stopped the call.  A column that does not
 apply, or that an exception left unmeasured, is null.
 
 Per input and side the script prints and keeps the number of calls, each
@@ -265,7 +267,7 @@ def _time_calls(srcs, name, max_n, repeats):
 
         sides = list(range(len(workers)))
         rows = [[] for _ in sides]
-        spent = [0.0 for _ in sides]
+        spent = [0.0] * len(sides)
         for side in sides:
             call(side)
         # an input whose every call fails has no time to spend
