@@ -164,46 +164,45 @@ def _edge_multiset(edges, name=lambda v: v):
     return Counter(tuple(sorted((name(u), name(v)))) for u, v in edges)
 
 
-def _relabelled_search(g, seed):
-    """``find_isomorphism`` of ``g`` against a copy with its vertex ids
-    permuted by a seeded shuffle, and whether a mapping carries the edges
-    of ``g`` onto those of the copy."""
-    perm = list(range(g.n))
-    random.Random(seed).shuffle(perm)
-    edges = g.edges()
+@functools.cache
+def _rung(n):
+    """The icosahedron medial on ``n`` vertices, built once from the one below."""
+    return medial(icosahedron() if n == 30 else _rung(n // 2))
+
+
+@functools.cache
+def _relabelled_search(n):
+    """``find_isomorphism`` of ``_rung(n)`` against a copy with its vertex
+    ids permuted by a shuffle seeded ``n``, and whether a mapping carries
+    the edges of the rung onto those of the copy."""
+    perm = list(range(n))
+    random.Random(n).shuffle(perm)
+    edges = _rung(n).edges()
     copy = [(perm[u], perm[v]) for u, v in edges]
-    random.Random(seed).shuffle(copy)
+    random.Random(n).shuffle(copy)
     target = _edge_multiset(copy)
-    return (lambda: find_isomorphism(g.n, edges, g.n, copy),
+    return (lambda: find_isomorphism(n, edges, n, copy),
             lambda m: m is not None
             and _edge_multiset(edges, m.__getitem__) == target)
 
 
-def _ladder(max_n):
-    """(name, graph) of the icosahedron medials n=60..min(max_n, 3840)."""
-    g = medial(icosahedron())
-    while g.n < 3840 and 2 * g.n <= max_n:
-        g = medial(g)
-        yield f"medial-n{g.n}", g
-
-
 def _inputs(max_n):
     """(name, timed) of every input in record order; ``timed()`` makes one
-    call of the input and returns its row."""
-    for name, g in _ladder(max_n):
-        count = _directions(lambda g=g: build_il(g, two_color_faces(g)).graph)
-        yield name, lambda g=g, count=count: _row(
-            lambda: (g, realize(g, TOL)), count)
+    call of the input and returns its row, building its graphs on the first."""
+    ladder = [n for n in (60 << k for k in range(7)) if n <= max_n]
+    for n in ladder:
+        count = _directions(
+            lambda n=n: build_il(_rung(n), two_color_faces(_rung(n))).graph)
+        yield f"medial-n{n}", lambda n=n, count=count: _row(
+            lambda g=_rung(n): (g, realize(g, TOL)), count)
     for k in (40, 70, 80):
-        p = prism(k)
-        count = _directions(lambda p=p: p)
-        yield f"prism{k}", lambda p=p, count=count: _row(
-            lambda: pack(p, TOL), count, verdicts=False)
+        graph = functools.cache(lambda k=k: prism(k))
+        yield f"prism{k}", lambda graph=graph, count=_directions(graph): _row(
+            lambda p=graph(): pack(p, TOL), count, verdicts=False)
     for c in range(3, 9):
         yield f"flower{c}", lambda c=c: _row(lambda: flower(c), None)
     for c in range(4, 81, 2):
-        base = tetrahedron() if c == 4 else prism(c // 2)
-        count = _directions(lambda base=base: base)
+        count = _directions(lambda c=c: tetrahedron() if c == 4 else prism(c // 2))
         yield f"upper-bound-family{c}", lambda c=c, count=count: _row(
             lambda: upper_bound_family(c), count)
     for phi in (0.5, 1.5, 2.5):
@@ -215,15 +214,16 @@ def _inputs(max_n):
     for kind in (GADGET, BIGADGET):
         yield f"augment-{kind.lower()}", lambda kind=kind: _row(
             lambda: augment_octahedron(kind), None, verdicts=False)
-    gadgets = [augment_octahedron(kind) for kind in (GADGET, BIGADGET)]
-    if gadgets[0].n <= max_n:
+    if max_n >= 822:  # augment_octahedron(GADGET).n
+        gadgets = functools.cache(
+            lambda: [augment_octahedron(kind) for kind in (GADGET, BIGADGET)])
         yield "iso-gadget-bigadget", lambda: _row(
-            lambda: graphs_isomorphic(*gadgets), None, verdicts=False,
-            right=lambda same: not same)
-    for name, g in _ladder(max_n):
-        search, right = _relabelled_search(g, g.n)
-        yield f"iso-{name}", lambda search=search, right=right: _row(
-            search, None, verdicts=False, right=right)
+            lambda pair=gadgets(): graphs_isomorphic(*pair), None,
+            verdicts=False, right=lambda same: not same)
+    for n in ladder:
+        yield f"iso-medial-n{n}", lambda n=n: _row(
+            _relabelled_search(n)[0], None, verdicts=False,
+            right=_relabelled_search(n)[1])
     yield "import", lambda: _row(_reimport, None, verdicts=False)
 
 

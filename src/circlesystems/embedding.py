@@ -12,7 +12,6 @@ incidences of the embedding (see :func:`connectivity_level`).
 
 from __future__ import annotations
 
-from collections import deque
 from itertools import combinations
 
 from .errors import Disconnected, MalformedRotation, NonPlanarEmbedding
@@ -126,42 +125,14 @@ class EmbeddedGraph:
         return [[self.dart_head[d] for d in rot] for rot in self.rotation]
 
     def is_simple(self):
-        seen = set()
-        for u, v in self.edges():
-            if u == v:
-                return False
-            key = (u, v) if u < v else (v, u)
-            if key in seen:
-                return False
-            seen.add(key)
-        return True
+        ends = {(u, v) if u < v else (v, u) for u, v in self.edges()}
+        return len(ends) == self.edge_count and all(u != v for u, v in ends)
 
     def is_regular(self, k):
         return all(len(rot) == k for rot in self.rotation)
 
     def with_outer_face(self, outer_face):
         return EmbeddedGraph(self.rotation, self.dart_tail, self.dart_rev, outer_face)
-
-    def connected_components(self):
-        comp = [-1] * self.n
-        comps = []
-        for s in range(self.n):
-            if comp[s] != -1:
-                continue
-            cid = len(comps)
-            members = [s]
-            comp[s] = cid
-            queue = deque([s])
-            while queue:
-                v = queue.popleft()
-                for d in self.rotation[v]:
-                    w = self.dart_head[d]
-                    if comp[w] == -1:
-                        comp[w] = cid
-                        members.append(w)
-                        queue.append(w)
-            comps.append(members)
-        return comps
 
     def __eq__(self, other):
         if not isinstance(other, EmbeddedGraph):
@@ -183,8 +154,22 @@ class EmbeddedGraph:
     def _check_euler(self):
         # V - E + F = 2 - 2 genus <= 2 on every component, so the totals
         # reach 2 per component only when every component is plane
+        rotation, head = self.rotation, self.dart_head
+        seen = [False] * self.n
+        c = 0
+        for s in range(self.n):
+            if seen[s]:
+                continue
+            c += 1
+            seen[s] = True
+            stack = [s]
+            while stack:
+                for d in rotation[stack.pop()]:
+                    if not seen[w := head[d]]:
+                        seen[w] = True
+                        stack.append(w)
+        self._component_count = c
         v, e, f = self.n, len(self.dart_tail) // 2, len(self.faces)
-        c = self._component_count = len(self.connected_components())
         if v - e + f != 2 * c:
             raise NonPlanarEmbedding(f"V-E+F = {v}-{e}+{f} = {v - e + f}, "
                                      f"not 2 on each of {c} components")
@@ -221,24 +206,17 @@ def build_embedding(neighbor_lists, outer_face=None):
     and parallel edges are kept; ``EmbeddedGraph.is_simple`` reports them.
     """
     n = len(neighbor_lists)
-    for u, nbrs in enumerate(neighbor_lists):
-        for v in nbrs:
-            if not 0 <= v < n:
-                raise MalformedRotation(f"vertex {u} lists unknown neighbor {v}")
-
     dart_tail = []
     rotation = []
-    for u, nbrs in enumerate(neighbor_lists):
-        rot = []
-        for _ in nbrs:
-            rot.append(len(dart_tail))
-            dart_tail.append(u)
-        rotation.append(rot)
-
     occurrences = {}
     for u, nbrs in enumerate(neighbor_lists):
-        for i, v in enumerate(nbrs):
-            occurrences.setdefault((u, v), []).append(rotation[u][i])
+        rot = list(range(len(dart_tail), len(dart_tail) + len(nbrs)))
+        rotation.append(rot)
+        dart_tail += [u] * len(rot)
+        for d, v in zip(rot, nbrs):
+            if not 0 <= v < n:
+                raise MalformedRotation(f"vertex {u} lists unknown neighbor {v}")
+            occurrences.setdefault((u, v), []).append(d)
 
     m = len(dart_tail)
     dart_rev = [-1] * m

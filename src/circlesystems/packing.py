@@ -468,8 +468,7 @@ def _layout(tri: Triangulation, radii):
                 Circle(*pos[b], radii[b] + radii[c]),
             )
         queue.extend(e for e in across(d) if e not in processed)
-    if any(p is None for p in pos):
-        raise NoConvergence("layout left circles unplaced (disconnected input?)")
+    # pack's graph is connected, so the walk crosses sides to every circle
     return pos
 
 

@@ -70,8 +70,12 @@ def test_euler_check_counts_every_component():
     k5 = [[6 + w for w in range(5) if w != v] for v in range(5)]
     with pytest.raises(NonPlanarEmbedding, match="on each of 2 components"):
         build_embedding(lists + k5)
+    k5_last = [[w + 5 for w in row] for row in k5]
+    with pytest.raises(NonPlanarEmbedding, match="on each of 3 components"):
+        build_embedding(lists + k5 + k5_last)
     twice = build_embedding(lists + [[6 + w for w in row] for row in lists])
-    assert len(twice.connected_components()) == 2
+    # 12 - 24 + 16 = 4 passes the check only with 2 components
+    assert connectivity_level(twice) == 0
     assert twice.face_count == 16
 
 

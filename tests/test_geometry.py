@@ -207,6 +207,23 @@ def test_sampler_gives_up_after_its_tries(side):
     assert rng.draws == 6 * SAMPLE_TRIES
 
 
+def test_sampler_skips_a_candidate_whose_mate_radius_is_refused(monkeypatch):
+    # a DomainError from a mate radius refuses that candidate only: the
+    # sampler draws the next one and returns it once it passes
+    calls = []
+
+    def refuse_once(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise DomainError("no mate radius")
+        return outer_mate_radius(*args)
+
+    monkeypatch.setattr(geometry, "outer_mate_radius", refuse_once)
+    cfg = sample_arc_pair_config(random.Random(5), EXTERIOR)
+    assert len(calls) > 2
+    assert nested_arc_inequality(cfg)
+
+
 def test_arc_inequality_symmetric_config():
     # mirror-placed pairs leave the inner gap strictly smallest
     rng = random.Random(99)

@@ -310,6 +310,22 @@ def test_extract_rejects_coincident_points(octa):
         extract_with_arcs(rotated)
 
 
+@pytest.mark.parametrize("angle", [math.nan, math.inf])
+def test_an_arc_end_with_no_numeric_gap_joins_no_points(angle):
+    # no gap from a NaN or infinite arc end to a point is a number, so the
+    # end matches no point: verify reports the arc, and the read refuses it
+    r = canonical_octahedron_realization(RealizationClass.THREE_CROSSING)
+    arcs = list(r.arcs)
+    arcs[0] = arcs[0]._replace(from_angle=angle)
+    bad = r._replace(arcs=arcs)
+    message = f"arc {arcs[0]} does not join consecutive points of circle 0"
+    assert verify_realization(bad).violations == [
+        ("arcs-partition-circle", message)]
+    with pytest.raises(DegenerateArc) as refused:
+        extract_with_arcs(bad)
+    assert str(refused.value) == message
+
+
 def test_verify_bounds_rule(octa):
     r = realize(octa)
     report = verify_realization(r, octa)
